@@ -3,9 +3,9 @@ package main
 // The serve experiment family: what the HTTP layer itself costs. The
 // kernel/pipeline/engine families measure everything below the socket; these
 // rows measure the wire — request decoding, response encoding and the
-// transport size of a record — for the three codecs the serving layer can
-// run: the stdlib encoding/json baseline, the internal/wire fast JSON path,
-// and the binary sample transport.
+// transport size of a record — for the two codecs the serving layer runs,
+// the internal/wire fast JSON path and the binary sample transport, against
+// a stdlib encoding/json decode baseline.
 
 import (
 	"bytes"
@@ -32,9 +32,9 @@ type serveBenchBlock struct {
 	Batch serveBatchMetrics `json:"batch"`
 	// Stream has one row per codec: the per-chunk decode cost of the
 	// serving layer (the wire rows CI guards for allocation regressions)
-	// and the end-to-end chunk rate through a live /v1/stream request
-	// (which includes classification, so codecs converge there — the
-	// decode columns are the codec comparison).
+	// and, for the codecs the server runs, the end-to-end chunk rate
+	// through a live /v1/stream request (which includes classification, so
+	// codecs converge there — the decode columns are the codec comparison).
 	Stream []serveStreamRow `json:"stream"`
 	// WireBytes30s is the uplink size of the same 30 s record in each
 	// transport encoding.
@@ -64,8 +64,9 @@ type serveStreamRow struct {
 	DecodeChunksPerSec float64 `json:"decode_chunks_per_sec"`
 	DecodeAllocsPerOp  int64   `json:"decode_allocs_per_op"`
 	// HTTPChunksPerSec is the end-to-end rate: a live loopback /v1/stream
-	// request draining the same chunks through the engine.
-	HTTPChunksPerSec float64 `json:"http_chunks_per_sec"`
+	// request draining the same chunks through the engine. The json_stdlib
+	// row has none: the server never decodes with encoding/json.
+	HTTPChunksPerSec float64 `json:"http_chunks_per_sec,omitempty"`
 }
 
 type serveWireBytes struct {
@@ -168,10 +169,10 @@ func runServeBench(out *benchFile) error {
 	}
 
 	// --- live server for the end-to-end rows ---
-	httpRate := func(stdlib bool, contentType string, body []byte, chunks int) (float64, error) {
+	httpRate := func(contentType string, body []byte, chunks int) (float64, error) {
 		eng := pipeline.NewEngine(cat, pipeline.EngineConfig{})
 		defer eng.Close()
-		ts := httptest.NewServer(serve.NewHandler(eng, serve.HandlerConfig{StdlibJSON: stdlib}))
+		ts := httptest.NewServer(serve.NewHandler(eng, serve.HandlerConfig{}))
 		defer ts.Close()
 		best := 0.0
 		for round := 0; round < 3; round++ {
@@ -204,20 +205,16 @@ func runServeBench(out *benchFile) error {
 			DecodeAllocsPerOp:  res.AllocsPerOp(),
 		}
 		out.Results = append(out.Results, record("serve/stream_decode_chunk_"+codec, res))
-		var rate float64
 		var err error
 		switch codec {
-		case "json_stdlib":
-			rate, err = httpRate(true, wire.ContentTypeNDJSON, ndjson, chunks)
 		case "json_fast":
-			rate, err = httpRate(false, wire.ContentTypeNDJSON, ndjson, chunks)
+			row.HTTPChunksPerSec, err = httpRate(wire.ContentTypeNDJSON, ndjson, chunks)
 		case "binary":
-			rate, err = httpRate(false, wire.ContentTypeSamples, frames, chunks)
+			row.HTTPChunksPerSec, err = httpRate(wire.ContentTypeSamples, frames, chunks)
 		}
 		if err != nil {
 			return err
 		}
-		row.HTTPChunksPerSec = rate
 		out.Serve.Stream = append(out.Serve.Stream, row)
 	}
 

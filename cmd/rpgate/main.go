@@ -25,10 +25,10 @@
 // A backend dying mid-stream is invisible to the client: the gateway keeps a
 // bounded replay journal per stream and, on a retryable failure, reopens on
 // the ring successor, replays the journal tail, suppresses beats the client
-// already has, and resumes live. With the default -failover-window (the
-// deterministic-resync warm-up bound) the post-failover beats are
-// bit-identical to an uninterrupted run; -failover-window -1 restores the
-// old surface-the-error behavior.
+// already has, and resumes live. The journal retains the
+// deterministic-resync warm-up bound of samples, so the post-failover beats
+// are bit-identical to an uninterrupted run. A stream no backend can take
+// over ends with a typed trailing error line.
 //
 // Shutdown is graceful: SIGINT/SIGTERM stop the listener, in-flight relays
 // get -drain to finish (backends keep their streams), then the gateway
@@ -57,7 +57,6 @@ func main() {
 		interval  = flag.Duration("health-interval", gate.DefaultHealthInterval, "backend health/catalog probe cadence")
 		timeout   = flag.Duration("health-timeout", 2*time.Second, "per-probe timeout")
 		failAfter = flag.Int("fail-after", 2, "consecutive transport failures before a backend leaves rotation")
-		failover  = flag.Int("failover-window", 0, "replay-journal depth in samples for transparent mid-stream failover (0 = resync warm-up bound, negative = disable failover)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	)
 	var backends []string
@@ -81,7 +80,6 @@ func main() {
 		HealthInterval: *interval,
 		HealthTimeout:  *timeout,
 		FailAfter:      *failAfter,
-		FailoverWindow: *failover,
 	})
 	if err != nil {
 		log.Fatal(err)

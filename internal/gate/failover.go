@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"rpbeat/internal/apierr"
+	"rpbeat/internal/serve"
 	"rpbeat/internal/wire"
 )
 
@@ -51,26 +52,15 @@ const maxRelayLineBytes = 8 << 20
 
 var errAttemptSuperseded = errors.New("gate: relay attempt superseded by failover")
 
-// relayStream is the stream relay path with transparent failover. It
-// replaces relayTo for POST /v1/stream whenever Config.FailoverWindow is
-// not negative.
+// relayStream is the /v1/stream relay, with transparent failover.
 func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend) {
-	select {
-	case <-g.closed:
-		writeErr(w, apierr.New(apierr.CodeShuttingDown, "gateway draining"))
-		return
-	default:
-	}
-	g.inflight.Add(1)
-	defer g.inflight.Done()
-
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
 		writeErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
 		return
 	}
 
-	j := newJournal(g.failoverWindow)
+	j := newJournal(g.window)
 	var pump sync.WaitGroup
 	pump.Add(1)
 	go func() {
@@ -78,12 +68,17 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 		pumpUplink(r.Body, wire.IsSampleContentType(r.Header.Get("Content-Type")), j)
 	}()
 	defer func() {
-		// The pump must not touch r.Body after this handler returns: close
-		// the journal, break any read still blocked on a quiet client with
-		// an immediate deadline, and only then hand the connection back.
-		j.close()
-		rc.SetReadDeadline(time.Now())
+		// The pump must not touch r.Body after this handler returns: closing
+		// the journal stops it at its next unit, and a read deadline bounds
+		// a read still blocked on a quiet client. A pump that has reached
+		// the uplink's EOF gets no deadline: net/http's background read owns
+		// the connection by then, and failing that read would cancel the
+		// connection's next request.
+		if !j.close() {
+			rc.SetReadDeadline(time.Now().Add(serve.UplinkGrace))
+		}
 		pump.Wait()
+		serve.EndUplink(w, r.Body)
 	}()
 
 	bp := g.bufs.Get().(*[]byte)
@@ -100,146 +95,89 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 		pr, pw := io.Pipe()
 		go runSender(j, gen, pw)
 
-		out, err := http.NewRequestWithContext(r.Context(), http.MethodPost, cur.url+r.URL.RequestURI(), pr)
+		out, err := backendRequest(r, cur, pr)
 		if err != nil {
 			pw.CloseWithError(err)
 			g.failStream(w, rc.Flush, headersSent, d,
 				apierr.New(apierr.CodeInternal, "gateway: building backend request: %v", err))
 			return
 		}
-		out.Header = r.Header.Clone()
-		for _, h := range hopHeaders {
-			out.Header.Del(h)
-		}
 		if attempt > 0 {
 			out.Header.Set(wire.ResumeFromHeader, strconv.FormatInt(base, 10))
 		}
 
+		// lost says why cur cannot carry the stream on. A successor that
+		// refuses the resumed stream is no new loss, so moving past it is
+		// not counted as a failover hop.
+		var lost *apierr.Error
+		hop := true
 		cur.inflight.Add(1)
 		resp, err := g.client.Do(out)
-		if err != nil {
-			cur.inflight.Add(-1)
-			if r.Context().Err() != nil {
-				if !headersSent {
-					writeErr(w, r.Context().Err()) // the client gave up, not the backend
-				}
-				return
-			}
-			g.noteBackendError(cur, err)
-			next := g.failoverSuccessor(key, cur, j, attemptsLeft)
-			if next == nil {
-				g.failStream(w, rc.Flush, headersSent, d, apierr.New(apierr.CodeServerOverloaded,
-					"gateway: backend %s unreachable: %v", cur.url, err))
-				return
-			}
-			g.failovers.Add(1)
-			cur = next
-			continue
+		if err == nil {
+			cur.noteStatus(resp.StatusCode)
 		}
-
-		if resp.StatusCode != http.StatusOK {
-			if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests {
-				cur.refused.Add(1)
-			}
+		switch {
+		case err != nil && r.Context().Err() != nil:
+			cur.inflight.Add(-1)
 			if !headersSent {
+				writeErr(w, r.Context().Err()) // the client gave up, not the backend
+			}
+			return
+		case err != nil:
+			cur.inflight.Add(-1)
+			g.noteBackendError(cur, err)
+			lost = apierr.New(apierr.CodeServerOverloaded, "gateway: backend %s unreachable: %v", cur.url, err)
+		case resp.StatusCode != http.StatusOK && headersSent:
+			// A successor refused the resumed stream; try the next one.
+			drainClose(resp.Body)
+			cur.inflight.Add(-1)
+			lost = apierr.New(apierr.CodeServerOverloaded, "gateway: no backend accepted the resumed stream")
+			hop = false
+		default:
+			if !headersSent {
+				relayHeader(w, resp, cur)
+				headersSent = true
+			}
+			if resp.StatusCode != http.StatusOK {
 				// An open-time typed refusal relays verbatim; see the
 				// taxonomy above.
-				hdr := w.Header()
-				for k, vv := range resp.Header {
-					hdr[k] = vv
-				}
-				for _, h := range hopHeaders {
-					hdr.Del(h)
-				}
-				hdr.Set("X-Rpgate-Backend", cur.url)
-				w.WriteHeader(resp.StatusCode)
 				RelayCopy(w, rc.Flush, resp.Body, d.buf)
 				resp.Body.Close()
 				cur.inflight.Add(-1)
 				return
 			}
-			// A successor refused the resumed stream; try the next one.
-			drainClose(resp.Body)
+			outcome := d.run(resp.Body, attempt > 0, j)
+			resp.Body.Close()
 			cur.inflight.Add(-1)
-			next := g.failoverSuccessor(key, cur, j, attemptsLeft)
-			if next == nil {
-				g.failStream(w, rc.Flush, headersSent, d, apierr.New(apierr.CodeServerOverloaded,
-					"gateway: no backend accepted the resumed stream"))
+			switch outcome {
+			case outDone:
+				cur.relayed.Add(1)
+				return
+			case outFatal, outClientGone:
 				return
 			}
-			cur = next
-			continue
-		}
-
-		if !headersSent {
-			hdr := w.Header()
-			for k, vv := range resp.Header {
-				hdr[k] = vv
-			}
-			for _, h := range hopHeaders {
-				hdr.Del(h)
-			}
-			hdr.Set("X-Rpgate-Backend", cur.url)
-			w.WriteHeader(resp.StatusCode)
-			headersSent = true
-		}
-
-		outcome := d.run(resp.Body, attempt > 0, j)
-		resp.Body.Close()
-		cur.inflight.Add(-1)
-		switch outcome {
-		case outDone:
-			cur.relayed.Add(1)
-			return
-		case outFatal, outClientGone:
-			return
-		default: // outFailover
+			// outFailover
 			if d.causeTransport {
 				g.noteBackendError(cur, d.cause)
 			}
-			next := g.failoverSuccessor(key, cur, j, attemptsLeft)
-			if next == nil {
-				g.failStream(w, rc.Flush, headersSent, d, apierr.New(apierr.CodeServerOverloaded,
-					"gateway: backend %s lost mid-stream: %v", cur.url, d.cause))
-				return
-			}
-			g.failovers.Add(1)
-			cur = next
+			lost = apierr.New(apierr.CodeServerOverloaded, "gateway: backend %s lost mid-stream: %v", cur.url, d.cause)
 		}
-	}
-}
 
-// failoverSuccessor resolves where a torn stream resumes: the next routable
-// backend for its key that is not the one that just failed — provided the
-// journal is still exact and the attempt budget is not spent.
-func (g *Gateway) failoverSuccessor(key string, dead *backend, j *journal, attemptsLeft int) *backend {
-	if attemptsLeft <= 0 || !j.exact() {
-		return nil
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	usable := func(member string) bool {
-		bk := g.backends[member]
-		return bk != dead && bk.routable()
-	}
-	if key == "" {
-		n := len(g.members)
-		if n == 0 {
-			return nil
+		// Resume on the next routable backend for the key, provided the
+		// journal is still exact and the attempt budget is not spent.
+		var next *backend
+		if attemptsLeft > 0 && j.exact() {
+			next = g.pick(key, cur)
 		}
-		start := int(g.rr.Add(1)-1) % n
-		for i := 0; i < n; i++ {
-			if m := g.members[(start+i)%n]; usable(m) {
-				return g.backends[m]
-			}
+		if next == nil {
+			g.failStream(w, rc.Flush, headersSent, d, lost)
+			return
 		}
-		return nil
+		if hop {
+			g.failovers.Add(1)
+		}
+		cur = next
 	}
-	m, ok := g.ring.LookupFunc(key, usable)
-	if !ok {
-		return nil
-	}
-	return g.backends[m]
 }
 
 // failStream ends a stream the relay could not save. Before headers: a plain

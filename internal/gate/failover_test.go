@@ -162,8 +162,9 @@ func TestGateFailoverResyncBitIdentity(t *testing.T) {
 	for _, enc := range encodings {
 		for _, wc := range windows {
 			t.Run(enc.name+"/"+wc.name, func(t *testing.T) {
-				s := newGateStack(t, 3, serve.HandlerConfig{}, Config{FailoverWindow: wc.window})
+				s := newGateStack(t, 3, serve.HandlerConfig{}, Config{})
 				defer s.Close()
+				s.gw.window = wc.window
 				s.gw.CheckNow(context.Background())
 
 				body := enc.body(wc.per)

@@ -44,14 +44,6 @@ type Config struct {
 	// MaxUploadBytes bounds a fanned-out POST /v1/models body; default
 	// core.MaxModelBytes, matching the backends.
 	MaxUploadBytes int64
-	// FailoverWindow is how many trailing uplink samples each stream's
-	// replay journal retains for transparent mid-stream failover
-	// (failover.go). 0 selects the deterministic-resync bound —
-	// pipeline.ResyncWarmup of the default pipeline, the replay depth that
-	// makes post-failover beats bit-identical to an uninterrupted run.
-	// Negative disables failover: backend death then surfaces as the
-	// trailing typed error line of the plain relay path.
-	FailoverWindow int
 	// Client overrides the backend-side HTTP client (default: a dedicated
 	// one with an unbounded per-host connection pool).
 	Client *http.Client
@@ -98,18 +90,30 @@ func (b *backend) routable() bool {
 	return b.healthy.Load() && !b.draining.Load() && !b.divergent.Load()
 }
 
+// noteStatus counts a relayed 503 or 429 as a refusal by b.
+func (b *backend) noteStatus(status int) {
+	if status == http.StatusServiceUnavailable || status == http.StatusTooManyRequests {
+		b.refused.Add(1)
+	}
+}
+
 // Gateway routes client requests onto the backend pool. See the package
 // comment for the invariants it keeps.
 type Gateway struct {
-	replicas       int
-	interval       time.Duration // always positive (backoff math); loop gated by runLoop
-	runLoop        bool
-	timeout        time.Duration
-	failAfter      int
-	maxUpload      int64
-	failoverWindow int // replay journal depth in samples; -1 = failover off
-	client         *http.Client
-	ownsClient     bool
+	replicas   int
+	interval   time.Duration // always positive (backoff math); loop gated by runLoop
+	runLoop    bool
+	timeout    time.Duration
+	failAfter  int
+	maxUpload  int64
+	client     *http.Client
+	ownsClient bool
+	// window is how many trailing uplink samples each stream's replay
+	// journal retains for transparent mid-stream failover (failover.go):
+	// pipeline.ResyncWarmup of the default pipeline, the replay depth that
+	// makes post-failover beats bit-identical to an uninterrupted run. A
+	// smaller window breaks that, a larger one only costs memory.
+	window int
 
 	// mu guards the membership view. The relay path takes it only for the
 	// ring lookup (RLock); rebuilds happen on Add/Remove.
@@ -163,6 +167,7 @@ func New(cfg Config) (*Gateway, error) {
 		failAfter: cfg.FailAfter,
 		maxUpload: cfg.MaxUploadBytes,
 		client:    cfg.Client,
+		window:    pipeline.ResyncWarmup(pipeline.Config{}),
 		backends:  make(map[string]*backend, len(cfg.Backends)),
 		digests:   make(map[string]string),
 		closed:    make(chan struct{}),
@@ -178,14 +183,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if g.maxUpload <= 0 {
 		g.maxUpload = core.MaxModelBytes
-	}
-	switch {
-	case cfg.FailoverWindow < 0:
-		g.failoverWindow = -1
-	case cfg.FailoverWindow == 0:
-		g.failoverWindow = pipeline.ResyncWarmup(pipeline.Config{})
-	default:
-		g.failoverWindow = cfg.FailoverWindow
 	}
 	if g.client == nil {
 		g.ownsClient = true
@@ -293,34 +290,38 @@ func (g *Gateway) Members() []string {
 // This is the routing decision the relay path makes, exposed for
 // conformance tests and operators.
 func (g *Gateway) BackendFor(key string) (string, bool) {
-	b := g.pick(key)
+	b := g.pick(key, nil)
 	if b == nil {
 		return "", false
 	}
 	return b.url, true
 }
 
-// pick resolves a stream key to a routable backend: ring affinity for keyed
-// requests, round-robin over routable members for keyless ones.
-func (g *Gateway) pick(key string) *backend {
+// pick resolves a stream key to a routable backend other than skip: ring
+// affinity for keyed requests, round-robin over routable members for keyless
+// ones. skip is nil when a request is first routed, and the backend just
+// lost when a stream fails over.
+func (g *Gateway) pick(key string, skip *backend) *backend {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if len(g.members) == 0 {
-		return nil
+	usable := func(member string) bool {
+		b := g.backends[member]
+		return b != skip && b.routable()
 	}
 	if key == "" {
 		n := len(g.members)
+		if n == 0 {
+			return nil
+		}
 		start := int(g.rr.Add(1)-1) % n
 		for i := 0; i < n; i++ {
-			if b := g.backends[g.members[(start+i)%n]]; b.routable() {
-				return b
+			if m := g.members[(start+i)%n]; usable(m) {
+				return g.backends[m]
 			}
 		}
 		return nil
 	}
-	m, ok := g.ring.LookupFunc(key, func(member string) bool {
-		return g.backends[member].routable()
-	})
+	m, ok := g.ring.LookupFunc(key, usable)
 	if !ok {
 		return nil
 	}
@@ -382,58 +383,42 @@ var hopHeaders = []string{
 }
 
 // relay forwards one request to its affine backend and streams the
-// response back verbatim.
+// response back verbatim: POST /v1/stream through relayStream (failover.go),
+// everything else through relayTo.
 func (g *Gateway) relay(w http.ResponseWriter, r *http.Request) {
-	b := g.pick(affinityKey(r))
-	if b == nil {
-		g.shedNoBackend.Add(1)
-		writeErr(w, apierr.New(apierr.CodeServerOverloaded, "gateway: no routable backend for this stream"))
-		return
-	}
-	if g.failoverWindow >= 0 && r.Method == http.MethodPost && r.URL.Path == "/v1/stream" {
-		g.relayStream(w, r, b)
-		return
-	}
-	g.relayTo(w, r, b)
-}
-
-// relayTo is the relay data path. Request bodies stream through to the
-// backend (net/http writes the outgoing body concurrently with reading the
-// response, so /v1/stream's full-duplex NDJSON works end to end); response
-// bodies stream back through a pooled copy buffer with a flush per read.
-// Steady-state cost per relayed chunk: zero allocations (RelayCopy).
-func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 	select {
 	case <-g.closed:
 		writeErr(w, apierr.New(apierr.CodeShuttingDown, "gateway draining"))
 		return
 	default:
 	}
+	b := g.pick(affinityKey(r), nil)
+	if b == nil {
+		g.shedNoBackend.Add(1)
+		writeErr(w, apierr.New(apierr.CodeServerOverloaded, "gateway: no routable backend for this stream"))
+		return
+	}
 	g.inflight.Add(1)
 	defer g.inflight.Done()
+	if r.Method == http.MethodPost && r.URL.Path == "/v1/stream" {
+		g.relayStream(w, r, b)
+		return
+	}
+	g.relayTo(w, r, b)
+}
+
+// relayTo relays a one-shot request: the request body streams through to
+// the backend, and the response body streams back through a pooled copy
+// buffer with a flush per read. Steady-state cost per relayed chunk: zero
+// allocations (RelayCopy).
+func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 
-	isStream := r.Method == http.MethodPost && r.URL.Path == "/v1/stream"
-	rc := http.NewResponseController(w)
-	if isStream {
-		// Beat lines must reach the client while its upload is still in
-		// flight; without full duplex the HTTP/1 server would discard the
-		// remaining request body on the first response write.
-		if err := rc.EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
-			writeErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
-			return
-		}
-	}
-
-	out, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.RequestURI(), r.Body)
+	out, err := backendRequest(r, b, r.Body)
 	if err != nil {
 		writeErr(w, apierr.New(apierr.CodeInternal, "gateway: building backend request: %v", err))
 		return
-	}
-	out.Header = r.Header.Clone()
-	for _, h := range hopHeaders {
-		out.Header.Del(h)
 	}
 	out.ContentLength = r.ContentLength
 
@@ -449,10 +434,41 @@ func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 		return
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests {
-		b.refused.Add(1)
-	}
+	b.noteStatus(resp.StatusCode)
+	relayHeader(w, resp, b)
 
+	bp := g.bufs.Get().(*[]byte)
+	_, cerr := RelayCopy(w, http.NewResponseController(w).Flush, resp.Body, *bp)
+	g.bufs.Put(bp)
+	switch {
+	case cerr == nil:
+		b.relayed.Add(1)
+	case isRelayWriteError(cerr) || r.Context().Err() != nil:
+		// The client side failed; the backend did nothing wrong.
+	default:
+		// The backend died mid-response. The truncated body is the client's
+		// (transport) signal.
+		g.noteBackendError(b, cerr)
+	}
+}
+
+// backendRequest builds the request that relays r to b: r's method, URI and
+// end-to-end headers, carrying body.
+func backendRequest(r *http.Request, b *backend, body io.Reader) (*http.Request, error) {
+	out, err := http.NewRequestWithContext(r.Context(), r.Method, b.url+r.URL.RequestURI(), body)
+	if err != nil {
+		return nil, err
+	}
+	out.Header = r.Header.Clone()
+	for _, h := range hopHeaders {
+		out.Header.Del(h)
+	}
+	return out, nil
+}
+
+// relayHeader forwards a backend response's status and end-to-end headers to
+// the client, stamped with the backend that answered.
+func relayHeader(w http.ResponseWriter, resp *http.Response, b *backend) {
 	hdr := w.Header()
 	for k, vv := range resp.Header {
 		hdr[k] = vv
@@ -462,32 +478,6 @@ func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 	}
 	hdr.Set("X-Rpgate-Backend", b.url)
 	w.WriteHeader(resp.StatusCode)
-
-	bp := g.bufs.Get().(*[]byte)
-	_, cerr := RelayCopy(w, rc.Flush, resp.Body, *bp)
-	g.bufs.Put(bp)
-	switch {
-	case cerr == nil:
-		b.relayed.Add(1)
-	case isRelayWriteError(cerr) || r.Context().Err() != nil:
-		// The client side failed; the backend did nothing wrong.
-	default:
-		// The backend died mid-response. For a stream, the NDJSON framing
-		// lets us append a trailing typed error line — the client sees a
-		// contract error, never a torn line (RelayCopy forwards only whole
-		// backend writes, and the backend writes whole lines). For one-shot
-		// bodies the truncation itself is the client's (transport) signal.
-		g.noteBackendError(b, cerr)
-		if isStream {
-			ebp := lineBufs.Get().(*[]byte)
-			line := wire.AppendError((*ebp)[:0], string(apierr.CodeServerOverloaded),
-				fmt.Sprintf("gateway: backend %s lost mid-stream: %v", b.url, cerr))
-			w.Write(line)
-			rc.Flush()
-			*ebp = line[:0]
-			lineBufs.Put(ebp)
-		}
-	}
 }
 
 // noteBackendError records a transport-level failure against a backend; at

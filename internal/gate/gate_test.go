@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"sync"
@@ -260,6 +261,53 @@ func TestGatewayAffinityStable(t *testing.T) {
 	}
 	if len(perBackend) < 2 {
 		t.Errorf("12 streams all landed on one backend: %v (ring imbalance?)", perBackend)
+	}
+}
+
+// TestGatewayKeepAliveAfterStream sends requests back to back over one
+// kept-alive client connection, alternating /v1/stream with one-shot
+// /v1/classify. A relayed stream must leave its client connection fit for
+// the next request: every request gets 200, and every one after the first
+// reuses the connection.
+func TestGatewayKeepAliveAfterStream(t *testing.T) {
+	s := newGateStack(t, 3, serve.HandlerConfig{}, Config{})
+	defer s.Close()
+	s.gw.CheckNow(context.Background())
+
+	frame := mustFrame(t, testLead(2, 12))
+	tr := &http.Transport{MaxConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+	for i := 0; i < 64; i++ {
+		path := "/v1/stream"
+		if i%2 == 1 {
+			path = "/v1/classify"
+		}
+		req, err := http.NewRequest(http.MethodPost, s.ts.URL+path, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeSamples)
+		req.Header.Set("X-Stream-Id", fmt.Sprintf("keepalive-%d", i))
+		var reused bool
+		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+		}))
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("request %d (%s): %v", i, path, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("request %d (%s): reading body: %v", i, path, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d (%s): status %d: %s", i, path, resp.StatusCode, body)
+		}
+		if i > 0 && !reused {
+			t.Fatalf("request %d (%s) did not reuse the kept-alive connection", i, path)
+		}
 	}
 }
 

@@ -25,15 +25,16 @@ package gate
 //
 // Two different things can hold an eviction up, and they get opposite
 // treatment. When the sender lags (a slow backend) appends block on the
-// condition variable until the cursor advances — the same backpressure the
-// un-journaled relay got from the HTTP connection's flow control. When the
+// condition variable until the cursor advances — the same backpressure a
+// plain byte relay gets from the HTTP connection's flow control. When the
 // ack watermark lags (beats simply haven't arrived yet) appends must NOT
 // block: the backend needs future samples to produce the very beats that
 // would advance the watermark, so blocking would deadlock the stream.
 // Those appends grow the arena instead — bounded in practice by beat
 // spacing plus pipeline delay, and hard-capped at maxJournalArena, past
-// which the journal poisons itself: replay capability is surrendered, the
-// stream degrades to the plain relay contract, and memory stays bounded.
+// which the journal poisons itself: replay capability is surrendered (a
+// backend lost after that ends the stream with a typed error line), and
+// memory stays bounded.
 
 import "sync"
 
@@ -307,13 +308,14 @@ func (j *journal) finish() {
 	j.mu.Unlock()
 }
 
-// close tears the journal down: appends return false, senders exit. Safe to
-// call more than once.
-func (j *journal) close() {
+// close tears the journal down: appends return false, senders exit. It
+// reports whether the uplink had already ended. Safe to call more than once.
+func (j *journal) close() (uplinkEnded bool) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.closed = true
 	j.cond.Broadcast()
-	j.mu.Unlock()
+	return j.done
 }
 
 // ack records delivery progress: the downlink forwarded a beat whose sample

@@ -18,8 +18,7 @@
 //     compact uplink for bandwidth-bound WBSN acquisition clients;
 //   - anything else is parsed as JSON — {"model":...,"samples":[...]} on
 //     /v1/classify, NDJSON {"samples":[...]} chunk lines on /v1/stream —
-//     through the hand-rolled internal/wire parser (encoding/json only
-//     remains as the HandlerConfig.StdlibJSON A/B baseline).
+//     through the hand-rolled internal/wire parser.
 //
 // Responses are always JSON/NDJSON, built by internal/wire's append-style
 // encoders into pooled buffers: byte-identical to what encoding/json would
@@ -65,13 +64,13 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"rpbeat/internal/apierr"
 	"rpbeat/internal/catalog"
 	"rpbeat/internal/core"
-	"rpbeat/internal/nfc"
 	"rpbeat/internal/overload"
 	"rpbeat/internal/pipeline"
 	"rpbeat/internal/wire"
@@ -97,11 +96,6 @@ type HandlerConfig struct {
 	// MaxUploadBytes bounds a POST /v1/models body; default
 	// core.MaxModelBytes (the codec's own ceiling).
 	MaxUploadBytes int64
-	// StdlibJSON routes the data paths' JSON codecs through encoding/json
-	// instead of internal/wire — the A/B baseline the serve benchmarks and
-	// the codec-equivalence tests compare against. The wire format is
-	// identical either way; only cost differs. Off (fast path) by default.
-	StdlibJSON bool
 	// MaxStreams bounds concurrently open /v1/stream requests. At the
 	// bound, new streams are shed with the typed server_overloaded error
 	// while batch /v1/classify stays admitted — the shed ladder's first
@@ -125,11 +119,10 @@ type HandlerConfig struct {
 }
 
 type server struct {
-	eng        *pipeline.Engine
-	maxUpload  int64
-	stdlibJSON bool
-	gate       *overload.Gate
-	limiter    *overload.Limiter
+	eng       *pipeline.Engine
+	maxUpload int64
+	gate      *overload.Gate
+	limiter   *overload.Limiter
 	// scratch pools the per-request working buffers of /v1/classify: the
 	// request body bytes, the decoded sample slice, the millivolt
 	// conversion, the morphological filter and wavelet-detector buffers,
@@ -153,7 +146,7 @@ var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b
 // PUT /v1/default) and GET /healthz.
 func NewHandler(eng *pipeline.Engine, cfg HandlerConfig) http.Handler {
 	s := &server{
-		eng: eng, maxUpload: cfg.MaxUploadBytes, stdlibJSON: cfg.StdlibJSON,
+		eng: eng, maxUpload: cfg.MaxUploadBytes,
 		gate: overload.NewGate(overload.GateConfig{MaxStreams: cfg.MaxStreams, MaxBatch: cfg.MaxBatch}),
 	}
 	if cfg.RatePerTenant > 0 {
@@ -212,8 +205,7 @@ func (a affinityHeaders) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 type classifyScratch struct {
 	body  []byte // raw request body bytes
 	batch pipeline.BatchScratch
-	resp  []byte // encoded response (fast path)
-	beats []Beat // response beat objects (stdlib path)
+	resp  []byte // encoded response
 }
 
 // ErrorResponse is the uniform JSON error body of every endpoint.
@@ -513,12 +505,6 @@ func (s *server) decodeClassifyRequest(sc *classifyScratch, r *http.Request, bod
 					"record exceeds %d samples", maxClassifySamples)
 			}
 		}
-	case s.stdlibJSON:
-		req := ClassifyRequest{Samples: sc.batch.Samples[:0]}
-		if err := json.Unmarshal(sc.body, &req); err != nil {
-			return "", nil, apierr.New(apierr.CodeBadInput, "bad request body: %v", err)
-		}
-		model, sc.batch.Samples = req.Model, req.Samples
 	default:
 		model, sc.batch.Samples, err = wire.ParseClassify(sc.batch.Samples, sc.body)
 		if err != nil {
@@ -566,32 +552,12 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	if s.stdlibJSON {
-		s.writeClassifyStdlib(w, sc, entry.Manifest.Ref(), beats)
-		return
-	}
 	// The response is encoded before the deferred Put, so the pooled
 	// buffers are never aliased by a live request.
 	sc.resp = wire.AppendClassifyResponse(sc.resp[:0], entry.Manifest.Ref(), beats)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.resp)
-}
-
-// writeClassifyStdlib is the encoding/json response path (the A/B
-// baseline): the historical Beat-slice + map rendering through json.Encoder.
-func (s *server) writeClassifyStdlib(w http.ResponseWriter, sc *classifyScratch, ref string, beats []pipeline.BeatResult) {
-	if sc.beats == nil {
-		sc.beats = []Beat{} // encode as [], never null
-	}
-	sc.beats = sc.beats[:0]
-	for _, b := range beats {
-		sc.beats = append(sc.beats, Beat{Sample: b.Peak, Class: b.Decision.String()})
-	}
-	writeJSON(w, http.StatusOK, ClassifyResponse{
-		Model: ref, Total: len(beats),
-		Counts: countDecisions(beats), Beats: sc.beats,
-	})
 }
 
 // StreamChunk is one NDJSON request line of POST /v1/stream: the next batch
@@ -619,18 +585,10 @@ type StreamDone struct {
 	Samples int    `json:"samples"`
 }
 
-// decodeChunkLine decodes one NDJSON chunk line into buf[:0] through the
-// configured JSON codec (wire fast parser, or encoding/json as the A/B
-// baseline — both reuse buf's backing array across lines, so steady-state
-// chunk decoding never reallocates).
+// decodeChunkLine decodes one NDJSON chunk line into buf[:0], reusing buf's
+// backing array across lines, so steady-state chunk decoding never
+// reallocates.
 func (s *server) decodeChunkLine(buf []int32, line []byte) ([]int32, error) {
-	if s.stdlibJSON {
-		chunk := StreamChunk{Samples: buf[:0]}
-		if err := json.Unmarshal(line, &chunk); err != nil {
-			return buf, apierr.New(apierr.CodeBadInput, "bad chunk: %v", err)
-		}
-		return chunk.Samples, nil
-	}
 	out, err := wire.ParseChunk(buf, line)
 	if err != nil {
 		return out, apierr.New(apierr.CodeBadInput, "bad chunk: %v", err)
@@ -668,6 +626,9 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
 		return
 	}
+	// Runs last, once no sink can write: every exit below, early ones
+	// included, leaves the connection safe to reuse or marked to close.
+	defer EndUplink(w, r.Body)
 
 	// wmu guards the response writer, the lazily-written header, the shared
 	// line buffer and the stopped gate. stopped cuts the sink off once the
@@ -688,10 +649,6 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// closes, so a late sink call can never touch a recycled buffer.
 	bp := lineBufs.Get().(*[]byte)
 	lineBuf := *bp
-	var enc *json.Encoder
-	if s.stdlibJSON {
-		enc = json.NewEncoder(w)
-	}
 	defer func() {
 		wmu.Lock()
 		stopped = true
@@ -712,12 +669,8 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 		wmu.Lock()
 		defer wmu.Unlock()
 		ensureHeaderLocked()
-		if enc != nil {
-			enc.Encode(d)
-		} else {
-			lineBuf = wire.AppendStreamDone(lineBuf[:0], d.Model, d.Beats, d.Samples)
-			w.Write(lineBuf)
-		}
+		lineBuf = wire.AppendStreamDone(lineBuf[:0], d.Model, d.Beats, d.Samples)
+		w.Write(lineBuf)
 		rc.Flush()
 	}
 	// streamErr renders a typed error: as a plain status+body when nothing
@@ -766,17 +719,11 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			ensureHeaderLocked()
-			if enc != nil {
-				for _, b := range res {
-					enc.Encode(StreamBeat{Sample: b.Peak, Class: b.Decision.String(), DetectedAt: b.DetectedAt})
-				}
-			} else {
-				lineBuf = lineBuf[:0]
-				for _, b := range res {
-					lineBuf = wire.AppendStreamBeat(lineBuf, b.Peak, b.Decision.String(), b.DetectedAt)
-				}
-				w.Write(lineBuf)
+			lineBuf = lineBuf[:0]
+			for _, b := range res {
+				lineBuf = wire.AppendStreamBeat(lineBuf, b.Peak, b.Decision.String(), b.DetectedAt)
 			}
+			w.Write(lineBuf)
 			rc.Flush()
 			beats += len(res) // sink calls are serialized per stream
 		})
@@ -892,6 +839,43 @@ func resumeBase(r *http.Request) (int, error) {
 	return base, nil
 }
 
+// UplinkGrace bounds how long EndUplink goes on reading an upload whose
+// /v1/stream response has already ended.
+const UplinkGrace = 500 * time.Millisecond
+
+// maxUplinkDrain bounds the bytes EndUplink reads, as net/http bounds its own
+// drain of an unread request body.
+const maxUplinkDrain = 256 << 10
+
+// EndUplink is the last step of a full-duplex /v1/stream handler: it makes
+// sure the connection is not offered for reuse while the request body is
+// unfinished. net/http (go1.24) drains a body the handler left unread only
+// after it has stopped the connection's background read, so reaching EOF in
+// that drain starts a fresh read that races the next request on the
+// kept-alive connection. EndUplink reads what is left itself, for at most
+// UplinkGrace and maxUplinkDrain bytes. At EOF the connection stays
+// reusable. Otherwise it closes after this response.
+func EndUplink(w http.ResponseWriter, body io.Reader) {
+	rc := http.NewResponseController(w)
+	rc.SetReadDeadline(time.Now().Add(UplinkGrace))
+	if _, err := io.CopyN(io.Discard, body, maxUplinkDrain); err == io.EOF {
+		rc.SetReadDeadline(time.Time{})
+		return
+	}
+	// A MaxBytesReader over its limit is the one signal net/http takes to
+	// close the connection after this response, also once the headers are
+	// out. It looks for the server's own writer, so unwrap middleware
+	// first, as http.ResponseController does.
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			break
+		}
+		w = u.Unwrap()
+	}
+	http.MaxBytesReader(w, io.NopCloser(strings.NewReader("-")), 0).Read(make([]byte, 1))
+}
+
 // sendWithBackpressure forwards one chunk to the stream, converting the
 // engine's typed stream_overloaded into what HTTP already has for this:
 // backpressure. While the per-stream queue is full the handler simply stops
@@ -928,17 +912,6 @@ const (
 	// overloadRetryDelay paces the send retries while backpressuring.
 	overloadRetryDelay = 10 * time.Millisecond
 )
-
-func countDecisions(beats []pipeline.BeatResult) map[string]int {
-	counts := map[string]int{
-		nfc.DecideN.String(): 0, nfc.DecideL.String(): 0,
-		nfc.DecideV.String(): 0, nfc.DecideU.String(): 0,
-	}
-	for _, b := range beats {
-		counts[b.Decision.String()]++
-	}
-	return counts
-}
 
 // writeJSON renders an admin-surface success body through encoding/json
 // (those endpoints are cold; the data paths use internal/wire instead).

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"time"
 
 	"rpbeat/internal/apierr"
 	"rpbeat/internal/catalog"
@@ -177,15 +180,132 @@ func TestStreamBinaryBadFrame(t *testing.T) {
 	wantAPIError(t, resp, http.StatusRequestEntityTooLarge, apierr.CodePayloadTooLarge)
 }
 
-// TestCodecEquivalenceStdlibVsFast drives identical requests through a fast
-// handler and a StdlibJSON handler: every success response — batch and
-// stream — must be byte-identical, and every failure must carry the same
-// status and machine-readable code (messages may differ: each codec reports
-// its own diagnostics). This is the A/B guarantee that makes the fast codec
-// invisible on the wire.
+// TestStreamEarlyErrorThenFollowUp ends /v1/stream requests with a typed
+// error while most of their upload is still unread, once before any beat
+// and once after beats have streamed, and follows each with a request from
+// the same client. A stream response that ends before its uplink's EOF must
+// not leave the kept-alive connection broken for the next request.
+func TestStreamEarlyErrorThenFollowUp(t *testing.T) {
+	ts, _, _ := testServer(t)
+	tr := &http.Transport{MaxConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr}
+
+	good := wire.AppendFrames(nil, ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "ee", Seconds: 8, Seed: 4}).Leads[0], 360)
+	// A frame header with a bad magic, then bytes the handler never reads.
+	bad := append([]byte("XXXXjunk.."), bytes.Repeat([]byte{'.'}, 64<<10)...)
+	followUp := func(round int, after string) {
+		t.Helper()
+		// The body has no GetBody, so the transport cannot silently retry
+		// the request on a fresh connection.
+		resp, err := client.Post(ts.URL+"/v1/classify", wire.ContentTypeSamples, io.NopCloser(bytes.NewReader(good)))
+		if err != nil {
+			t.Fatalf("round %d: request after %s: %v", round, after, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: request after %s: status %d, err %v: %s", round, after, resp.StatusCode, err, body)
+		}
+	}
+	for round := 0; round < 16; round++ {
+		resp, err := client.Post(ts.URL+"/v1/stream", wire.ContentTypeSamples, bytes.NewReader(bad))
+		if err != nil {
+			t.Fatalf("round %d: stream: %v", round, err)
+		}
+		wantAPIError(t, resp, http.StatusBadRequest, apierr.CodeBadInput)
+		followUp(round, "an error before any beat")
+
+		// Good frames until the first beat line is out, then the bad frame.
+		pr, pw := io.Pipe()
+		go pw.Write(good)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/stream", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", wire.ContentTypeSamples)
+		resp, err = client.Do(req)
+		if err != nil {
+			t.Fatalf("round %d: stream: %v", round, err)
+		}
+		br := bufio.NewReader(resp.Body)
+		if line, err := br.ReadBytes('\n'); err != nil || !bytes.HasPrefix(line, []byte(`{"sample":`)) {
+			t.Fatalf("round %d: first stream line %q: %v", round, line, err)
+		}
+		go func() {
+			pw.Write(bad)
+			pw.Close()
+		}()
+		rest, err := io.ReadAll(br)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("round %d: stream body: %v", round, err)
+		}
+		lines := bytes.Split(bytes.TrimSpace(rest), []byte("\n"))
+		var er ErrorResponse
+		if err := json.Unmarshal(lines[len(lines)-1], &er); err != nil || er.Error.Code != apierr.CodeBadInput {
+			t.Fatalf("round %d: stream did not end with a typed bad_input line: %s", round, rest)
+		}
+		followUp(round, "an error after beats")
+	}
+}
+
+// TestEndUplinkClosesAfterQuietUplink: a stream handler that ends while its
+// client is still uploading, and quiet, must neither wait for the rest of
+// the body nor offer the connection for another request. The response ends
+// within about UplinkGrace and the server then closes the connection. The
+// handler's writer is wrapped, as middleware wraps it.
+func TestEndUplinkClosesAfterQuietUplink(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w = unwrapper{w}
+		rc := http.NewResponseController(w)
+		if err := rc.EnableFullDuplex(); err != nil {
+			t.Error(err)
+		}
+		w.Write([]byte("x\n"))
+		rc.Flush()
+		EndUplink(w, r.Body)
+	}))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// One chunk of an upload that never finishes.
+	if _, err := io.WriteString(conn, "POST /v1/stream HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * UplinkGrace))
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || string(body) != "x\n" {
+		t.Fatalf("response body %q, err %v", body, err)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("connection still open after the response: read returned %v, want EOF", err)
+	}
+}
+
+// unwrapper is a pass-through ResponseWriter wrapper, as middleware uses.
+type unwrapper struct{ http.ResponseWriter }
+
+func (u unwrapper) Unwrap() http.ResponseWriter { return u.ResponseWriter }
+
+// TestCodecEquivalenceStdlibVsFast holds the fast codec to encoding/json on
+// both sides of the wire. Each request body is also passed through
+// encoding/json (Unmarshal, then Marshal): a body encoding/json rejects must
+// get a typed bad_input, and the raw and re-encoded bodies must get the same
+// status and, on success, the same bytes. Every success line must equal its
+// json.Encoder re-encoding byte for byte. This is the guarantee that makes
+// the fast codec invisible on the wire.
 func TestCodecEquivalenceStdlibVsFast(t *testing.T) {
-	fast := testServerWith(t, HandlerConfig{})
-	std := testServerWith(t, HandlerConfig{StdlibJSON: true})
+	ts, _, _ := testServer(t)
 	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "ab", Seconds: 20, Seed: 9, PVCRate: 0.2}).Leads[0]
 
 	classifyBody, _ := json.Marshal(ClassifyRequest{Model: "default", Samples: lead})
@@ -213,68 +333,107 @@ func TestCodecEquivalenceStdlibVsFast(t *testing.T) {
 		{"stream bad chunk", "/v1/stream", "application/x-ndjson", []byte("{\"samples\":[1,2]}\nnot json\n")},
 	}
 	for _, c := range cases {
-		stF, respF := postBody(t, fast.URL+c.path, c.ct, c.body)
-		stS, respS := postBody(t, std.URL+c.path, c.ct, c.body)
-		if stF != stS {
-			t.Fatalf("%s: status fast %d != stdlib %d", c.name, stF, stS)
-		}
-		if stF == http.StatusOK && !bytes.HasPrefix(respF, []byte(`{"error"`)) {
-			// Success bodies must match byte for byte.
-			if !bytes.Equal(respF, respS) {
-				t.Fatalf("%s: responses differ:\nfast   %s\nstdlib %s", c.name, respF, respS)
+		status, resp := postBody(t, ts.URL+c.path, c.ct, c.body)
+		std, stdErr := stdlibReencode(c.path, c.body)
+		if stdErr != nil {
+			// encoding/json rejects the body, so the server must refuse it
+			// too, as a typed bad_input (a trailing line on a stream).
+			lines := bytes.Split(bytes.TrimSpace(resp), []byte("\n"))
+			var er ErrorResponse
+			if err := json.Unmarshal(lines[len(lines)-1], &er); err != nil || er.Error.Code != apierr.CodeBadInput {
+				t.Fatalf("%s: encoding/json rejects the body (%v), server answered %d: %s", c.name, stdErr, status, resp)
 			}
 			continue
 		}
-		// Error bodies carry codec-specific diagnostics in the message;
-		// the machine-readable contract (the code) must agree.
-		var errF, errS ErrorResponse
-		lastF := respF[bytes.LastIndexByte(bytes.TrimSpace(respF), '\n')+1:]
-		lastS := respS[bytes.LastIndexByte(bytes.TrimSpace(respS), '\n')+1:]
-		if err := json.Unmarshal(lastF, &errF); err != nil {
-			t.Fatalf("%s: fast error body %s: %v", c.name, respF, err)
+		stdStatus, stdResp := postBody(t, ts.URL+c.path, c.ct, std)
+		if status != stdStatus {
+			t.Fatalf("%s: status raw %d != re-encoded %d", c.name, status, stdStatus)
 		}
-		if err := json.Unmarshal(lastS, &errS); err != nil {
-			t.Fatalf("%s: stdlib error body %s: %v", c.name, respS, err)
+		if status != http.StatusOK {
+			continue
 		}
-		if errF.Error.Code != errS.Error.Code {
-			t.Fatalf("%s: error code fast %q != stdlib %q", c.name, errF.Error.Code, errS.Error.Code)
+		if !bytes.Equal(resp, stdResp) {
+			t.Fatalf("%s: responses differ:\nraw        %s\nre-encoded %s", c.name, resp, stdResp)
+		}
+		for _, line := range bytes.SplitAfter(resp, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			var v any = new(StreamBeat)
+			switch {
+			case c.path == "/v1/classify":
+				v = new(ClassifyResponse)
+			case bytes.HasPrefix(line, []byte(`{"done"`)):
+				v = new(StreamDone)
+			}
+			if err := json.Unmarshal(line, v); err != nil {
+				t.Fatalf("%s: line %q: %v", c.name, line, err)
+			}
+			var enc bytes.Buffer
+			json.NewEncoder(&enc).Encode(v)
+			if !bytes.Equal(line, enc.Bytes()) {
+				t.Fatalf("%s: line differs from encoding/json:\nserved   %s\nencoding %s", c.name, line, enc.Bytes())
+			}
 		}
 	}
 }
 
-// TestDecodeChunkLineReusesBuffer pins the satellite contract directly on
-// the handler's chunk decoder: across NDJSON lines the decoded samples
-// reuse one backing array (both codecs), and the fast path decodes a warm
-// line with zero allocations.
+// stdlibReencode passes a request body through encoding/json: a classify
+// body as one ClassifyRequest, a stream body line by line as StreamChunks.
+func stdlibReencode(path string, body []byte) ([]byte, error) {
+	if path == "/v1/classify" {
+		var req ClassifyRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, err
+		}
+		return json.Marshal(req)
+	}
+	var out []byte
+	for _, line := range bytes.Split(body, []byte("\n")) {
+		if len(line) == 0 {
+			continue // the server skips blank lines
+		}
+		var chunk StreamChunk
+		if err := json.Unmarshal(line, &chunk); err != nil {
+			return nil, err
+		}
+		enc, err := json.Marshal(chunk)
+		if err != nil {
+			return nil, err
+		}
+		out = append(append(out, enc...), '\n')
+	}
+	return out, nil
+}
+
+// TestDecodeChunkLineReusesBuffer pins the chunk decoder's contract directly:
+// across NDJSON lines the decoded samples reuse one backing array, and a
+// warm line decodes with zero allocations.
 func TestDecodeChunkLineReusesBuffer(t *testing.T) {
 	lines := [][]byte{
 		[]byte(`{"samples":[1017,1020,1013,998]}`),
 		[]byte(`{"samples":[1,2,3,4,5,6,7,8]}`),
 		[]byte(`{"samples":[-5]}`),
 	}
-	for _, stdlib := range []bool{false, true} {
-		s := &server{stdlibJSON: stdlib}
-		buf := make([]int32, 0, 64)
-		base := &buf[:1][0]
-		for round := 0; round < 10; round++ {
-			for _, line := range lines {
-				var err error
-				buf, err = s.decodeChunkLine(buf, line)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if &buf[:1][0] != base {
-			t.Fatalf("stdlib=%v: chunk slice was reallocated across lines", stdlib)
-		}
-	}
-
 	s := &server{}
 	buf := make([]int32, 0, 64)
+	base := &buf[:1][0]
+	for round := 0; round < 10; round++ {
+		for _, line := range lines {
+			var err error
+			buf, err = s.decodeChunkLine(buf, line)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if &buf[:1][0] != base {
+		t.Fatal("chunk slice was reallocated across lines")
+	}
+
 	line := lines[0]
 	var decErr error
-	testutil.AssertZeroAlloc(t, "fast decodeChunkLine on a warm buffer", func() {
+	testutil.AssertZeroAlloc(t, "decodeChunkLine on a warm buffer", func() {
 		buf, decErr = s.decodeChunkLine(buf, line)
 	})
 	if decErr != nil {
