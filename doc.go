@@ -11,9 +11,9 @@
 // paper-vs-measured record of every table and figure.
 //
 // The benchmarks in bench_test.go regenerate each experiment at a reduced
-// scale; cmd/rpbench regenerates them at full scale, and its -json mode
-// writes the BENCH_<n>.json performance snapshots described in
-// BENCHMARKS.md. The memory/speed trade between the three projection-matrix
-// layouts (dense int8, 2-bit packed, sparse index lists) is laid out in
-// DESIGN.md's "kernel memory layouts" section.
+// scale; cmd/rpbench regenerates them at full scale. Performance is
+// measured by the end-to-end benchmark in benchmark/ and the go test -bench
+// families, as BENCHMARKS.md describes. The memory/speed trade between the
+// three projection-matrix layouts (dense int8, 2-bit packed, sparse index
+// lists) is laid out in DESIGN.md's "kernel memory layouts" section.
 package rpbeat

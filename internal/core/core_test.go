@@ -9,6 +9,7 @@ import (
 	"rpbeat/internal/beatset"
 	"rpbeat/internal/fixp"
 	"rpbeat/internal/metrics"
+	"rpbeat/internal/rng"
 )
 
 // smallDataset builds a reduced dataset once per test binary.
@@ -192,6 +193,49 @@ func TestEmbeddedMemoryFootprint(t *testing.T) {
 	// Sanity against the paper's claim of ~2 KB data for the classifier.
 	if e.MemoryBytes() > 2048 {
 		t.Fatalf("classifier data %d B exceeds the ~2 KB envelope", e.MemoryBytes())
+	}
+
+	// Both heads at the paper's deployed geometry: k=8 coefficients over
+	// d=50 samples (a 200-sample window downsampled by 4). The binary sizes
+	// follow codec.go's layout: header = magic 4 + version 2 (+ kind 2 in
+	// v2) + k, d, downsample 3*2 + alphaTrain, minARR 2*8, then the packed
+	// projection ceil(8*50/4) = 100.
+	r := rng.New(8)
+	fuzzy, bit := randomModel(r, 8, 50, 4), randomBitembModel(r, 8, 50, 4)
+	binarySize := func(model *Model) int {
+		var buf bytes.Buffer
+		if err := model.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	fe, err := fuzzy.Quantize(fixp.MFLinear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, err := bit.Quantize(fixp.MFLinear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		// v1: header 28 + projection 100 + centers and sigmas
+		// 2 * (8*3) * 8 = 384.
+		{"fuzzy binary model", binarySize(fuzzy), 512},
+		// v2: header 30 + projection 100 + thresholds 8*4 = 32 + prototypes
+		// 3 classes * Words(8) = 1 word * 8 = 24 + radii 3*2 = 6.
+		{"bitemb binary model", binarySize(bit), 192},
+		// The node's tables: 8*3 linearized membership functions of 16 B.
+		{"fuzzy Cls.TableBytes", fe.Cls.TableBytes(), 384},
+		// The v2 body after the projection: thresholds 32 + prototypes 24
+		// + radii 6.
+		{"bitemb Bit.TableBytes", be.Bit.TableBytes(), 62},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d B, want %d", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package gate
 
-// Benchmark access to unexported hot paths. cmd/rpbench records the replay
-// journal's steady-state append cost in the gateway/failover rows; the
-// journal type itself stays private to the package.
+// Benchmark access to unexported hot paths. The repo benchmark (benchmark/)
+// reports the replay journal's steady-state append cost as
+// gate.journal_append_ns; the journal type itself stays private to the
+// package.
 
 // JournalBench drives one replay journal through its steady-state cycle —
 // append a unit, sender copy-out, delivery ack — exactly as a live relay

@@ -28,9 +28,9 @@ import (
 	"rpbeat/internal/wire"
 )
 
-// testModel fabricates a structurally valid model without the GA (the
-// rpbench idiom): beat detection is model-independent and classification is
-// deterministic for fixed bytes, which is all relay identity tests need.
+// testModel fabricates a structurally valid model without the GA: beat
+// detection is model-independent and classification is deterministic for
+// fixed bytes, which is all relay identity tests need.
 // A fixed seed makes every backend's copy byte-identical (same digest).
 func testModel(seed uint64) *core.Model {
 	r := rng.New(seed)

@@ -215,5 +215,14 @@ func TestBatchClassifyIntoMatchesBatchClassify(t *testing.T) {
 				t.Fatalf("%s: beat %d = %+v, want %+v", spec.Name, i, got[i], want[i])
 			}
 		}
+		// The allocation floor of the /v1/classify compute path: on a warm
+		// scratch, only the three small allocations of sort.Slice in peak's
+		// candidate arbitration remain; every signal- or beat-sized buffer
+		// is reused.
+		testutil.AssertAllocsAtMost(t, spec.Name+": warm BatchClassifyInto per record", 3, 10, func() {
+			if _, err := BatchClassifyInto(context.Background(), emb, lead, Config{}, &scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

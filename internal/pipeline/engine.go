@@ -551,7 +551,8 @@ func (e *Engine) workerLoop(w *worker) {
 // with a deep backlog is requeued after this batch instead of holding its
 // worker until the FIFO empties, so one slow consumer cannot starve the
 // other streams sharing the pool — this is what keeps chunk p99 latency
-// bounded under mixed load (measured by the rpbench engine sweep).
+// bounded under mixed load (the repo benchmark's fleet workload reports it
+// as pipeline.queue_wait_ms_p99).
 const maxRunChunks = 32
 
 // run processes one queued stream: it drains up to maxRunChunks of the FIFO

@@ -70,12 +70,6 @@ func (s *StreamExtremum) Push(x float64) float64 {
 	return s.buf[s.idx[s.head]%s.length]
 }
 
-// Delay returns the number of samples by which the trailing-window output
-// lags a centered batch operator of the same length: (length-1)/2... the
-// exact alignment depends on the batch operator's window split; see
-// StreamErode/StreamDilate which handle it.
-func (s *StreamExtremum) Delay() int { return s.length / 2 }
-
 // StreamMorph runs a centered erosion or dilation as a stream: output sample
 // i (in input coordinates) becomes available after Delay() further input
 // samples have arrived.
@@ -118,64 +112,4 @@ func (m *StreamMorph) Push(x float64) (float64, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// StreamFilter chains the complete morphological front end (noise
-// suppression + baseline removal) as a fixed-latency stream. It composes
-// the four cascaded opening/closing stages; the total latency is the sum of
-// the stage delays.
-type StreamFilter struct {
-	stages []*StreamMorph
-	// rawDelay delays the input so the final subtraction x - baseline
-	// aligns with the cascade's group delay.
-	rawDelay []float64
-	rawPos   int
-	total    int
-}
-
-// NewStreamFilter builds the streaming front end for cfg. The current
-// implementation mirrors RemoveBaseline (opening then closing); streaming
-// noise suppression would add the dual chain and an averaging stage, which
-// block processing covers in this repository.
-func NewStreamFilter(cfg BaselineConfig) *StreamFilter {
-	openL := cfg.openLen()
-	closeL := cfg.closeLen()
-	stages := []*StreamMorph{
-		NewStreamErode(openL), NewStreamDilate(openL),
-		NewStreamDilate(closeL), NewStreamErode(closeL),
-	}
-	total := 0
-	for _, s := range stages {
-		total += s.Delay()
-	}
-	return &StreamFilter{
-		stages:   stages,
-		rawDelay: make([]float64, total+1),
-		total:    total,
-	}
-}
-
-// Delay returns the filter's group delay in samples.
-func (f *StreamFilter) Delay() int { return f.total }
-
-// Push consumes one raw sample and, once the pipeline is primed, emits one
-// baseline-removed sample (aligned to input index n - Delay()).
-func (f *StreamFilter) Push(x float64) (float64, bool) {
-	// Delay the raw signal by the cascade latency.
-	f.rawDelay[f.rawPos%len(f.rawDelay)] = x
-	delayedIdx := f.rawPos - f.total
-	f.rawPos++
-
-	v, ok := x, true
-	for _, s := range f.stages {
-		v, ok = s.Push(v)
-		if !ok {
-			return 0, false
-		}
-	}
-	if delayedIdx < 0 {
-		return 0, false
-	}
-	raw := f.rawDelay[delayedIdx%len(f.rawDelay)]
-	return raw - v, true
 }

@@ -1,7 +1,6 @@
 package sigdsp
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -100,64 +99,6 @@ func TestStreamMorphPropertyEquivalence(t *testing.T) {
 	}
 }
 
-func TestStreamFilterMatchesBatchBaselineRemoval(t *testing.T) {
-	// The streaming front end must agree with RemoveBaseline away from the
-	// record borders.
-	fs := 360.0
-	cfg := DefaultBaselineConfig(fs)
-	n := 3600
-	x := make([]float64, n)
-	for i := range x {
-		ts := float64(i) / fs
-		x[i] = 0.6*math.Sin(2*math.Pi*0.25*ts) + 0.9*math.Exp(-sq(math.Mod(ts, 0.8)-0.4)/0.0008)
-	}
-	batch := RemoveBaseline(x, cfg)
-	f := NewStreamFilter(cfg)
-	var got []float64
-	for _, v := range x {
-		if o, ok := f.Push(v); ok {
-			got = append(got, o)
-		}
-	}
-	if len(got) != n-f.Delay() {
-		t.Fatalf("stream emitted %d samples, want %d", len(got), n-f.Delay())
-	}
-	// Skip the warm-up region (one full cascade support).
-	warm := 2 * f.Delay()
-	var maxErr float64
-	for i := warm; i < len(got); i++ {
-		if e := math.Abs(got[i] - batch[i]); e > maxErr {
-			maxErr = e
-		}
-	}
-	if maxErr > 1e-9 {
-		t.Fatalf("stream/batch divergence %.3g after warm-up", maxErr)
-	}
-}
-
-func sq(x float64) float64 { return x * x }
-
-func TestStreamFilterDelayReported(t *testing.T) {
-	cfg := DefaultBaselineConfig(360)
-	f := NewStreamFilter(cfg)
-	if f.Delay() <= 0 {
-		t.Fatal("non-positive delay")
-	}
-	// No output before Delay() samples.
-	emitted := 0
-	for i := 0; i < f.Delay(); i++ {
-		if _, ok := f.Push(0); ok {
-			emitted++
-		}
-	}
-	if emitted != 0 {
-		t.Fatalf("emitted %d samples before the pipeline filled", emitted)
-	}
-	if _, ok := f.Push(0); !ok {
-		t.Fatal("no output after the pipeline filled")
-	}
-}
-
 func TestStreamExtremumBoundedMemory(t *testing.T) {
 	s := NewStreamMax(16)
 	ring := &s.idx[0]
@@ -170,15 +111,5 @@ func TestStreamExtremumBoundedMemory(t *testing.T) {
 	}
 	if &s.idx[0] != ring {
 		t.Fatal("deque ring was reallocated; Push must not allocate")
-	}
-}
-
-func BenchmarkStreamFilterPerSample(b *testing.B) {
-	f := NewStreamFilter(DefaultBaselineConfig(360))
-	r := rng.New(1)
-	x := randomSignal(r, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Push(x[i&4095])
 	}
 }

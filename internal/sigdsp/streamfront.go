@@ -3,9 +3,9 @@ package sigdsp
 // Streaming versions of the two remaining batch front-end operators: the
 // complete ECG filter (noise suppression + baseline removal, the software
 // equivalent of FilterECG) and the à trous dyadic wavelet transform that
-// feeds R-peak detection. Together with StreamMorph/StreamFilter these make
-// the entire sub-system (1) front end runnable one ADC sample at a time
-// with bounded memory — the substrate of internal/pipeline.
+// feeds R-peak detection. Together with StreamMorph these make the entire
+// sub-system (1) front end runnable one ADC sample at a time with bounded
+// memory — the substrate of internal/pipeline.
 //
 // Bit-identity contract: every operator here reproduces its batch
 // counterpart exactly — including the left signal border, where the batch

@@ -11,9 +11,9 @@ import (
 )
 
 // The wire-row benchmarks: the per-chunk decode cost of each codec the
-// serving layer can run, over the same one-second 360-sample chunk. CI runs
-// them as a smoke test (-bench=Wire); rpbench -json records them as the
-// serve/stream decode rows of BENCH_<n>.json.
+// serving layer can run, over the same one-second 360-sample chunk, with
+// encoding/json (BenchmarkWireParseChunkStdlib) as the baseline the fast
+// parser is measured against. CI runs them as a smoke test (-bench=Wire).
 
 func benchChunkLine(b *testing.B) ([]byte, []int32) {
 	b.Helper()

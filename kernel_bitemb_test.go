@@ -3,9 +3,11 @@ package rpbeat
 // The binary-head kernel contract, enforced: at the paper geometry (k=8
 // coefficients over 50-sample windows at 90 Hz) the packed 1-bit classifier
 // must beat the fuzzy integer kernel by at least 3x per beat, with zero
-// allocations on both sides. cmd/rpbench records the same pair as
-// kernel/classify_per_beat_8x50 and kernel/classify_per_beat_bitemb_8x50 in
-// BENCH_<n>.json; this test is the CI floor under those rows.
+// allocations on both sides. BenchmarkKernel_IntegerClassifierPerBeat and
+// BenchmarkKernel_BitembClassifierPerBeat time the same pair, and the repo
+// benchmark's traced runs report it, windowing included, as
+// core.classify_ns_per_beat and bitemb.classify_ns_per_beat; this test is
+// the CI floor under them.
 
 import (
 	"testing"
@@ -18,9 +20,9 @@ import (
 	"rpbeat/internal/rp"
 )
 
-// Fabricated models, the rpbench idiom: classification cost is
-// data-independent (branch-free kernels), so random parameters measure the
-// same kernel as trained ones while keeping this test training-free.
+// Fabricated models: classification cost is data-independent (branch-free
+// kernels), so random parameters measure the same kernel as trained ones
+// while keeping this test training-free.
 
 func speedFuzzyEmbedded(r *rng.Rand, k, d int) (*core.Embedded, error) {
 	mf := nfc.NewParams(k)
