@@ -148,6 +148,11 @@ func TestQuantizeAndEmbeddedEvaluation(t *testing.T) {
 	if err := e.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	noSparse := *e
+	noSparse.S = nil // every kernel runs S; only Quantize builds an Embedded
+	if noSparse.Validate() == nil {
+		t.Fatal("Validate accepts an embedded model without its sparse projection")
+	}
 	evals := e.Evaluate(ds, ds.Test)
 	pt, _, err := metrics.NDRAtARR(evals, 0.95)
 	if err != nil {

@@ -24,9 +24,8 @@ type Embedded struct {
 	P          *rp.PackedMatrix
 	// S is the sparse (non-zero index) form of P, the projection kernel the
 	// host-side hot path uses: bit-identical to P's, ~d/3 additions per
-	// coefficient instead of d element decodes. It is derived from P by
-	// Quantize; a hand-built Embedded may leave it nil, in which case the
-	// packed kernel is used. Never serialized (P is the ROM image).
+	// coefficient instead of d element decodes. Quantize derives it from P.
+	// Never serialized (P is the ROM image).
 	S *rp.SparseMatrix
 	// Cls is the quantized fuzzy head; nil for KindBitemb.
 	Cls *fixp.Classifier
@@ -74,10 +73,8 @@ func (s *Scratch) Grow(e *Embedded) {
 		if n := bitemb.Words(e.Bit.K); len(s.Code) < n {
 			s.Code = make([]uint64, n)
 		}
-		if e.S != nil {
-			if n := bitemb.PreLen(e.S); len(s.Pre) < n {
-				s.Pre = make([]int32, n)
-			}
+		if n := bitemb.PreLen(e.S); len(s.Pre) < n {
+			s.Pre = make([]int32, n)
 		}
 	}
 }
@@ -157,29 +154,22 @@ func (e *Embedded) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown embedded model kind %d", e.Kind)
 	}
-	if e.S != nil {
-		if e.S.K != e.K || e.S.D != e.D {
-			return fmt.Errorf("core: sparse projection %dx%d does not match K=%d D=%d",
-				e.S.K, e.S.D, e.K, e.D)
-		}
-		if err := e.S.Validate(); err != nil {
-			return err
-		}
+	if e.S == nil {
+		return errors.New("core: embedded model missing sparse projection")
 	}
-	return nil
+	if e.S.K != e.K || e.S.D != e.D {
+		return fmt.Errorf("core: sparse projection %dx%d does not match K=%d D=%d",
+			e.S.K, e.S.D, e.K, e.D)
+	}
+	return e.S.Validate()
 }
 
-// ProjectIntInto runs the integer projection through the fastest available
-// representation (sparse when present, packed otherwise) into a caller-owned
-// slice of length K. All representations yield bit-identical results.
+// ProjectIntInto runs the integer projection through the sparse kernel into
+// a caller-owned slice of length K, bit-identical to the packed P's.
 //
 //rpbeat:allocfree
 func (e *Embedded) ProjectIntInto(window []int32, u []int32) {
-	if e.S != nil {
-		e.S.ProjectIntInto(window, u)
-		return
-	}
-	e.P.ProjectIntInto(window, u)
+	e.S.ProjectIntInto(window, u)
 }
 
 // Classify runs the integer pipeline on one beat window of int32 ADC counts
@@ -199,12 +189,7 @@ func (e *Embedded) Classify(window []int32) nfc.Decision {
 func (e *Embedded) ClassifyInto(window []int32, s *Scratch) nfc.Decision {
 	if e.Bit != nil {
 		code := s.Code[:bitemb.Words(e.K)]
-		if e.S != nil {
-			return e.Bit.ClassifySparseInto(e.S, window, e.AlphaTest, code, s.Pre)
-		}
-		u := s.U[:e.K]
-		e.P.ProjectIntInto(window, u)
-		return e.Bit.ClassifyInto(u, e.AlphaTest, code)
+		return e.Bit.ClassifySparseInto(e.S, window, e.AlphaTest, code, s.Pre)
 	}
 	u := s.U[:e.K]
 	e.ProjectIntInto(window, u)
@@ -260,9 +245,5 @@ func (e *Embedded) MemoryBytes() int {
 // the sparse projection form the host hot path actually runs. This is the
 // per-model figure capacity planning for a many-streams Engine should use.
 func (e *Embedded) HostBytes() int {
-	n := e.MemoryBytes()
-	if e.S != nil {
-		n += e.S.ByteSize()
-	}
-	return n
+	return e.MemoryBytes() + e.S.ByteSize()
 }

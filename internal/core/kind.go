@@ -27,15 +27,3 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
-
-// ParseKind is String's inverse; it accepts the empty string as KindFuzzy so
-// manifests written before the kind field existed keep loading.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "", "fuzzy":
-		return KindFuzzy, nil
-	case "bitemb":
-		return KindBitemb, nil
-	}
-	return 0, fmt.Errorf("core: unknown model kind %q", s)
-}

@@ -6,12 +6,12 @@ package gate
 // package.
 
 // JournalBench drives one replay journal through its steady-state cycle —
-// append a unit, sender copy-out, delivery ack — exactly as a live relay
+// append a unit, backend-body read, delivery ack — exactly as a live relay
 // does once warm. Warm it up for a few hundred steps before measuring so
 // the arena and entry ring reach their recycled fixed point.
 type JournalBench struct {
 	j     *journal
-	gen   int
+	body  *journalBody
 	buf   []byte
 	raw   []byte
 	unit  int64
@@ -24,25 +24,24 @@ func NewJournalBench(window, unitBytes, unitSamples int) *JournalBench {
 	b := &JournalBench{
 		j:    newJournal(window),
 		raw:  make([]byte, unitBytes),
-		buf:  make([]byte, 0, unitBytes),
+		buf:  make([]byte, unitBytes),
 		unit: int64(unitSamples),
 	}
 	for i := range b.raw {
 		b.raw[i] = byte(i)
 	}
-	b.gen, _ = b.j.resetForAttempt()
+	b.body, _ = b.j.resetForAttempt()
 	return b
 }
 
-// Step runs one append+send+ack cycle and reports whether the journal
+// Step runs one append+read+ack cycle and reports whether the journal
 // accepted it. Steady-state steps allocate nothing.
 func (b *JournalBench) Step() bool {
 	if !b.j.append(b.raw, int(b.unit)) {
 		return false
 	}
 	b.total += b.unit
-	var ok bool
-	if b.buf, ok = b.j.next(b.gen, b.buf); !ok {
+	if _, err := b.body.Read(b.buf); err != nil {
 		return false
 	}
 	b.j.ack(b.total)

@@ -3,17 +3,21 @@ package gate
 // Transparent mid-stream failover for /v1/stream.
 //
 // The stream relay tees the client's uplink through a bounded replay journal
-// (journal.go) and parses the backend's NDJSON downlink line by line. When
-// the backend dies mid-stream — a transport error, an unexpected EOF, or a
-// typed retryable error line like shutting_down — the relay reopens the
-// stream on the ring's next routable backend, replays the retained journal
-// with the resume handshake (wire.ResumeFromHeader), suppresses the replayed
-// beats the client already has (every beat with sample index at or below the
-// delivery watermark — exact, because refractory arbitration makes beat
-// positions strictly monotone), and resumes live relaying. The journal
-// retains at least the deterministic-resync bound of samples
-// (pipeline.ResyncWarmup), so every beat past the watermark is bit-identical
-// to what the uninterrupted backend would have sent.
+// (journal.go) and parses the backend's NDJSON downlink line by line. A pump
+// goroutine reads the uplink into the journal through wire.UplinkReader, the
+// reader the backend itself runs, and each backend attempt's request body
+// reads straight from the journal, so a relayed stream runs two goroutines:
+// the handler and the pump. When the backend dies mid-stream — a transport
+// error, an unexpected EOF, or a typed retryable error line like
+// shutting_down — the relay reopens the stream on the ring's next routable
+// backend, replays the retained journal with the resume handshake
+// (wire.ResumeFromHeader), suppresses the replayed beats the client already
+// has (every beat with sample index at or below the delivery watermark —
+// exact, because refractory arbitration makes beat positions strictly
+// monotone), and resumes live relaying. The journal retains at least the
+// deterministic-resync bound of samples (pipeline.ResyncWarmup), so every
+// beat past the watermark is bit-identical to what the uninterrupted backend
+// would have sent.
 //
 // Failure-cause taxonomy (what does and does not fail over):
 //
@@ -30,7 +34,6 @@ package gate
 //     typed verdict reaches the client untouched.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -45,11 +48,8 @@ import (
 	"rpbeat/internal/wire"
 )
 
-// maxRelayLineBytes bounds one NDJSON uplink line in the journal pump — the
-// same bound internal/serve enforces, so the pump never retains more of a
-// line than the backend would accept.
-const maxRelayLineBytes = 8 << 20
-
+// errAttemptSuperseded fails a backend attempt's body once the attempt is
+// over: superseded by a failover, torn down with the relay, or closed.
 var errAttemptSuperseded = errors.New("gate: relay attempt superseded by failover")
 
 // relayStream is the /v1/stream relay, with transparent failover.
@@ -91,13 +91,9 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 	cur := b
 	for attempt := 0; ; attempt++ {
 		attemptsLeft--
-		gen, base := j.resetForAttempt()
-		pr, pw := io.Pipe()
-		go runSender(j, gen, pw)
-
-		out, err := backendRequest(r, cur, pr)
+		body, base := j.resetForAttempt()
+		out, err := backendRequest(r, cur, body)
 		if err != nil {
-			pw.CloseWithError(err)
 			g.failStream(w, rc.Flush, headersSent, d,
 				apierr.New(apierr.CodeInternal, "gateway: building backend request: %v", err))
 			return
@@ -203,122 +199,30 @@ func (g *Gateway) failStream(w http.ResponseWriter, flush func() error, headersS
 	lineBufs.Put(bp)
 }
 
-// runSender follows the journal cursor for one relay attempt, writing each
-// entry to the backend request body. It exits when the attempt is superseded
-// by a failover, the relay is torn down, or the journal drains after uplink
-// EOF — the last closes the body cleanly so the backend flushes its pipeline
-// and writes the done line.
-func runSender(j *journal, gen int, pw *io.PipeWriter) {
-	var buf []byte
-	for {
-		view, ok := j.next(gen, buf)
-		if !ok {
-			if j.uplinkDone(gen) {
-				pw.Close()
-			} else {
-				pw.CloseWithError(errAttemptSuperseded)
-			}
-			return
-		}
-		buf = view
-		if _, err := pw.Write(view); err != nil {
-			return
-		}
-	}
-}
-
 // --- uplink pump ---
 
-// pumpUplink parses the client's upload into journal entries: binary frames
+// pumpUplink reads the client's upload into journal entries: binary frames
 // or NDJSON chunk lines, kept verbatim (replayed bytes are the client's
-// bytes, never a re-encoding) with their sample counts. A payload the pump
-// cannot parse poisons the journal and the remaining bytes flow through raw.
+// bytes, never a re-encoding) with their sample counts, split exactly as the
+// backend's own wire.UplinkReader splits them. A unit the reader rejects
+// poisons the journal and the remaining bytes flow through raw.
 func pumpUplink(body io.Reader, isBinary bool, j *journal) {
-	if isBinary {
-		var buf []byte
-		for {
-			frame, count, err := wire.ReadRawFrame(body, buf)
-			if err == io.EOF {
-				j.finish()
-				return
-			}
-			if err != nil {
-				var fe *wire.FrameError
-				if errors.As(err, &fe) || errors.Is(err, wire.ErrFrameTooLarge) {
-					poisonRest(j, frame, body)
-				} else {
-					j.finish() // client-side transport error: nothing more is coming
-				}
-				return
-			}
-			if !j.append(frame, count) {
-				return
-			}
-			buf = frame
-		}
-	}
-	br := bufio.NewReaderSize(body, 64<<10)
-	line := make([]byte, 0, 4096)
-	var samples []int32
+	ur := wire.NewUplinkReader(body, isBinary)
 	for {
-		chunk, err := br.ReadSlice('\n')
-		line = append(line, chunk...)
-		if err == bufio.ErrBufferFull {
-			if len(line) > maxRelayLineBytes {
-				poisonRest(j, line, br) // the backend will refuse it; just carry the bytes
+		raw, samples, err := ur.Next()
+		switch {
+		case err == nil:
+			if !j.append(raw, len(samples)) {
 				return
 			}
-			continue
-		}
-		if err != nil {
-			// EOF or a client transport error. A final unterminated line
-			// still journals verbatim — the backend accepts it without its
-			// newline, exactly as it arrived.
-			if len(line) > 0 {
-				n, perr := countChunkSamples(&samples, line)
-				if perr != nil {
-					poisonRest(j, line, br)
-					return
-				}
-				if !j.append(line, n) {
-					return
-				}
-			}
-			j.finish()
+		case wire.Malformed(err):
+			poisonRest(j, raw, ur) // the backend will refuse it; just carry the bytes
+			return
+		default:
+			j.finish() // EOF or a client-side transport error: nothing more is coming
 			return
 		}
-		n, perr := countChunkSamples(&samples, line)
-		if perr != nil {
-			poisonRest(j, line, br)
-			return
-		}
-		if !j.append(line, n) {
-			return
-		}
-		line = line[:0]
 	}
-}
-
-// countChunkSamples parses one NDJSON chunk line (newline included) exactly
-// as the backend will and returns its sample count. Blank lines count zero —
-// the backend skips them.
-func countChunkSamples(scratch *[]int32, line []byte) (int, error) {
-	trimmed := line
-	if n := len(trimmed); n > 0 && trimmed[n-1] == '\n' {
-		trimmed = trimmed[:n-1]
-	}
-	if n := len(trimmed); n > 0 && trimmed[n-1] == '\r' {
-		trimmed = trimmed[:n-1]
-	}
-	if len(trimmed) == 0 {
-		return 0, nil
-	}
-	s, err := wire.ParseChunk((*scratch)[:0], trimmed)
-	if err != nil {
-		return 0, err
-	}
-	*scratch = s
-	return len(s), nil
 }
 
 // poisonRest disables failover (the journal's sample accounting just broke),

@@ -17,6 +17,7 @@ import (
 	"io"
 	"net/http"
 	"testing"
+	"time"
 
 	"rpbeat/internal/faultinject"
 	"rpbeat/internal/pipeline"
@@ -194,24 +195,23 @@ func TestGateFailoverResyncBitIdentity(t *testing.T) {
 	}
 }
 
-// TestJournalAppendZeroAlloc pins the tentpole's hot-path invariant: a
-// steady-state journal append — cursor following, watermark advancing,
-// evicted arena space recycling — allocates nothing.
+// TestJournalAppendZeroAlloc pins the relay's hot-path invariant: a
+// steady-state journal cycle — append, the attempt's body reading the entry
+// back out, watermark advancing, evicted arena space recycling — allocates
+// nothing.
 func TestJournalAppendZeroAlloc(t *testing.T) {
 	j := newJournal(100)
-	gen, _ := j.resetForAttempt()
+	body, _ := j.resetForAttempt()
 	raw := bytes.Repeat([]byte{7}, 140)
-	buf := make([]byte, 0, 256)
+	buf := make([]byte, 256)
 	var total int64
 	step := func() {
 		if !j.append(raw, 36) {
 			t.Fatal("append refused on a live journal")
 		}
 		total += 36
-		var ok bool
-		buf, ok = j.next(gen, buf)
-		if !ok {
-			t.Fatal("next refused on a live journal")
+		if n, err := body.Read(buf); err != nil || n != len(raw) {
+			t.Fatal("body read refused on a live journal")
 		}
 		j.ack(total)
 	}
@@ -228,20 +228,19 @@ func TestJournalAppendZeroAlloc(t *testing.T) {
 func TestJournalRetentionAnchorsToAcks(t *testing.T) {
 	const window = 100
 	j := newJournal(window)
-	gen, base := j.resetForAttempt()
+	body, base := j.resetForAttempt()
 	if base != 0 {
 		t.Fatalf("empty journal resolves base %d, want 0", base)
 	}
 	raw := bytes.Repeat([]byte{1}, 64)
-	var buf []byte
+	buf := make([]byte, len(raw))
 	var sent, acked int64
 	for i := 0; i < 500; i++ {
 		if !j.append(raw, 10) {
 			t.Fatal("append refused")
 		}
-		var ok bool
-		if buf, ok = j.next(gen, buf); !ok {
-			t.Fatal("next refused")
+		if _, err := body.Read(buf); err != nil {
+			t.Fatalf("body read refused: %v", err)
 		}
 		sent += 10
 		// Ack lags the uplink by a widening gap, like a detector waiting
@@ -251,7 +250,7 @@ func TestJournalRetentionAnchorsToAcks(t *testing.T) {
 			j.ack(acked)
 		}
 		var rebase int64
-		gen, rebase = j.resetForAttempt()
+		body, rebase = j.resetForAttempt()
 		if rebase > acked-window && rebase > 0 {
 			t.Fatalf("replay base %d is inside the window (acked %d, window %d)", rebase, acked, window)
 		}
@@ -263,9 +262,8 @@ func TestJournalRetentionAnchorsToAcks(t *testing.T) {
 			if pending == 0 {
 				break
 			}
-			var ok bool
-			if buf, ok = j.next(gen, buf); !ok {
-				t.Fatal("replay drain refused")
+			if _, err := body.Read(buf); err != nil {
+				t.Fatalf("replay drain refused: %v", err)
 			}
 		}
 	}
@@ -276,16 +274,15 @@ func TestJournalRetentionAnchorsToAcks(t *testing.T) {
 // its budget — the journal poisons itself, recycles, and reports inexact.
 func TestJournalOverflowPoisons(t *testing.T) {
 	j := newJournal(1 << 30)
-	gen, _ := j.resetForAttempt()
+	body, _ := j.resetForAttempt()
 	raw := bytes.Repeat([]byte{2}, 8<<10)
-	var buf []byte
+	buf := make([]byte, len(raw))
 	for total := 0; total <= 2*maxJournalArena; total += len(raw) {
 		if !j.append(raw, 256) {
 			t.Fatal("append refused")
 		}
-		var ok bool
-		if buf, ok = j.next(gen, buf); !ok {
-			t.Fatal("next refused")
+		if _, err := body.Read(buf); err != nil {
+			t.Fatalf("body read refused: %v", err)
 		}
 	}
 	if j.exact() {
@@ -294,4 +291,84 @@ func TestJournalOverflowPoisons(t *testing.T) {
 	if len(j.arena) > 2*maxJournalArena {
 		t.Fatalf("arena grew to %d bytes, want <= %d", len(j.arena), 2*maxJournalArena)
 	}
+}
+
+// TestJournalBodyReads pins the attempt body's contract as the transport
+// sees it: a Read spans entries and splits them at any byte; it waits for
+// the uplink while there is nothing to send; it ends with io.EOF only once
+// the uplink has ended and every byte went out; and it fails once a
+// failover supersedes the attempt, the relay is torn down, or the body is
+// closed — each of which also releases a Read already waiting.
+func TestJournalBodyReads(t *testing.T) {
+	j := newJournal(1 << 20)
+	body, _ := j.resetForAttempt()
+	for _, unit := range []string{"abc", "defg", "h"} {
+		if !j.append([]byte(unit), 1) {
+			t.Fatal("append refused")
+		}
+	}
+	var got []byte
+	for _, size := range []int{2, 5, 1} {
+		p := make([]byte, size)
+		n, err := body.Read(p)
+		if err != nil || n != size {
+			t.Fatalf("Read(%d bytes) = %d, %v", size, n, err)
+		}
+		got = append(got, p[:n]...)
+	}
+	if string(got) != "abcdefgh" {
+		t.Fatalf("body read %q, want the journaled bytes abcdefgh", got)
+	}
+
+	// blockedRead starts a Read on an empty cursor and returns its result.
+	blockedRead := func(b *journalBody) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := b.Read(make([]byte, 8))
+			done <- err
+		}()
+		return done
+	}
+	waitRead := func(what string, done <-chan error, want error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != want {
+				t.Fatalf("%s: Read returned %v, want %v", what, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: Read still blocked", what)
+		}
+	}
+
+	done := blockedRead(body)
+	j.append([]byte("ij"), 1)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Read woken by an append returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an append did not wake a waiting Read")
+	}
+
+	done = blockedRead(body)
+	replay, _ := j.resetForAttempt()
+	waitRead("superseded", done, errAttemptSuperseded)
+
+	done = blockedRead(replay)
+	replay.Close()
+	waitRead("closed", done, errAttemptSuperseded)
+
+	last, _ := j.resetForAttempt()
+	j.finish()
+	if all, err := io.ReadAll(last); err != nil || string(all) != "abcdefghij" {
+		t.Fatalf("replay after the uplink ended read %q, %v; want every journaled byte, then io.EOF", all, err)
+	}
+
+	live := newJournal(1 << 20)
+	torn, _ := live.resetForAttempt()
+	done = blockedRead(torn)
+	live.close()
+	waitRead("torn down", done, errAttemptSuperseded)
 }

@@ -892,58 +892,58 @@ func (g *Gateway) uploadModel(w http.ResponseWriter, r *http.Request) {
 	}
 	digest := man.Digest
 
-	g.mu.RLock()
-	bs := make([]*backend, 0, len(g.members))
-	for _, mb := range g.members {
-		bs = append(bs, g.backends[mb])
-	}
-	g.mu.RUnlock()
-
-	// Sequential, in member order: deterministic version assignment and
-	// divergence arbitration. Fan-out is an admin operation; latency is not
-	// the constraint here, agreement is.
 	resp := UploadResponse{Digest: digest}
 	var created, existing int
-	var failures []string
-	for _, b := range bs {
-		bman, ae, err := g.postModel(r.Context(), b, name, data)
-		switch {
-		case err != nil:
-			g.noteBackendError(b, err)
-			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
-		case ae != nil && ae.Code == apierr.CodeModelExists:
-			// Already replicated (same digest): idempotent success.
-			existing++
-			resp.Backends = append(resp.Backends, BackendUpload{URL: b.url, Existing: true})
-		case ae != nil:
-			failures = append(failures, fmt.Sprintf("%s: %v", b.url, ae))
-		case bman.Digest != digest:
-			// The backend accepted the bytes but reports a different
-			// digest: it is not serving what was uploaded. Refuse to route
-			// there until a probe shows convergence.
-			b.divergent.Store(true)
-			b.lastErr.Store(fmt.Sprintf("upload digest mismatch on %s: got %.12s…, want %.12s…",
-				bman.Ref(), bman.Digest, digest))
-			failures = append(failures, fmt.Sprintf("%s: digest mismatch on %s", b.url, bman.Ref()))
-		default:
+	members, failures := g.fanOut(r.Context(), http.MethodPost, "/v1/models?name="+url.QueryEscape(name), data,
+		func(b *backend, res *http.Response) error {
+			if res.StatusCode != http.StatusCreated {
+				ae := decodeTypedError(res.Body)
+				switch {
+				case ae == nil:
+					err := fmt.Errorf("unexpected status %d from %s", res.StatusCode, b.url)
+					g.noteBackendError(b, err)
+					return err
+				case ae.Code == apierr.CodeModelExists:
+					// Already replicated (same digest): idempotent success.
+					existing++
+					resp.Backends = append(resp.Backends, BackendUpload{URL: b.url, Existing: true})
+					return nil
+				}
+				return ae
+			}
+			var bman catalog.Manifest
+			if err := json.NewDecoder(io.LimitReader(res.Body, 1<<20)).Decode(&bman); err != nil {
+				err = fmt.Errorf("decoding manifest from %s: %v", b.url, err)
+				g.noteBackendError(b, err)
+				return err
+			}
+			if bman.Digest != digest {
+				// The backend accepted the bytes but reports a different
+				// digest: it is not serving what was uploaded. Refuse to
+				// route there until a probe shows convergence.
+				b.divergent.Store(true)
+				b.lastErr.Store(fmt.Sprintf("upload digest mismatch on %s: got %.12s…, want %.12s…",
+					bman.Ref(), bman.Digest, digest))
+				return fmt.Errorf("digest mismatch on %s", bman.Ref())
+			}
 			created++
 			resp.Backends = append(resp.Backends, BackendUpload{URL: b.url, Ref: bman.Ref()})
 			g.catMu.Lock()
 			g.digests[bman.Ref()] = digest
 			g.catMu.Unlock()
-		}
-	}
+			return nil
+		})
 	switch {
 	case len(failures) > 0:
 		writeErr(w, apierr.New(apierr.CodeInternal,
 			"gateway: model fan-out incomplete (%d/%d backends): %s; the health loop reconciles divergence",
-			created+existing, len(bs), strings.Join(failures, "; ")))
+			created+existing, members, strings.Join(failures, "; ")))
 		return
 	case created == 0 && existing > 0:
 		// Every backend already held these bytes: surface the same typed
 		// conflict a single backend would.
 		writeErr(w, apierr.New(apierr.CodeModelExists,
-			"model %q with digest %.12s… already replicated on all %d backends", name, digest, len(bs)))
+			"model %q with digest %.12s… already replicated on all %d backends", name, digest, members))
 		return
 	}
 	// Fleet-wide ref only when every creating backend agreed on the version.
@@ -965,38 +965,16 @@ func (g *Gateway) uploadModel(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// postModel uploads the model bytes to one backend, returning the decoded
-// manifest on success, the typed error on a typed refusal, or a transport
-// error.
-func (g *Gateway) postModel(ctx context.Context, b *backend, name string, data []byte) (catalog.Manifest, *apierr.Error, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		b.url+"/v1/models?name="+url.QueryEscape(name), bytes.NewReader(data))
-	if err != nil {
-		return catalog.Manifest{}, nil, err
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return catalog.Manifest{}, nil, err
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusCreated {
-		if ae := decodeTypedError(resp.Body); ae != nil {
-			return catalog.Manifest{}, ae, nil
-		}
-		return catalog.Manifest{}, nil, fmt.Errorf("unexpected status %d from %s", resp.StatusCode, b.url)
-	}
-	var man catalog.Manifest
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&man); err != nil {
-		return catalog.Manifest{}, nil, fmt.Errorf("decoding manifest from %s: %v", b.url, err)
-	}
-	return man, nil, nil
-}
-
-// deleteModel fans a version retirement out to every backend. Mixed
-// outcomes converge ("already gone" counts as done); any hard failure is
-// surfaced typed and the health loop reconciles.
-func (g *Gateway) deleteModel(w http.ResponseWriter, r *http.Request) {
-	ref := r.PathValue("ref")
+// fanOut sends one admin request to every backend and hands each answer to
+// outcome, which reads what it needs of the body and returns why that
+// backend failed, nil when it did not; fanOut drains and closes the body.
+// Backends go one at a time, in member order: version assignment and
+// divergence arbitration stay deterministic. Fan-out is an admin operation;
+// latency is not the constraint here, agreement is. A transport error counts
+// against the backend. fanOut returns the member count and every failure,
+// prefixed with its backend's URL.
+func (g *Gateway) fanOut(ctx context.Context, method, path string, body []byte,
+	outcome func(b *backend, res *http.Response) error) (members int, failures []string) {
 	g.mu.RLock()
 	bs := make([]*backend, 0, len(g.members))
 	for _, m := range g.members {
@@ -1004,49 +982,58 @@ func (g *Gateway) deleteModel(w http.ResponseWriter, r *http.Request) {
 	}
 	g.mu.RUnlock()
 
-	var deleted, missing int
-	var firstTyped *apierr.Error
-	var failures []string
 	for _, b := range bs {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodDelete,
-			b.url+"/v1/models/"+url.PathEscape(ref), nil)
+		req, err := http.NewRequestWithContext(ctx, method, b.url+path, bytes.NewReader(body))
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
 			continue
 		}
-		resp, err := g.client.Do(req)
+		res, err := g.client.Do(req)
 		if err != nil {
 			g.noteBackendError(b, err)
 			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
 			continue
 		}
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			deleted++
-		default:
-			ae := decodeTypedError(resp.Body)
-			switch {
-			case ae != nil && ae.Code == apierr.CodeModelNotFound:
-				missing++
-				if firstTyped == nil {
-					firstTyped = ae
-				}
-			case ae != nil:
-				if firstTyped == nil {
-					firstTyped = ae
-				}
-				failures = append(failures, fmt.Sprintf("%s: %v", b.url, ae))
-			default:
-				failures = append(failures, fmt.Sprintf("%s: status %d", b.url, resp.StatusCode))
-			}
+		err = outcome(b, res)
+		drainClose(res.Body)
+		if err != nil {
+			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
 		}
-		drainClose(resp.Body)
 	}
+	return len(bs), failures
+}
+
+// deleteModel fans a version retirement out to every backend. Mixed
+// outcomes converge ("already gone" counts as done); any hard failure is
+// surfaced typed and the health loop reconciles.
+func (g *Gateway) deleteModel(w http.ResponseWriter, r *http.Request) {
+	ref := r.PathValue("ref")
+	var deleted, missing int
+	var firstTyped *apierr.Error
+	members, failures := g.fanOut(r.Context(), http.MethodDelete, "/v1/models/"+url.PathEscape(ref), nil,
+		func(b *backend, res *http.Response) error {
+			if res.StatusCode == http.StatusOK {
+				deleted++
+				return nil
+			}
+			ae := decodeTypedError(res.Body)
+			if ae == nil {
+				return fmt.Errorf("status %d", res.StatusCode)
+			}
+			if firstTyped == nil {
+				firstTyped = ae
+			}
+			if ae.Code == apierr.CodeModelNotFound {
+				missing++
+				return nil
+			}
+			return ae
+		})
 	switch {
 	case len(failures) > 0:
 		writeErr(w, apierr.New(apierr.CodeInternal,
 			"gateway: delete fan-out incomplete (%d/%d backends): %s",
-			deleted+missing, len(bs), strings.Join(failures, "; ")))
+			deleted+missing, members, strings.Join(failures, "; ")))
 		return
 	case deleted == 0:
 		// Nowhere to delete from: relay the backends' own typed answer
@@ -1073,45 +1060,28 @@ func (g *Gateway) setDefault(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apierr.New(apierr.CodeBadInput, "bad request body: %v", err))
 		return
 	}
-	g.mu.RLock()
-	bs := make([]*backend, 0, len(g.members))
-	for _, m := range g.members {
-		bs = append(bs, g.backends[m])
-	}
-	g.mu.RUnlock()
-
 	var okCount int
 	var firstTyped *apierr.Error
-	var failures []string
-	for _, b := range bs {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPut,
-			b.url+"/v1/default", bytes.NewReader(body))
-		if err != nil {
-			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
-			continue
-		}
-		resp, err := g.client.Do(req)
-		if err != nil {
-			g.noteBackendError(b, err)
-			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			okCount++
-		} else if ae := decodeTypedError(resp.Body); ae != nil {
+	members, failures := g.fanOut(r.Context(), http.MethodPut, "/v1/default", body,
+		func(b *backend, res *http.Response) error {
+			if res.StatusCode == http.StatusOK {
+				okCount++
+				return nil
+			}
+			ae := decodeTypedError(res.Body)
+			if ae == nil {
+				return fmt.Errorf("status %d", res.StatusCode)
+			}
 			if firstTyped == nil {
 				firstTyped = ae
 			}
-		} else {
-			failures = append(failures, fmt.Sprintf("%s: status %d", b.url, resp.StatusCode))
-		}
-		drainClose(resp.Body)
-	}
+			return nil
+		})
 	switch {
 	case len(failures) > 0:
 		writeErr(w, apierr.New(apierr.CodeInternal,
 			"gateway: default fan-out incomplete (%d/%d backends): %s",
-			okCount, len(bs), strings.Join(failures, "; ")))
+			okCount, members, strings.Join(failures, "; ")))
 	case okCount == 0 && firstTyped != nil:
 		writeErr(w, firstTyped) // e.g. model_not_found everywhere
 	default:

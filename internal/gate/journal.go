@@ -4,18 +4,19 @@ package gate
 //
 // A journal tees the client's uplink: every parsed unit (one binary frame or
 // one NDJSON chunk line) is copied verbatim into a recycled byte arena,
-// tagged with its sample count and absolute base index. The relay's sender
-// goroutine follows a cursor over the entries and writes them to the current
-// backend attempt; when that backend dies, resetForAttempt rewinds the
-// cursor to the oldest retained entry and the next attempt replays from
+// tagged with its sample count and absolute base index. Each backend
+// attempt's request body is a journalBody, a reader that follows a cursor
+// over the entries, so the transport copies them straight out of the arena;
+// when that backend dies, resetForAttempt rewinds the cursor to the oldest
+// retained entry and hands the next attempt a fresh body that replays from
 // there, opening with the entry's base as the resume handshake.
 //
 // Retention is anchored to delivered beats, not to uplink progress: the
 // downlink acks the watermark as it forwards beat lines, and an entry is
-// evicted only once the sender has consumed it AND the entries that remain
-// still reach back at least `window` samples behind that watermark — window
-// being the deterministic-resync bound (pipeline.ResyncWarmup), the replay
-// depth that makes every beat the client has NOT yet seen regenerate
+// evicted only once the attempt's body has read it AND the entries that
+// remain still reach back at least `window` samples behind that watermark —
+// window being the deterministic-resync bound (pipeline.ResyncWarmup), the
+// replay depth that makes every beat the client has NOT yet seen regenerate
 // bit-identically on the successor. Anchoring to the watermark rather than
 // to journaled totals matters when the backend races ahead of its downlink:
 // beats it emitted but never delivered must still be reproducible, so the
@@ -24,7 +25,7 @@ package gate
 // is one contiguous span.
 //
 // Two different things can hold an eviction up, and they get opposite
-// treatment. When the sender lags (a slow backend) appends block on the
+// treatment. When the body lags (a slow backend) appends block on the
 // condition variable until the cursor advances — the same backpressure a
 // plain byte relay gets from the HTTP connection's flow control. When the
 // ack watermark lags (beats simply haven't arrived yet) appends must NOT
@@ -36,7 +37,10 @@ package gate
 // backend lost after that ends the stream with a typed error line), and
 // memory stays bounded.
 
-import "sync"
+import (
+	"io"
+	"sync"
+)
 
 // maxJournalArena caps the replay arena. A stream whose retention needs
 // more than this (pathologically, a signal with no beats to anchor
@@ -68,10 +72,11 @@ type journal struct {
 	window int   // minimum samples retained behind the ack watermark
 
 	cursor int64 // seq of the next entry the current attempt sends
-	gen    int   // attempt generation; stale senders see a mismatch and exit
+	sent   int   // bytes of the cursor entry already sent
+	gen    int   // attempt generation; a stale body sees a mismatch and fails
 
 	done     bool // uplink ended cleanly: drain, then end the body
-	closed   bool // relay torn down: appends refused, senders released
+	closed   bool // relay torn down: appends refused, bodies fail
 	poisoned bool // uplink unparseable: sample accounting gone, failover off
 }
 
@@ -139,7 +144,7 @@ func (j *journal) append(raw []byte, samples int) bool {
 // evictLocked drops the oldest entry when the current attempt has sent it
 // and the remaining entries still reach window samples behind the ack
 // watermark — so every undelivered beat stays regenerable. A poisoned
-// journal retains nothing beyond what the sender still needs.
+// journal retains nothing beyond what the body still needs.
 func (j *journal) evictLocked() bool {
 	if j.count < 2 || j.cursor <= j.headSeq {
 		return false
@@ -156,10 +161,10 @@ func (j *journal) evictLocked() bool {
 	return true
 }
 
-// cursorBlocked reports that eviction is held up only by the sender (the
-// head entry is still unsent) — the append should wait, not grow. When the
-// blocker is the ack watermark instead, waiting would deadlock: the backend
-// needs future samples to emit the beats that advance it.
+// cursorBlocked reports that eviction is held up only by the attempt's body
+// (the head entry is still unsent) — the append should wait, not grow. When
+// the blocker is the ack watermark instead, waiting would deadlock: the
+// backend needs future samples to emit the beats that advance it.
 func (j *journal) cursorBlocked() bool {
 	if j.count < 2 || j.cursor > j.headSeq {
 		return false
@@ -240,67 +245,87 @@ func (j *journal) growEnts() {
 	j.head = 0
 }
 
-// next blocks for the attempt's next journal entry and copies it into buf
-// (grown as needed; pass the previous return back in to stay allocation-free
-// once warm). ok=false ends the attempt: superseded by a failover, torn
-// down, or drained after uplink EOF — uplinkDone distinguishes the last.
-// Copying under the lock keeps every arena access serialized; a stale
-// sender's buffer can never race recycled arena space.
-func (j *journal) next(gen int, buf []byte) ([]byte, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for {
-		if j.closed || gen != j.gen {
-			return buf, false
-		}
-		if j.cursor < j.headSeq+int64(j.count) {
-			e := j.ents[(j.head+int(j.cursor-j.headSeq))%len(j.ents)]
-			if cap(buf) < e.n {
-				buf = make([]byte, e.n)
-			}
-			buf = buf[:e.n]
-			copy(buf, j.arena[e.off:e.off+e.n])
-			j.cursor++
-			j.cond.Broadcast()
-			return buf, true
-		}
-		if j.done {
-			return buf, false
-		}
-		j.cond.Wait()
-	}
-}
-
-// uplinkDone reports whether an attempt's sender stopped because the client
-// finished its upload and every journaled byte went out — the clean end that
-// should close the backend request body with EOF so the pipeline flushes.
-func (j *journal) uplinkDone(gen int) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.done && !j.closed && gen == j.gen && j.cursor >= j.headSeq+int64(j.count)
-}
-
 // resetForAttempt rewinds the replay cursor for a new relay attempt and
-// returns the attempt's generation plus the absolute sample index its bytes
-// start at — the X-Rpbeat-Resume-From value. The first attempt resolves to
-// base 0 (nothing consumed yet); later ones to the oldest retained entry,
-// which retention guarantees sits at least `window` samples behind the
-// failure point once the stream is past its own start.
-func (j *journal) resetForAttempt() (gen int, base int64) {
+// returns the attempt's request body plus the absolute sample index its
+// bytes start at — the X-Rpbeat-Resume-From value. The first attempt
+// resolves to base 0 (nothing consumed yet); later ones to the oldest
+// retained entry, which retention guarantees sits at least `window` samples
+// behind the failure point once the stream is past its own start.
+func (j *journal) resetForAttempt() (body *journalBody, base int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.gen++
 	j.cursor = j.headSeq
+	j.sent = 0
 	base = j.total
 	if j.count > 0 {
 		base = j.ents[j.head].base
 	}
 	j.cond.Broadcast()
-	return j.gen, base
+	return &journalBody{j: j, gen: j.gen}, base
 }
 
-// finish marks the uplink cleanly ended: no more appends are coming, senders
-// drain what remains and close their bodies with EOF.
+// journalBody is one relay attempt's backend request body: a reader that
+// follows the journal cursor, so the transport's write loop sends journal
+// entries straight from the arena.
+type journalBody struct {
+	j      *journal
+	gen    int
+	closed bool // guarded by j.mu
+}
+
+// Read copies the attempt's next journaled bytes into p, waiting until
+// there are some. It returns io.EOF once the uplink has ended and every
+// entry went out, and fails once a failover supersedes the attempt, the
+// relay is torn down or the body is closed. Copying under the lock keeps
+// every arena access serialized: a stale attempt can never race recycled
+// arena space.
+//
+//rpbeat:allocfree
+func (b *journalBody) Read(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	j := b.j
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for {
+		if b.closed || j.closed || b.gen != j.gen {
+			return 0, errAttemptSuperseded
+		}
+		n := 0
+		for n < len(p) && j.cursor < j.headSeq+int64(j.count) {
+			e := j.ents[(j.head+int(j.cursor-j.headSeq))%len(j.ents)]
+			c := copy(p[n:], j.arena[e.off+j.sent:e.off+e.n])
+			n += c
+			if j.sent += c; j.sent == e.n {
+				j.cursor++
+				j.sent = 0
+			}
+		}
+		if n > 0 {
+			j.cond.Broadcast()
+			return n, nil
+		}
+		if j.done {
+			return 0, io.EOF
+		}
+		j.cond.Wait()
+	}
+}
+
+// Close releases a Read blocked on this attempt; the transport closes the
+// body once it is done with the request.
+func (b *journalBody) Close() error {
+	b.j.mu.Lock()
+	b.closed = true
+	b.j.cond.Broadcast()
+	b.j.mu.Unlock()
+	return nil
+}
+
+// finish marks the uplink cleanly ended: no more appends are coming, and the
+// current body ends with io.EOF once it has read what remains.
 func (j *journal) finish() {
 	j.mu.Lock()
 	j.done = true
@@ -308,7 +333,7 @@ func (j *journal) finish() {
 	j.mu.Unlock()
 }
 
-// close tears the journal down: appends return false, senders exit. It
+// close tears the journal down: appends return false, bodies fail. It
 // reports whether the uplink had already ended. Safe to call more than once.
 func (j *journal) close() (uplinkEnded bool) {
 	j.mu.Lock()

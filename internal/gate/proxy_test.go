@@ -92,6 +92,15 @@ func TestProxyByteIdentity(t *testing.T) {
 	copy(oversized, frames[:4])
 	oversized[4], oversized[5], oversized[6], oversized[7] = 0xff, 0xff, 0xff, 0x7f
 
+	// NDJSON uplinks the gateway pump must frame exactly as the backend
+	// does: a bad chunk line after good ones (the pump poisons its journal
+	// and passes the rest through raw), CRLF line ends among blank lines,
+	// and a final line without its newline.
+	half := len(lead) / 2
+	badLine := append(append(ndjsonChunks(lead[:half], 720), "{nope}\n"...), ndjsonChunks(lead[half:], 720)...)
+	crlf := append([]byte("\n\r\n"), bytes.ReplaceAll(ndjsonChunks(lead, 720), []byte("\n"), []byte("\r\n\n"))...)
+	unterminated := bytes.TrimSuffix(ndjsonChunks(lead, 720), []byte("\n"))
+
 	cases := []struct {
 		name, method, path, cType string
 		body                      []byte
@@ -101,6 +110,9 @@ func TestProxyByteIdentity(t *testing.T) {
 		{"classify binary", http.MethodPost, "/v1/classify", wire.ContentTypeSamples, frames, 200},
 		{"stream ndjson", http.MethodPost, "/v1/stream", wire.ContentTypeNDJSON, ndjsonChunks(lead, 720), 200},
 		{"stream binary", http.MethodPost, "/v1/stream", wire.ContentTypeSamples, frames, 200},
+		{"stream bad ndjson line", http.MethodPost, "/v1/stream", wire.ContentTypeNDJSON, badLine, 200},
+		{"stream crlf and blank lines", http.MethodPost, "/v1/stream", wire.ContentTypeNDJSON, crlf, 200},
+		{"stream final line without newline", http.MethodPost, "/v1/stream", wire.ContentTypeNDJSON, unterminated, 200},
 		{"models inventory", http.MethodGet, "/v1/models", "", nil, 200},
 		{"manifest detail", http.MethodGet, "/v1/models/m@v1", "", nil, 200},
 		{"unknown model", http.MethodGet, "/v1/models/nope", "", nil, 404},

@@ -48,8 +48,8 @@ func waitGoroutines(t *testing.T, want int) {
 // TestSoakFleet is the soak satellite: ~200 concurrent streams through the
 // whole stack (fleet driver -> HTTP -> binary decode -> engine -> NDJSON
 // beats back), meant to run under -race. Afterward the engine must still
-// hold its steady-state invariants: Send at 0 allocs/op on the soaked pool
-// state, and not one goroutine leaked.
+// hold its steady-state invariants: Send at 0 allocs/op on the soaked
+// engine, and not one goroutine leaked.
 func TestSoakFleet(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ts, eng := soakStack(t, 2, serve.HandlerConfig{})
@@ -79,9 +79,8 @@ func TestSoakFleet(t *testing.T) {
 	}
 
 	// Zero-alloc invariant, re-asserted on the engine the soak just
-	// hammered: the pool/FIFO state 200 streams left behind must still
-	// serve steady-state Send without allocating. A couple of attempts
-	// tolerate an unluckily-timed GC clearing the pools mid-measurement.
+	// hammered: the worker and FIFO state 200 streams left behind must
+	// still serve steady-state Send without allocating.
 	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "probe", Seconds: 30, Seed: 99, PVCRate: 0.1}).Leads[0]
 	st, err := eng.Open(context.Background(), "", pipeline.Config{}, nil)
 	if err != nil {

@@ -46,11 +46,12 @@ func TestPipelinePushZeroAlloc(t *testing.T) {
 }
 
 // TestEngineSendZeroAlloc holds the steady-state Send path to zero
-// allocations: once the chunk pool, the stream's FIFO backing array, the
-// shard queue and the pipeline's internal buffers are warm, enqueuing a
-// chunk and having a worker drain it must not allocate — on either side of
-// the handoff (AllocsPerRun counts the worker goroutine's allocations too).
-// This is the pooled-Send counterpart of TestPipelinePushZeroAlloc.
+// allocations: once the stream's spare chunk buffers, its FIFO backing
+// array, the shard queue and the pipeline's internal buffers are warm,
+// enqueuing a chunk and having a worker drain it must not allocate — on
+// either side of the handoff (AllocsPerRun counts the worker goroutine's
+// allocations too), in every build. This is the recycled-Send counterpart
+// of TestPipelinePushZeroAlloc.
 func TestEngineSendZeroAlloc(t *testing.T) {
 	eng := NewEngine(testCatalog(t, "m"), EngineConfig{Workers: 1})
 	defer eng.Close()
@@ -67,8 +68,8 @@ func TestEngineSendZeroAlloc(t *testing.T) {
 			runtime.Gosched()
 		}
 	}
-	// Warm up: one full pass brings the pool, FIFO and pipeline to steady
-	// state.
+	// Warm up: one full pass brings the spares, FIFO and pipeline to
+	// steady state.
 	for off := 0; off+chunk <= len(lead); off += chunk {
 		if err := st.Send(ctx, lead[off:off+chunk]); err != nil {
 			t.Fatal(err)

@@ -30,10 +30,12 @@ package pipeline
 //     producers enqueue before consulting the idle list, so a wake-up can
 //     never be lost between a worker's last scan and its wait.
 //
-// Chunk buffers are pooled: Send copies the caller's samples into a
-// sync.Pool-recycled buffer and the worker returns it after the drain, so a
-// steady-state Send performs zero heap allocations (enforced by
-// TestEngineSendZeroAlloc), matching the Pipeline.Push invariant.
+// Chunk buffers are recycled per stream: Send copies the caller's samples
+// into one of the stream's spare buffers and the worker hands it back after
+// the drain, so a steady-state Send performs zero heap allocations in every
+// build, the race build included (enforced by TestEngineSendZeroAlloc),
+// matching the Pipeline.Push invariant. A sync.Pool would not hold that: the
+// race build drops a random share of its Puts, and a GC empties it.
 
 import (
 	"context"
@@ -80,12 +82,6 @@ const (
 	stateRunning                    // a worker is processing it
 	stateDirty                      // running, and new work arrived meanwhile
 )
-
-// chunk is one pooled Send buffer. The pool hands out *chunk (not []int32)
-// so that returning a buffer never re-boxes the slice header.
-type chunk struct {
-	buf []int32
-}
 
 // shard is one worker's run queue. head indexes the logical front so pops
 // are O(1) without shrinking the backing array; the array is reset (not
@@ -138,7 +134,7 @@ type worker struct {
 	id     int
 	shard  shard
 	wake   chan struct{} // capacity 1: a binary wake token
-	chunks []*chunk      // drain scratch, owned by the worker goroutine
+	chunks [][]int32     // drain scratch, owned by the worker goroutine
 }
 
 // Engine runs streams over its worker pool.
@@ -152,7 +148,6 @@ type Engine struct {
 
 	workers []*worker
 	next    atomic.Uint64 // round-robin home-shard assignment for Open
-	chunks  sync.Pool     // of *chunk
 
 	// inflight counts Send/Close calls between admission and enqueue
 	// completion. Workers may only exit once shutdown is set, inflight is
@@ -191,20 +186,6 @@ func NewEngine(cat *catalog.Catalog, cfg EngineConfig) *Engine {
 // Catalog returns the engine's model catalog.
 func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 
-// getChunk takes a pooled buffer (or a fresh one on a cold pool).
-func (e *Engine) getChunk() *chunk {
-	if c, ok := e.chunks.Get().(*chunk); ok {
-		return c
-	}
-	return new(chunk)
-}
-
-// putChunk returns a drained buffer to the pool for the next Send.
-func (e *Engine) putChunk(c *chunk) {
-	c.buf = c.buf[:0]
-	e.chunks.Put(c)
-}
-
 // Stream is one patient's sample feed into the engine. Send and Close may be
 // called from any goroutine (but not concurrently with each other); the sink
 // is invoked serially, in input order, from worker goroutines.
@@ -218,10 +199,15 @@ type Stream struct {
 	// Guarded by mu.
 	mu      sync.Mutex
 	state   streamState
-	fifo    []*chunk // backing array recycled across drains
-	pending int      // samples queued or reserved by an in-flight Send
+	fifo    [][]int32 // backing array recycled across drains
+	pending int       // samples queued or reserved by an in-flight Send
 	closing bool
 	flushed bool
+	// spare holds drained chunk buffers for the next Sends. A stream runs
+	// on one worker at a time, so two cover a send-after-drain loop; Sends
+	// that outrun them allocate.
+	spare  [2][]int32
+	nspare int
 
 	done chan struct{}
 }
@@ -293,7 +279,7 @@ func (s *Stream) PendingSamples() int {
 }
 
 // Send enqueues a chunk of raw ADC samples. The slice is copied (into a
-// pooled buffer, so a steady-state Send allocates nothing), and the caller
+// recycled buffer, so a steady-state Send allocates nothing), and the caller
 // may reuse it immediately. A canceled context fails the send before the
 // chunk is queued; a full stream queue fails it with
 // apierr.CodeStreamOverloaded. Admission is decided before the chunk is
@@ -323,20 +309,20 @@ func (s *Stream) Send(ctx context.Context, samples []int32) error {
 		return errStreamOverloaded
 	}
 	s.pending += len(samples)
+	buf := s.takeSpareLocked()
 	s.mu.Unlock()
 
-	c := e.getChunk()
-	c.buf = append(c.buf[:0], samples...)
+	buf = append(buf[:0], samples...)
 
 	s.mu.Lock()
 	if err := s.admitLocked(); err != nil {
 		// Close or engine shutdown raced the copy: release the reservation.
 		s.pending -= len(samples)
+		s.putSpareLocked(buf)
 		s.mu.Unlock()
-		e.putChunk(c)
 		return err
 	}
-	s.fifo = append(s.fifo, c)
+	s.fifo = append(s.fifo, buf)
 	enq := s.scheduleLocked()
 	s.mu.Unlock()
 	if enq {
@@ -380,6 +366,27 @@ func (s *Stream) admitLocked() error {
 		return errShuttingDown
 	}
 	return nil
+}
+
+// takeSpareLocked hands out a recycled chunk buffer, nil when there is none.
+// Callers must hold s.mu.
+func (s *Stream) takeSpareLocked() []int32 {
+	if s.nspare == 0 {
+		return nil
+	}
+	s.nspare--
+	buf := s.spare[s.nspare]
+	s.spare[s.nspare] = nil
+	return buf
+}
+
+// putSpareLocked keeps a drained chunk buffer for a later Send, or drops it
+// when the spares are full. Callers must hold s.mu.
+func (s *Stream) putSpareLocked(buf []int32) {
+	if s.nspare < len(s.spare) {
+		s.spare[s.nspare] = buf
+		s.nspare++
+	}
 }
 
 // scheduleLocked advances the state machine for newly arrived work and
@@ -556,9 +563,9 @@ func (e *Engine) workerLoop(w *worker) {
 const maxRunChunks = 32
 
 // run processes one queued stream: it drains up to maxRunChunks of the FIFO
-// into the worker's scratch under the stream lock, then pushes every chunk
-// through the pipeline lock-free. The state machine guarantees no other
-// worker holds this stream.
+// into the worker's scratch under the stream lock, pushes every chunk
+// through the pipeline lock-free, then keeps their buffers as the stream's
+// spares. The state machine guarantees no other worker holds this stream.
 func (e *Engine) run(w *worker, s *Stream) {
 	s.mu.Lock()
 	s.state = stateRunning
@@ -568,7 +575,7 @@ func (e *Engine) run(w *worker, s *Stream) {
 	}
 	w.chunks = append(w.chunks[:0], s.fifo[:take]...)
 	for i := 0; i < take; i++ {
-		s.pending -= len(s.fifo[i].buf) // reservations of in-flight Sends stay counted
+		s.pending -= len(s.fifo[i]) // reservations of in-flight Sends stay counted
 		s.fifo[i] = nil
 	}
 	rest := copy(s.fifo, s.fifo[take:])
@@ -582,10 +589,8 @@ func (e *Engine) run(w *worker, s *Stream) {
 	}
 	s.mu.Unlock()
 
-	for i, c := range w.chunks {
-		s.pipe.PushChunk(c.buf, s.sink)
-		e.putChunk(c)
-		w.chunks[i] = nil
+	for _, c := range w.chunks {
+		s.pipe.PushChunk(c, s.sink)
 	}
 	if flush {
 		if beats := s.pipe.Flush(); len(beats) > 0 {
@@ -594,6 +599,10 @@ func (e *Engine) run(w *worker, s *Stream) {
 	}
 
 	s.mu.Lock()
+	for i, c := range w.chunks {
+		s.putSpareLocked(c)
+		w.chunks[i] = nil
+	}
 	requeue := s.state == stateDirty || len(s.fifo) > 0 || (s.closing && !s.flushed)
 	if requeue {
 		s.state = stateQueued

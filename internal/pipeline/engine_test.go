@@ -113,7 +113,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 
 // TestEngineMixedKinds runs a fuzzy-head and a bitemb-head model on one
 // engine concurrently — streams pinned to different kinds share the worker
-// pool and its pooled chunk buffers — and holds each stream beat-exact
+// pool — and holds each stream beat-exact
 // against a sequential single-pipeline run of its own model. Under -race
 // (CI) this is also the mixed-fleet race test: the per-stream Scratch must
 // never be shared across kinds. Mid-run it deletes the bitemb version from
@@ -500,7 +500,7 @@ func TestStreamFIFORecycled(t *testing.T) {
 // TestEngineStress drives hundreds of streams over a small worker pool (run
 // under -race in CI): every stream's beats must match a sequential
 // single-pipeline run exactly (ordering and completeness through the
-// sharded queues, work stealing and chunk pooling), overloads must surface
+// sharded queues, work stealing and chunk recycling), overloads must surface
 // as the typed backpressure error and be survivable by retrying, and the
 // worker goroutines must all exit on Engine.Close.
 func TestEngineStress(t *testing.T) {
@@ -687,7 +687,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.SetBytes(int64(streams * len(lead) * 4))
 }
 
-// BenchmarkEngineSendSteadyState measures one chunk through the pooled Send
+// BenchmarkEngineSendSteadyState measures one chunk through the recycled Send
 // admission path plus the worker drain (synchronized, so the number is
 // chunk latency, not queue-fill throughput). allocs/op must be 0.
 func BenchmarkEngineSendSteadyState(b *testing.B) {

@@ -57,7 +57,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"io"
@@ -79,10 +78,6 @@ import (
 // maxClassifyBytes bounds a /v1/classify request body (~1 hour of one lead
 // as JSON numbers).
 const maxClassifyBytes = 64 << 20
-
-// maxStreamLineBytes bounds one NDJSON chunk line on /v1/stream. (Binary
-// stream chunks are bounded per frame by wire.MaxFrameSamples instead.)
-const maxStreamLineBytes = 8 << 20
 
 // maxClassifySamples bounds the decoded lead of one /v1/classify request
 // (~3 hours of one 360 Hz lead). The JSON path is implicitly bounded by
@@ -131,8 +126,6 @@ type server struct {
 	// request rate holds a steady working set (the whole batch path is
 	// O(1) allocations on a warm scratch).
 	scratch sync.Pool
-	// chunks pools /v1/stream's per-connection decoded-chunk slices.
-	chunks sync.Pool
 }
 
 // lineBufs pools the small response buffers behind writeErr and the
@@ -156,7 +149,6 @@ func NewHandler(eng *pipeline.Engine, cfg HandlerConfig) http.Handler {
 		s.maxUpload = core.MaxModelBytes
 	}
 	s.scratch.New = func() any { return new(classifyScratch) }
-	s.chunks.New = func() any { b := make([]int32, 0, 1024); return &b }
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.health)
 	mux.HandleFunc("GET /v1/models", s.listModels)
@@ -232,10 +224,10 @@ func writeErr(w http.ResponseWriter, err error) {
 }
 
 // wireErr maps an internal/wire decode failure onto the apierr contract:
-// an oversized frame is payload_too_large, everything else (syntax errors,
-// malformed frames) is the client's bad_input.
+// an oversized frame or line is payload_too_large, everything else (syntax
+// errors, malformed frames) is the client's bad_input.
 func wireErr(err error) error {
-	if errors.Is(err, wire.ErrFrameTooLarge) {
+	if errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrLineTooLong) {
 		return apierr.New(apierr.CodePayloadTooLarge, "%v", err)
 	}
 	return apierr.New(apierr.CodeBadInput, "%v", err)
@@ -585,17 +577,6 @@ type StreamDone struct {
 	Samples int    `json:"samples"`
 }
 
-// decodeChunkLine decodes one NDJSON chunk line into buf[:0], reusing buf's
-// backing array across lines, so steady-state chunk decoding never
-// reallocates.
-func (s *server) decodeChunkLine(buf []int32, line []byte) ([]int32, error) {
-	out, err := wire.ParseChunk(buf, line)
-	if err != nil {
-		return out, apierr.New(apierr.CodeBadInput, "bad chunk: %v", err)
-	}
-	return out, nil
-}
-
 // stream is the chunked streaming path: each request is one patient stream,
 // classified online by the engine's worker pool while the request body is
 // still being read. The stream is opened against the catalog snapshot at
@@ -740,67 +721,24 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 		streamErr(err)
 	}
 
-	// The decoded-chunk slice is pooled across connections and reused
-	// across every chunk of this one.
-	cp := s.chunks.Get().(*[]int32)
-	chunkBuf := *cp
-	defer func() {
-		*cp = chunkBuf[:0]
-		s.chunks.Put(cp)
-	}()
-
 	samples := 0
-	if wire.IsSampleContentType(r.Header.Get("Content-Type")) {
-		// Binary uplink: one wire frame per chunk.
-		fr := wire.NewFrameReader(r.Body)
-		for {
-			var err error
-			chunkBuf, err = fr.Next(chunkBuf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// Only typed decode failures are the client's bad_input;
-				// transport errors (disconnect, cancellation) keep their
-				// own classification, as the NDJSON scanner path does.
-				var fe *wire.FrameError
-				if errors.As(err, &fe) || errors.Is(err, wire.ErrFrameTooLarge) {
-					err = wireErr(err)
-				}
-				abort(err)
-				return
-			}
-			samples += len(chunkBuf)
-			if err := s.sendWithBackpressure(r, st, chunkBuf); err != nil {
-				abort(err)
-				return
-			}
+	ur := wire.NewUplinkReader(r.Body, wire.IsSampleContentType(r.Header.Get("Content-Type")))
+	for {
+		_, chunk, err := ur.Next()
+		if err == io.EOF {
+			break
 		}
-	} else {
-		sc := bufio.NewScanner(r.Body)
-		sc.Buffer(make([]byte, 64*1024), maxStreamLineBytes)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
+		if err != nil {
+			// Only a malformed unit is the client's fault; transport errors
+			// (disconnect, cancellation) keep their own classification.
+			if wire.Malformed(err) {
+				err = wireErr(err)
 			}
-			var err error
-			chunkBuf, err = s.decodeChunkLine(chunkBuf, line)
-			if err != nil {
-				abort(err)
-				return
-			}
-			samples += len(chunkBuf)
-			if err := s.sendWithBackpressure(r, st, chunkBuf); err != nil {
-				abort(err)
-				return
-			}
+			abort(err)
+			return
 		}
-		if err := sc.Err(); err != nil {
-			if errors.Is(err, bufio.ErrTooLong) {
-				err = apierr.New(apierr.CodePayloadTooLarge,
-					"stream line exceeds %d bytes", maxStreamLineBytes)
-			}
+		samples += len(chunk)
+		if err := s.sendWithBackpressure(r, st, chunk); err != nil {
 			abort(err)
 			return
 		}

@@ -406,44 +406,46 @@ func stdlibReencode(path string, body []byte) ([]byte, error) {
 	return out, nil
 }
 
-// TestDecodeChunkLineReusesBuffer pins the chunk decoder's contract directly:
-// across NDJSON lines the decoded samples reuse one backing array, and a
-// warm line decodes with zero allocations.
+// TestDecodeChunkLineReusesBuffer pins the stream handler's chunk decoding,
+// which runs through wire.UplinkReader: across NDJSON lines of different
+// lengths the decoded samples reuse one backing array, and a warm line
+// decodes with zero allocations.
 func TestDecodeChunkLineReusesBuffer(t *testing.T) {
 	lines := [][]byte{
-		[]byte(`{"samples":[1017,1020,1013,998]}`),
-		[]byte(`{"samples":[1,2,3,4,5,6,7,8]}`),
-		[]byte(`{"samples":[-5]}`),
+		[]byte(`{"samples":[1017,1020,1013,998]}` + "\n"),
+		[]byte(`{"samples":[1,2,3,4,5,6,7,8]}` + "\n"),
+		[]byte(`{"samples":[-5]}` + "\n"),
 	}
-	s := &server{}
-	buf := make([]int32, 0, 64)
-	base := &buf[:1][0]
+	rd := bytes.NewReader(nil)
+	ur := wire.NewUplinkReader(rd, false)
+	decode := func(line []byte) []int32 {
+		rd.Reset(line)
+		_, samples, err := ur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
+	}
+	var base *int32
 	for round := 0; round < 10; round++ {
 		for _, line := range lines {
-			var err error
-			buf, err = s.decodeChunkLine(buf, line)
-			if err != nil {
-				t.Fatal(err)
+			samples := decode(line)
+			if round == 0 {
+				base = &samples[:1][0] // the first round grows the array
+			} else if &samples[:1][0] != base {
+				t.Fatal("chunk slice was reallocated across lines")
 			}
 		}
 	}
-	if &buf[:1][0] != base {
-		t.Fatal("chunk slice was reallocated across lines")
-	}
 
-	line := lines[0]
-	var decErr error
-	testutil.AssertZeroAlloc(t, "decodeChunkLine on a warm buffer", func() {
-		buf, decErr = s.decodeChunkLine(buf, line)
+	testutil.AssertZeroAlloc(t, "chunk line decoding on a warm reader", func() {
+		decode(lines[0])
 	})
-	if decErr != nil {
-		t.Fatal(decErr)
-	}
 }
 
 // TestStreamServeRowZeroAlloc is the stream serve row's invariant end to
-// end above HTTP: decoding a chunk line through the handler's codec and
-// pushing it through an engine stream — the whole per-chunk serving path
+// end above HTTP: reading a chunk line through the handler's uplink reader
+// and pushing it through an engine stream — the whole per-chunk serving path
 // between the socket and the classifier — allocates nothing at steady
 // state (worker-side allocations included; AllocsPerRun counts globally).
 func TestStreamServeRowZeroAlloc(t *testing.T) {
@@ -465,10 +467,18 @@ func TestStreamServeRowZeroAlloc(t *testing.T) {
 	var lines [][]byte
 	for off := 0; off+360 <= len(lead); off += 360 {
 		line, _ := json.Marshal(StreamChunk{Samples: lead[off : off+360]})
-		lines = append(lines, line)
+		lines = append(lines, append(line, '\n'))
 	}
-	srv := &server{}
-	buf := make([]int32, 0, 512)
+	rd := bytes.NewReader(nil)
+	ur := wire.NewUplinkReader(rd, false)
+	serveLine := func(line []byte) error {
+		rd.Reset(line)
+		_, chunk, err := ur.Next()
+		if err != nil {
+			return err
+		}
+		return st.Send(ctx, chunk)
+	}
 	drain := func() {
 		for st.PendingSamples() > 0 {
 			runtime.Gosched()
@@ -476,10 +486,7 @@ func TestStreamServeRowZeroAlloc(t *testing.T) {
 	}
 	// Warm-up: a full pass grows every ring, FIFO and pool to steady state.
 	for _, line := range lines {
-		if buf, err = srv.decodeChunkLine(buf, line); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Send(ctx, buf); err != nil {
+		if err := serveLine(line); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -489,11 +496,7 @@ func TestStreamServeRowZeroAlloc(t *testing.T) {
 	var loopErr error
 	testutil.AssertZeroAllocN(t, "steady-state stream serving (5 chunks per run)", 10, func() {
 		for i := 0; i < 5; i++ {
-			buf, loopErr = srv.decodeChunkLine(buf, lines[next])
-			if loopErr != nil {
-				return
-			}
-			if loopErr = st.Send(ctx, buf); loopErr != nil {
+			if loopErr = serveLine(lines[next]); loopErr != nil {
 				return
 			}
 			next = (next + 1) % len(lines)

@@ -3,7 +3,6 @@ package wfdb
 import (
 	"errors"
 	"fmt"
-	"io"
 )
 
 // EncodeAnnotations renders annotations (sorted by sample index) in the MIT
@@ -122,23 +121,4 @@ func DecodeAnnotations(data []byte) ([]Ann, error) {
 			anns = append(anns, Ann{Sample: t, Code: code})
 		}
 	}
-}
-
-// WriteAnnotations writes the encoded annotations to w.
-func WriteAnnotations(w io.Writer, anns []Ann) error {
-	b, err := EncodeAnnotations(anns)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// ReadAnnotations reads and decodes an annotation stream from r.
-func ReadAnnotations(r io.Reader) ([]Ann, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeAnnotations(b)
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 )
 
@@ -59,6 +58,11 @@ func (e *FrameError) Error() string { return "invalid sample frame: " + e.Msg }
 // layer renders it as payload_too_large.
 var ErrFrameTooLarge = errors.New("sample frame exceeds " +
 	"the per-frame sample bound")
+
+var (
+	errTruncatedHeader  = &FrameError{"truncated header"}
+	errTruncatedPayload = &FrameError{"truncated payload"}
+)
 
 // decodeHeader validates one frame header and returns its width and count.
 func decodeHeader(hdr []byte) (width, count int, err error) {
@@ -127,7 +131,7 @@ func decodePayload(dst []int32, p []byte, width, count int) []int32 {
 // the remaining bytes. A warm dst makes decoding allocation-free.
 func DecodeFrame(dst []int32, data []byte) (samples []int32, rest []byte, err error) {
 	if len(data) < FrameHeaderLen {
-		return dst, data, &FrameError{"truncated header"}
+		return dst, data, errTruncatedHeader
 	}
 	width, count, err := decodeHeader(data)
 	if err != nil {
@@ -135,100 +139,10 @@ func DecodeFrame(dst []int32, data []byte) (samples []int32, rest []byte, err er
 	}
 	n := payloadSize(width, count)
 	if len(data)-FrameHeaderLen < n {
-		return dst, data, &FrameError{"truncated payload"}
+		return dst, data, errTruncatedPayload
 	}
 	dst = decodePayload(dst, data[FrameHeaderLen:FrameHeaderLen+n], width, count)
 	return dst, data[FrameHeaderLen+n:], nil
-}
-
-// FrameReader decodes a stream of frames from r (a request body), one
-// Next call per frame. The payload staging buffer is reused across frames.
-type FrameReader struct {
-	r       io.Reader
-	hdr     [FrameHeaderLen]byte
-	payload []byte
-}
-
-// NewFrameReader wraps r for frame-at-a-time decoding.
-func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
-
-// Next reads one frame and returns its samples appended into dst[:0] (the
-// chunk-per-call shape of /v1/stream: each frame replaces the last, and a
-// reused dst makes steady-state decoding allocation-free). A clean end of
-// stream — EOF exactly on a frame boundary — returns io.EOF; anything
-// partial is a typed *FrameError.
-func (fr *FrameReader) Next(dst []int32) ([]int32, error) {
-	dst = dst[:0]
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		if err == io.EOF {
-			return dst, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return dst, &FrameError{"truncated header"}
-		}
-		return dst, err
-	}
-	width, count, err := decodeHeader(fr.hdr[:])
-	if err != nil {
-		return dst, err
-	}
-	n := payloadSize(width, count)
-	if cap(fr.payload) < n {
-		fr.payload = make([]byte, n)
-	}
-	buf := fr.payload[:n]
-	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return dst, &FrameError{"truncated payload"}
-		}
-		return dst, err
-	}
-	return decodePayload(dst, buf, width, count), nil
-}
-
-// ReadRawFrame reads one binary frame from r into buf (grown as needed,
-// reused when large enough — pass the last returned frame back in to stay
-// allocation-free once warm) and returns the frame's verbatim bytes and its
-// declared sample count WITHOUT decoding the payload — the shape a relay
-// journal needs: raw bytes to replay plus the sample accounting. A clean end
-// of stream on a frame boundary returns io.EOF; anything partial is a typed
-// *FrameError, with whatever bytes were consumed returned so a forwarder can
-// still pass them through verbatim.
-func ReadRawFrame(r io.Reader, buf []byte) (frame []byte, count int, err error) {
-	if cap(buf) < FrameHeaderLen {
-		buf = make([]byte, FrameHeaderLen, 4096)
-	}
-	hdr := buf[:FrameHeaderLen]
-	nh, err := io.ReadFull(r, hdr)
-	if err != nil {
-		if err == io.EOF {
-			return hdr[:0], 0, io.EOF
-		}
-		if err == io.ErrUnexpectedEOF {
-			return hdr[:nh], 0, &FrameError{"truncated header"}
-		}
-		return hdr[:nh], 0, err
-	}
-	width, count, err := decodeHeader(hdr)
-	if err != nil {
-		return hdr, 0, err
-	}
-	n := payloadSize(width, count)
-	total := FrameHeaderLen + n
-	if cap(buf) < total {
-		grown := make([]byte, total)
-		copy(grown, hdr)
-		buf = grown
-	}
-	frame = buf[:total]
-	np, err := io.ReadFull(r, frame[FrameHeaderLen:])
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return frame[:FrameHeaderLen+np], 0, &FrameError{"truncated payload"}
-		}
-		return frame[:FrameHeaderLen+np], 0, err
-	}
-	return frame, count, nil
 }
 
 // FrameWidth returns the smallest width that represents samples exactly:

@@ -10,7 +10,6 @@ import (
 
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/rng"
-	"rpbeat/internal/testutil"
 )
 
 // TestFrameRoundTrip: encode → decode is the identity for every width, at
@@ -87,7 +86,7 @@ func TestFrameWidthSelection(t *testing.T) {
 }
 
 // TestFramesSplitRecord: a long record through AppendFrames decodes to the
-// identical lead via both the byte-slice and the io.Reader decoders, and
+// identical lead via both the byte-slice decoder and the uplink reader, and
 // the delta coding actually lands near 1 byte/sample on real ECG.
 func TestFramesSplitRecord(t *testing.T) {
 	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "fr", Seconds: 30, Seed: 4, PVCRate: 0.1}).Leads[0]
@@ -110,13 +109,11 @@ func TestFramesSplitRecord(t *testing.T) {
 		t.Fatal("byte-slice decode mismatch")
 	}
 
-	// Streaming decoder, chunk per frame.
-	fr := NewFrameReader(bytes.NewReader(body))
+	// Uplink reader, chunk per frame.
+	ur := NewUplinkReader(bytes.NewReader(body), true)
 	var streamed []int32
-	var chunk []int32
 	for {
-		var err error
-		chunk, err = fr.Next(chunk)
+		_, chunk, err := ur.Next()
 		if err == io.EOF {
 			break
 		}
@@ -168,8 +165,8 @@ func TestFrameDecoderRejectsHostileInput(t *testing.T) {
 			t.Fatalf("%s: error %v is not a *FrameError", c.name, err)
 		}
 
-		// The io.Reader path must agree.
-		_, rerr := NewFrameReader(bytes.NewReader(c.data)).Next(nil)
+		// The uplink reader must agree.
+		_, _, rerr := NewUplinkReader(bytes.NewReader(c.data), true).Next()
 		if len(c.data) == 0 {
 			if rerr != io.EOF {
 				t.Fatalf("%s: reader err = %v, want io.EOF at clean boundary", c.name, rerr)
@@ -183,33 +180,6 @@ func TestFrameDecoderRejectsHostileInput(t *testing.T) {
 			t.Fatalf("%s: reader ErrFrameTooLarge mismatch: %v", c.name, rerr)
 		}
 	}
-}
-
-// TestFrameReaderZeroAlloc: steady-state frame decoding into warm buffers
-// allocates nothing (the binary stream serve row's invariant).
-func TestFrameReaderZeroAlloc(t *testing.T) {
-	chunkSamples := make([]int32, 360)
-	for i := range chunkSamples {
-		chunkSamples[i] = 1000 + int32(i%40)
-	}
-	frame, err := AppendFrame(nil, chunkSamples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := bytes.NewReader(frame)
-	fr := NewFrameReader(rd)
-	dst := make([]int32, 0, 512)
-	if dst, err = fr.Next(dst); err != nil { // warm the payload buffer
-		t.Fatal(err)
-	}
-	testutil.AssertZeroAlloc(t, "warm FrameReader.Next", func() {
-		rd.Reset(frame)
-		var err error
-		dst, err = fr.Next(dst)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 func BenchmarkWireDecodeFrame(b *testing.B) {

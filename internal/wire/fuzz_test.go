@@ -122,9 +122,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 
-		// The io.Reader decoder must agree with the byte-slice decoder on
-		// the first frame.
-		rdec, rerr := NewFrameReader(bytes.NewReader(data)).Next(nil)
+		// The uplink reader must agree with the byte-slice decoder on the
+		// first frame.
+		_, rdec, rerr := NewUplinkReader(bytes.NewReader(data), true).Next()
 		if err == nil {
 			if rerr != nil {
 				t.Fatalf("slice decoder accepted, reader rejected: %v", rerr)
@@ -138,4 +138,53 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("empty stream: reader err = %v, want io.EOF", rerr)
 		}
 	})
+}
+
+// FuzzUplinkReader holds the /v1/stream framing to its contract in both
+// encodings: units never depend on how the body's bytes are split across
+// reads; the accepted units, the bytes handed back with the error and the
+// rest the reader passes through add up to the body exactly; every unit
+// decodes to its samples by the reference decoder; and a body that cannot
+// fail ends with io.EOF or a typed rejection only.
+func FuzzUplinkReader(f *testing.F) {
+	frames, _ := AppendFrame(nil, []int32{1000, 1010, 990, -40000, 1 << 20})
+	f.Add(frames, true, uint8(0))
+	f.Add(append(append([]byte{}, frames...), frames[:13]...), true, uint8(3))
+	f.Add([]byte("RPBS\x01\x01\xff\xff\xff\xff"), true, uint8(1))
+	f.Add([]byte("{\"samples\":[1,2]}\n\r\n\n{\"samples\":[3]}\r\n{\"samples\":[4]}"), false, uint8(0))
+	f.Add([]byte("{\"samples\":[1]}\n{nope}\n{\"samples\":[2]}\n"), false, uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, binary bool, split uint8) {
+		whole := readUplink(t, bytes.NewReader(data), binary)
+		pieces := readUplink(t, &splitReader{data: data, n: int(split) + 1}, binary)
+		if whole.err != io.EOF && !Malformed(whole.err) {
+			t.Fatalf("ended with an untyped error: %v", whole.err)
+		}
+		if pieces.err.Error() != whole.err.Error() {
+			t.Fatalf("read in pieces of %d ends with %v, whole with %v", split+1, pieces.err, whole.err)
+		}
+		if len(pieces.units) != len(whole.units) || !bytes.Equal(pieces.consumed(), whole.consumed()) ||
+			!bytes.Equal(pieces.rest, whole.rest) {
+			t.Fatalf("read in pieces of %d: %d units %q, whole: %d units %q",
+				split+1, len(pieces.units), pieces.consumed(), len(whole.units), whole.consumed())
+		}
+		if got := append(whole.consumed(), whole.rest...); !bytes.Equal(got, data) {
+			t.Fatalf("units, bad bytes and rest %q are not the body %q", got, data)
+		}
+		checkUnits(t, whole, binary)
+	})
+}
+
+// splitReader serves data n bytes per Read.
+type splitReader struct {
+	data []byte
+	n    int
+}
+
+func (s *splitReader) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), s.n)], s.data)
+	s.data = s.data[n:]
+	return n, nil
 }

@@ -26,12 +26,19 @@
 //     for the uplink, where bandwidth is the WBSN budget JSON wastes:
 //     framed little-endian sample chunks with an int8-delta mode that cuts
 //     a 30 s record to ~1/5 of its decimal-JSON size. See frame.go for the
-//     layout; DecodeFrame/FrameReader bound every length before allocating,
-//     mirroring the core codec's MaxModelBytes hardening.
+//     layout; DecodeFrame bounds every length before allocating, mirroring
+//     the core codec's MaxModelBytes hardening.
+//
+// UplinkReader is the one reader of the /v1/stream request body, in either
+// encoding: it splits the body into units (frames bounded by
+// MaxFrameSamples, chunk lines by MaxLineBytes) and hands back each unit's
+// verbatim bytes with its decoded samples. internal/serve classifies the
+// samples and the gateway journals the bytes, so the two tiers cannot
+// disagree on framing.
 //
 // The package deliberately knows nothing about HTTP: internal/serve owns
 // content negotiation and maps the typed errors (SyntaxError, FrameError,
-// ErrFrameTooLarge) onto the apierr contract.
+// ErrFrameTooLarge, ErrLineTooLong) onto the apierr contract.
 package wire
 
 // The content types the serving layer negotiates with. Requests declare
