@@ -30,6 +30,7 @@ import (
 	"os"
 	"strings"
 
+	"rpbeat/internal/beatset"
 	"rpbeat/internal/core"
 	"rpbeat/internal/fixp"
 	"rpbeat/internal/nfc"
@@ -45,14 +46,7 @@ func loadModel(path string) (*core.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bytes.HasPrefix(data, []byte("RPBT")) {
-		return core.ReadBinary(bytes.NewReader(data))
-	}
-	var m core.Model
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
+	return core.Decode(data)
 }
 
 func main() {
@@ -127,10 +121,9 @@ func classifyLocal(rec *wfdb.Record, modelPath string, alpha float64, verbose bo
 	fmt.Printf("peak detector: %d beats found\n", len(peaks))
 
 	// Classification per detected beat (integer pipeline on raw ADC counts).
-	before, after := 100, 100
 	var decided []nfc.Decision
 	for _, p := range peaks {
-		w := sigdsp.WindowInt(rec.Signals[0], p, before, after)
+		w := sigdsp.WindowInt(rec.Signals[0], p, beatset.Before, beatset.After)
 		w = sigdsp.DownsampleInt(w, emb.Downsample)
 		d := emb.Classify(w)
 		decided = append(decided, d)

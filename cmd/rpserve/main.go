@@ -176,13 +176,7 @@ func main() {
 		log.Printf("no default model yet: pick one with PUT /v1/default or upload the first")
 	}
 
-	// The engine-level stream cap backs the HTTP gate with a little
-	// headroom, so embedded (non-HTTP) streams share the same defense.
-	engMax := 0
-	if *maxStreams > 0 {
-		engMax = *maxStreams + 8
-	}
-	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: *workers, MaxStreams: engMax})
+	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: *workers})
 
 	// SIGHUP hot-reloads a directory-backed catalog (e.g. after rsyncing new
 	// model files in) without dropping a single stream.

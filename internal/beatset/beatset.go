@@ -23,11 +23,13 @@ import (
 	"rpbeat/internal/rng"
 )
 
-// Default window geometry (Sec. IV-A: "each heartbeat as spanning 100
-// samples before and 100 samples after its peak").
+// The beat window around the R peak (Sec. IV-A: "each heartbeat as spanning
+// 100 samples before and 100 samples after its peak"): the geometry every
+// trained model's input dimension follows, and the window the node's
+// classification paths (internal/pipeline, internal/wbsn) cut.
 const (
-	DefaultBefore = 100
-	DefaultAfter  = 100
+	Before = 100
+	After  = 100
 )
 
 // Table I targets.
@@ -98,8 +100,6 @@ func Inventory() []RecordProfile {
 type Config struct {
 	// Seed drives subject synthesis and split sampling.
 	Seed uint64
-	// Before/After set the beat window; defaults 100/100.
-	Before, After int
 	// Var overrides beat variability (nil = ecgsyn.DefaultVariability).
 	Var *ecgsyn.VariabilityConfig
 	// Scale shrinks every per-record class count to ceil(count*Scale) —
@@ -110,12 +110,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Before <= 0 {
-		c.Before = DefaultBefore
-	}
-	if c.After <= 0 {
-		c.After = DefaultAfter
-	}
 	if c.Parallel <= 0 {
 		c.Parallel = runtime.NumCPU()
 	}
@@ -127,11 +121,10 @@ func (c Config) withDefaults() Config {
 // disjoint from each other but, like the paper's excerpts, drawn from the
 // same records as the test data.
 type Dataset struct {
-	Before, After int
-	Beats         []Beat
-	Train1        []int // indexes into Beats: 150 beats per class
-	Train2        []int // 10024 N, 1084 L, 892 V
-	Test          []int // all beats
+	Beats  []Beat
+	Train1 []int // indexes into Beats: 150 beats per class
+	Train2 []int // 10024 N, 1084 L, 892 V
+	Test   []int // all beats
 }
 
 // Build synthesizes the full dataset. With Scale = 1 this takes a few
@@ -198,7 +191,7 @@ func Build(cfg Config) (*Dataset, error) {
 			r.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
 			beats := make([]Beat, 0, len(order))
 			for _, class := range order {
-				w := subj.Beat(class, c.Before, c.After)
+				w := subj.Beat(class, Before, After)
 				s16 := make([]int16, len(w))
 				for j, x := range w {
 					s16[j] = int16(x)
@@ -210,7 +203,7 @@ func Build(cfg Config) (*Dataset, error) {
 	}
 	wg.Wait()
 
-	ds := &Dataset{Before: c.Before, After: c.After}
+	ds := &Dataset{}
 	for _, ch := range chunks {
 		ds.Beats = append(ds.Beats, ch...)
 	}
@@ -309,7 +302,7 @@ func (ds *Dataset) IntWindow(beat int, downsample int) []int32 {
 
 // Dim returns the input dimensionality at the given downsampling factor.
 func (ds *Dataset) Dim(downsample int) int {
-	n := ds.Before + ds.After
+	n := Before + After
 	if downsample <= 1 {
 		return n
 	}
@@ -331,7 +324,7 @@ func (ds *Dataset) Validate() error {
 	if len(ds.Beats) == 0 {
 		return errors.New("beatset: empty dataset")
 	}
-	want := ds.Before + ds.After
+	const want = Before + After
 	for i, b := range ds.Beats {
 		if len(b.Samples) != want {
 			return fmt.Errorf("beatset: beat %d window %d, want %d", i, len(b.Samples), want)

@@ -38,50 +38,26 @@ func (f *Fiducials) Count() int {
 	return n
 }
 
-// Config bounds the search windows. Zero values take defaults suitable for
-// adult ECG at any sampling rate (windows are expressed in seconds).
+// The delineation windows, suitable for adult ECG at any sampling rate
+// (expressed in seconds and converted with Config.Fs), and the P-wave floor.
+const (
+	qrsScaleSec = 0.028 // MMD scale for QRS corners
+	ptScaleSec  = 0.055 // MMD scale for P/T corners
+
+	qrsPreSec  = 0.13 // QRS onset search before R
+	qrsPostSec = 0.17 // QRS end search after R
+	pWinSec    = 0.24 // P search window before QRS onset
+	tWinSec    = 0.38 // T search window after QRS end
+
+	// pMinAmp is the minimum P-wave prominence (in signal units) for the
+	// wave to be reported (mV when fed millivolt signals).
+	pMinAmp = 0.05
+)
+
+// Config carries the sampling frequency that converts the search windows
+// from seconds to samples.
 type Config struct {
 	Fs float64 // sampling frequency; default 360
-
-	QRSScaleSec float64 // MMD scale for QRS corners; default 0.028
-	PTScaleSec  float64 // MMD scale for P/T corners; default 0.055
-
-	QRSPreSec  float64 // QRS onset search before R; default 0.13
-	QRSPostSec float64 // QRS end search after R; default 0.17
-	PWinSec    float64 // P search window before QRS onset; default 0.24
-	TWinSec    float64 // T search window after QRS end; default 0.38
-
-	// PMinAmp is the minimum P-wave prominence (in signal units) for the
-	// wave to be reported; default 0.05 (mV when fed millivolt signals).
-	PMinAmp float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Fs <= 0 {
-		c.Fs = 360
-	}
-	if c.QRSScaleSec <= 0 {
-		c.QRSScaleSec = 0.028
-	}
-	if c.PTScaleSec <= 0 {
-		c.PTScaleSec = 0.055
-	}
-	if c.QRSPreSec <= 0 {
-		c.QRSPreSec = 0.13
-	}
-	if c.QRSPostSec <= 0 {
-		c.QRSPostSec = 0.17
-	}
-	if c.PWinSec <= 0 {
-		c.PWinSec = 0.24
-	}
-	if c.TWinSec <= 0 {
-		c.TWinSec = 0.38
-	}
-	if c.PMinAmp <= 0 {
-		c.PMinAmp = 0.05
-	}
-	return c
 }
 
 // DelineateLead delineates every beat of one filtered (baseline-free) lead
@@ -117,39 +93,40 @@ func DelineateMultiLead(leads [][]float64, rPeaks []int, cfg Config) []Fiducials
 }
 
 func delineate(x []float64, rPeaks []int, cfg Config) []Fiducials {
-	c := cfg.withDefaults()
-	qrsScale := int(c.QRSScaleSec * c.Fs)
-	ptScale := int(c.PTScaleSec * c.Fs)
-	mmdQRS := sigdsp.MMD(x, qrsScale)
-	mmdPT := sigdsp.MMD(x, ptScale)
+	fs := cfg.Fs
+	if fs <= 0 {
+		fs = 360
+	}
+	mmdQRS := sigdsp.MMD(x, int(qrsScaleSec*fs))
+	mmdPT := sigdsp.MMD(x, int(ptScaleSec*fs))
 
 	out := make([]Fiducials, len(rPeaks))
 	for i, r := range rPeaks {
-		out[i] = delineateBeat(x, mmdQRS, mmdPT, r, c)
+		out[i] = delineateBeat(x, mmdQRS, mmdPT, r, fs)
 	}
 	return out
 }
 
-func delineateBeat(x, mmdQRS, mmdPT []float64, r int, c Config) Fiducials {
+func delineateBeat(x, mmdQRS, mmdPT []float64, r int, fs float64) Fiducials {
 	f := Fiducials{POn: -1, PPeak: -1, POff: -1, QRSOn: -1, RPeak: r, QRSOff: -1, TOn: -1, TPeak: -1, TOff: -1}
 	n := len(x)
 	if r < 0 || r >= n {
 		f.RPeak = -1
 		return f
 	}
-	sec := func(s float64) int { return int(s * c.Fs) }
+	sec := func(s float64) int { return int(s * fs) }
 
 	// QRS onset: the strongest concave corner (MMD maximum) before R.
-	lo, hi := r-sec(c.QRSPreSec), r-sec(0.012)
+	lo, hi := r-sec(qrsPreSec), r-sec(0.012)
 	f.QRSOn = argmaxRange(mmdQRS, lo, hi)
 	// QRS end: the strongest corner after R.
-	lo, hi = r+sec(0.012), r+sec(c.QRSPostSec)
+	lo, hi = r+sec(0.012), r+sec(qrsPostSec)
 	f.QRSOff = argmaxRange(mmdQRS, lo, hi)
 
 	// T wave: search after QRS end.
 	if f.QRSOff >= 0 {
 		tLo := f.QRSOff + sec(0.04)
-		tHi := f.QRSOff + sec(c.TWinSec)
+		tHi := f.QRSOff + sec(tWinSec)
 		if tHi > n {
 			tHi = n
 		}
@@ -166,13 +143,13 @@ func delineateBeat(x, mmdQRS, mmdPT []float64, r int, c Config) Fiducials {
 
 	// P wave: search before QRS onset; may be absent (PVC).
 	if f.QRSOn >= 0 {
-		pLo := f.QRSOn - sec(c.PWinSec)
+		pLo := f.QRSOn - sec(pWinSec)
 		pHi := f.QRSOn - sec(0.015)
 		pPeak := argminRange(mmdPT, pLo, pHi)
 		if pPeak >= 0 {
 			// Prominence test against the local envelope baseline.
 			base := math.Min(valueAt(x, pLo), valueAt(x, pHi))
-			if x[pPeak]-base >= c.PMinAmp {
+			if x[pPeak]-base >= pMinAmp {
 				f.PPeak = pPeak
 				f.POn = argmaxRange(mmdPT, pLo-sec(0.06), pPeak-sec(0.01))
 				f.POff = argmaxRange(mmdPT, pPeak+sec(0.01), pHi+sec(0.02))

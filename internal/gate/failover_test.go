@@ -356,6 +356,11 @@ func TestJournalBodyReads(t *testing.T) {
 	replay, _ := j.resetForAttempt()
 	waitRead("superseded", done, errAttemptSuperseded)
 
+	// The new attempt replays every journaled byte; drain them so the next
+	// Read waits and Close has a waiting Read to release.
+	if n, err := io.ReadFull(replay, make([]byte, len("abcdefghij"))); err != nil {
+		t.Fatalf("replay read %d bytes: %v", n, err)
+	}
 	done = blockedRead(replay)
 	replay.Close()
 	waitRead("closed", done, errAttemptSuperseded)

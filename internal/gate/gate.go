@@ -41,9 +41,6 @@ type Config struct {
 	// a backend down (default 2; a single lost packet should not rehash the
 	// fleet).
 	FailAfter int
-	// MaxUploadBytes bounds a fanned-out POST /v1/models body; default
-	// core.MaxModelBytes, matching the backends.
-	MaxUploadBytes int64
 	// Client overrides the backend-side HTTP client (default: a dedicated
 	// one with an unbounded per-host connection pool).
 	Client *http.Client
@@ -105,7 +102,6 @@ type Gateway struct {
 	runLoop    bool
 	timeout    time.Duration
 	failAfter  int
-	maxUpload  int64
 	client     *http.Client
 	ownsClient bool
 	// window is how many trailing uplink samples each stream's replay
@@ -165,7 +161,6 @@ func New(cfg Config) (*Gateway, error) {
 		runLoop:   cfg.HealthInterval >= 0,
 		timeout:   cfg.HealthTimeout,
 		failAfter: cfg.FailAfter,
-		maxUpload: cfg.MaxUploadBytes,
 		client:    cfg.Client,
 		window:    pipeline.ResyncWarmup(pipeline.Config{}),
 		backends:  make(map[string]*backend, len(cfg.Backends)),
@@ -180,9 +175,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if g.failAfter <= 0 {
 		g.failAfter = 2
-	}
-	if g.maxUpload <= 0 {
-		g.maxUpload = core.MaxModelBytes
 	}
 	if g.client == nil {
 		g.ownsClient = true
@@ -868,7 +860,8 @@ func (g *Gateway) uploadModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apierr.New(apierr.CodeBadInput, "missing ?name= (the model name to version under)"))
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxUpload))
+	// core.MaxModelBytes bounds the body, matching the backends.
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, core.MaxModelBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -88,11 +88,7 @@ func newBackendStack(t *testing.T, instance string, cfg serve.HandlerConfig) *ba
 	if _, err := cat.Put("m", testModel(1), nil); err != nil {
 		t.Fatal(err)
 	}
-	engMax := 0
-	if cfg.MaxStreams > 0 {
-		engMax = cfg.MaxStreams + 8
-	}
-	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: 2, MaxStreams: engMax})
+	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: 2})
 	cfg.Instance = instance
 	ts := httptest.NewServer(serve.NewHandler(eng, cfg))
 	return &backendStack{instance: instance, eng: eng, ts: ts}
@@ -464,6 +460,23 @@ func TestGatewayCatalogFanout(t *testing.T) {
 	status, body, hdr = postBody(t, s.ts.Client(), http.MethodDelete,
 		s.ts.URL+"/v1/models/rollout@v1", "", nil, nil)
 	wantTyped(t, status, body, hdr, http.StatusNotFound, apierr.CodeModelNotFound)
+}
+
+// TestGatewayUploadTooLarge: the gateway bounds a model upload at
+// core.MaxModelBytes, as the backends do, and refuses a larger one with the
+// typed payload_too_large before fanning anything out.
+func TestGatewayUploadTooLarge(t *testing.T) {
+	s := newGateStack(t, 2, serve.HandlerConfig{}, Config{})
+	defer s.Close()
+
+	status, body, hdr := postBody(t, s.ts.Client(), http.MethodPost,
+		s.ts.URL+"/v1/models?name=big", "application/octet-stream", nil, make([]byte, core.MaxModelBytes+1))
+	wantTyped(t, status, body, hdr, http.StatusRequestEntityTooLarge, apierr.CodePayloadTooLarge)
+	for _, b := range s.backends {
+		if st, _, _ := postBody(t, b.ts.Client(), http.MethodGet, b.ts.URL+"/v1/models/big", "", nil, nil); st != http.StatusNotFound {
+			t.Fatalf("backend %s: GET /v1/models/big status %d after a refused upload, want 404", b.instance, st)
+		}
+	}
 }
 
 // TestGatewayDivergenceRefusal: a backend whose catalog digest for a fleet

@@ -48,11 +48,7 @@ func testServer(t testing.TB, workers int, cfg serve.HandlerConfig) (*httptest.S
 	if _, err := cat.Put("default", testModel(t), nil); err != nil {
 		t.Fatal(err)
 	}
-	engMax := 0
-	if cfg.MaxStreams > 0 {
-		engMax = cfg.MaxStreams + 8
-	}
-	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: workers, MaxStreams: engMax})
+	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: workers})
 	ts := httptest.NewServer(serve.NewHandler(eng, cfg))
 	t.Cleanup(func() {
 		ts.Close()

@@ -14,19 +14,19 @@ import (
 	"rpbeat/internal/sigdsp"
 )
 
-// Config tunes the detector. Zero values select defaults appropriate for
-// 360 Hz ambulatory ECG.
+// The detector's fixed tuning for ambulatory ECG; spans are in seconds and
+// converted with Config.Fs.
+const (
+	thresholdFactor = 2.0  // scales the per-window RMS threshold
+	windowSec       = 2    // adaptive-threshold window: 720 samples at 360 Hz
+	pairSec         = 0.16 // maximum modulus-maxima pair spacing (wide enough for LBBB/PVC complexes)
+	refractorySec   = 0.22 // suppresses detections after an accepted peak
+)
+
+// Config sets the detector's sampling frequency and mode.
 type Config struct {
 	Fs float64 // sampling frequency; default 360
 
-	// ThresholdFactor scales the per-window RMS threshold; default 2.0.
-	ThresholdFactor float64
-	// WindowSec is the adaptive-threshold window length; default 2 s.
-	WindowSec float64
-	// PairSec is the maximum spacing of a modulus-maxima pair; default 0.16 s (wide enough for LBBB/PVC complexes).
-	PairSec float64
-	// RefractorySec suppresses detections after an accepted peak; default 0.22 s.
-	RefractorySec float64
 	// SearchBack enables re-scanning long RR gaps with halved thresholds;
 	// default on (disable with SearchBackOff).
 	SearchBackOff bool
@@ -45,18 +45,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Fs <= 0 {
 		c.Fs = 360
-	}
-	if c.ThresholdFactor <= 0 {
-		c.ThresholdFactor = 2.0
-	}
-	if c.WindowSec <= 0 {
-		c.WindowSec = 2
-	}
-	if c.PairSec <= 0 {
-		c.PairSec = 0.16
-	}
-	if c.RefractorySec <= 0 {
-		c.RefractorySec = 0.22
 	}
 	return c
 }
@@ -123,7 +111,7 @@ func decompose(sc *Scratch, x []float64, c Config) scales {
 	}
 	n := len(x)
 	s := scales{w: d.W, thr: sc.thr}
-	win := int(c.WindowSec * c.Fs)
+	win := int(windowSec * c.Fs)
 	for i := range d.W {
 		sc.thr[i] = growFloat(sc.thr[i], n)
 		windowedRMSInto(sc.thr[i], d.W[i], win)
@@ -174,7 +162,7 @@ func DetectInto(x []float64, cfg Config, s *Scratch) []int {
 	}
 	sc := decompose(s, x, c)
 	cands := detectPass(s, sc, c, 1.0)
-	peaks := arbitrate(s, cands, int(c.RefractorySec*c.Fs))
+	peaks := arbitrate(s, cands, int(refractorySec*c.Fs))
 
 	if !c.SearchBackOff && len(peaks) >= 3 {
 		peaks = searchBack(s, peaks, sc, c)
@@ -190,13 +178,13 @@ func DetectInto(x []float64, cfg Config, s *Scratch) []int {
 func detectPass(sc *Scratch, s scales, c Config, thrScale float64) []candidate {
 	z, tz := s.z, s.thrZ
 	n := len(z)
-	pair := int(c.PairSec * c.Fs)
+	pair := int(pairSec * c.Fs)
 
 	// Significant local extrema of the detection signal.
 	ext := sc.ext[:0]
 	for i := 1; i < n-1; i++ {
 		v := z[i]
-		if math.Abs(v) < thrScale*c.ThresholdFactor*tz[i] {
+		if math.Abs(v) < thrScale*thresholdFactor*tz[i] {
 			continue
 		}
 		if (v > 0 && v >= z[i-1] && v > z[i+1]) || (v < 0 && v <= z[i-1] && v < z[i+1]) {
@@ -319,7 +307,7 @@ func searchBack(sc *Scratch, peaks []int, s scales, c Config) []int {
 	if med <= 0 {
 		return orig
 	}
-	refract := int(c.RefractorySec * c.Fs)
+	refract := int(refractorySec * c.Fs)
 	out := append([]int(nil), orig...)
 	for i := 1; i < len(orig); i++ {
 		gap := float64(orig[i] - orig[i-1])

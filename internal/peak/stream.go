@@ -33,7 +33,6 @@ const streamDWTLevels = 3
 // Push; peak indices come back (possibly several per call, usually none)
 // once they are final, i.e. once no future sample can change them.
 type StreamDetector struct {
-	c                  Config
 	dwt                *sigdsp.StreamDWT
 	win, pair, refract int
 	// nextWin is how many detection-scale samples complete the window being
@@ -73,16 +72,15 @@ func NewStreamDetector(cfg Config) (*StreamDetector, error) {
 	if !c.SearchBackOff {
 		return nil, errors.New("peak: streaming detection requires Config.SearchBackOff (search-back needs the record-wide median RR)")
 	}
-	win := int(c.WindowSec * c.Fs)
+	win := int(windowSec * c.Fs)
 	if win < 8 {
 		win = 8 // windowedRMS applies the same floor
 	}
 	d := &StreamDetector{
-		c:       c,
 		dwt:     sigdsp.NewStreamDWT(streamDWTLevels),
 		win:     win,
-		pair:    int(c.PairSec * c.Fs),
-		refract: int(c.RefractorySec * c.Fs),
+		pair:    int(pairSec * c.Fs),
+		refract: int(refractorySec * c.Fs),
 		scan:    1, // the batch extremum scan starts at index 1
 	}
 	d.nextWin = win
@@ -191,7 +189,7 @@ func (d *StreamDetector) advance() {
 		i := d.scan
 		d.scan++
 		v := d.z[i%d.ring]
-		if math.Abs(v) < d.c.ThresholdFactor*d.thrZ[i%d.ring] {
+		if math.Abs(v) < thresholdFactor*d.thrZ[i%d.ring] {
 			continue
 		}
 		prev := d.z[(i-1)%d.ring]

@@ -163,30 +163,6 @@ func TestRejectedSendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRejectedOpenZeroAlloc pins the matching Open contract: a refused Open
-// past MaxStreams costs nothing but the CAS — no allocation for the typed
-// server_overloaded refusal.
-func TestRejectedOpenZeroAlloc(t *testing.T) {
-	eng := NewEngine(testCatalog(t, "m"), EngineConfig{Workers: 1, MaxStreams: 1})
-	defer eng.Close()
-	ctx := context.Background()
-
-	st, err := eng.Open(ctx, "m", Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got error
-	testutil.AssertZeroAlloc(t, "rejected Open at MaxStreams", func() {
-		_, got = eng.Open(ctx, "m", Config{}, nil)
-	})
-	if !apierr.IsCode(got, apierr.CodeServerOverloaded) {
-		t.Fatalf("rejected Open returned %v, want server_overloaded", got)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestBatchClassifyIntoMatchesBatchClassify checks the scratch-reusing batch
 // path against the allocating reference, across repeated reuse of one
 // scratch (including a shorter record after a longer one, so stale buffer

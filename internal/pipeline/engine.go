@@ -61,12 +61,6 @@ type EngineConfig struct {
 	// (4 MB of int32, ~48 minutes of one 360 Hz lead); negative means
 	// unbounded.
 	MaxPending int
-	// MaxStreams bounds concurrently open streams (Open through Close). An
-	// Open at the bound fails with apierr.CodeServerOverloaded — the
-	// process-wide capacity defense behind the serving layer's admission
-	// gate, so embedders that bypass HTTP get the same contract. Zero or
-	// negative means unlimited.
-	MaxStreams int
 }
 
 // defaultMaxPending is the per-stream queue bound, in samples, when the
@@ -141,7 +135,6 @@ type worker struct {
 type Engine struct {
 	cat        *catalog.Catalog
 	maxPending int
-	maxStreams int64
 
 	// open counts streams between Open and completion (the done close).
 	open atomic.Int64
@@ -171,7 +164,7 @@ func NewEngine(cat *catalog.Catalog, cfg EngineConfig) *Engine {
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = defaultMaxPending
 	}
-	e := &Engine{cat: cat, maxPending: cfg.MaxPending, maxStreams: int64(cfg.MaxStreams)}
+	e := &Engine{cat: cat, maxPending: cfg.MaxPending}
 	e.workers = make([]*worker, cfg.Workers)
 	for i := range e.workers {
 		e.workers[i] = &worker{id: i, wake: make(chan struct{}, 1)}
@@ -224,44 +217,24 @@ func (e *Engine) Open(ctx context.Context, model string, cfg Config, sink func([
 	if e.shutdown.Load() {
 		return nil, errShuttingDown
 	}
-	// Reserve a stream slot before any allocation: a refused Open costs the
-	// caller (and an overloaded server) nothing but the CAS.
-	if !e.reserveStream() {
-		return nil, errSlotsExhausted
-	}
 	entry, err := e.cat.Snapshot().Resolve(model)
 	if err != nil {
-		e.open.Add(-1)
 		return nil, err
 	}
 	pipe, err := New(entry.Emb, cfg)
 	if err != nil {
-		e.open.Add(-1)
 		return nil, err
 	}
 	if sink == nil {
 		sink = func([]BeatResult) {}
 	}
+	e.open.Add(1)
 	home := e.workers[int((e.next.Add(1)-1)%uint64(len(e.workers)))]
 	return &Stream{eng: e, entry: entry, pipe: pipe, sink: sink, home: home, done: make(chan struct{})}, nil
 }
 
-// reserveStream CAS-increments the open-stream count unless it is at the
-// bound (maxStreams <= 0 is unlimited).
-func (e *Engine) reserveStream() bool {
-	for {
-		cur := e.open.Load()
-		if e.maxStreams > 0 && cur >= e.maxStreams {
-			return false
-		}
-		if e.open.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
 // OpenStreams reports how many streams are currently open (Open through
-// Close completion) — what EngineConfig.MaxStreams bounds.
+// Close completion).
 func (e *Engine) OpenStreams() int { return int(e.open.Load()) }
 
 // Entry returns the catalog entry the stream was opened against (the
@@ -340,11 +313,6 @@ func (s *Stream) Send(ctx context.Context, samples []int32) error {
 // have Stream.PendingSamples.
 var errStreamOverloaded = apierr.New(apierr.CodeStreamOverloaded,
 	"stream queue full; back off and retry")
-
-// errSlotsExhausted rejects an Open past MaxStreams — preallocated for the
-// same reason: a refused Open costs nothing but the CAS.
-var errSlotsExhausted = apierr.New(apierr.CodeServerOverloaded,
-	"engine stream slots exhausted; back off or close streams")
 
 // errShuttingDown rejects work arriving after Engine.Close: typed, so the
 // serving layer renders a drain as the shutting_down contract error (503 +
@@ -614,7 +582,7 @@ func (e *Engine) run(w *worker, s *Stream) {
 		e.enqueue(s)
 	}
 	if flush {
-		// The stream is complete: its slot frees up for the next Open.
+		// The stream is complete: it no longer counts as open.
 		e.open.Add(-1)
 		close(s.done)
 	}

@@ -732,11 +732,10 @@ func BenchmarkEngineSendSteadyState(b *testing.B) {
 	}
 }
 
-// TestEngineMaxStreams holds the engine-level stream cap: Opens beyond
-// MaxStreams fail with the typed server_overloaded error, and a completed
-// Close frees the slot for the next Open.
+// TestEngineMaxStreams holds the open-stream accounting: a failed Open
+// leaks no count, and a completed Close frees one.
 func TestEngineMaxStreams(t *testing.T) {
-	eng := NewEngine(testCatalog(t, "m"), EngineConfig{Workers: 1, MaxStreams: 2})
+	eng := NewEngine(testCatalog(t, "m"), EngineConfig{Workers: 1})
 	defer eng.Close()
 	ctx := context.Background()
 
@@ -744,8 +743,6 @@ func TestEngineMaxStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A failed resolve must release its reserved slot, not leak it toward
-	// the cap.
 	if _, err := eng.Open(ctx, "no-such-model", Config{}, nil); !apierr.IsCode(err, apierr.CodeModelNotFound) {
 		t.Fatalf("unknown model: %v", err)
 	}
@@ -759,21 +756,15 @@ func TestEngineMaxStreams(t *testing.T) {
 	if got := eng.OpenStreams(); got != 2 {
 		t.Fatalf("OpenStreams = %d, want 2", got)
 	}
-	if _, err := eng.Open(ctx, "m", Config{}, nil); !apierr.IsCode(err, apierr.CodeServerOverloaded) {
-		t.Fatalf("Open beyond cap: err = %v, want server_overloaded", err)
-	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Close completed (done closed), so the slot is free again.
-	c, err := eng.Open(ctx, "m", Config{}, nil)
-	if err != nil {
-		t.Fatalf("Open after Close still refused: %v", err)
+	// Close completed (done closed), so the stream no longer counts.
+	if got := eng.OpenStreams(); got != 1 {
+		t.Fatalf("OpenStreams after Close = %d, want 1", got)
 	}
-	for _, st := range []*Stream{b, c} {
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if got := eng.OpenStreams(); got != 0 {
 		t.Fatalf("OpenStreams after all closed = %d, want 0", got)

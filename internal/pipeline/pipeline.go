@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 
+	"rpbeat/internal/beatset"
 	"rpbeat/internal/core"
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/nfc"
@@ -34,28 +35,11 @@ import (
 	"rpbeat/internal/sigdsp"
 )
 
-// Config parameterizes a streaming pipeline. The zero value selects the
-// paper's deployment: 360 Hz, MIT-BIH ADC geometry, 100+100-sample beat
-// windows.
+// Config parameterizes a streaming pipeline. The front end itself is fixed
+// at the paper's deployment: ecgsyn's 360 Hz MIT-BIH ADC geometry, the
+// sigdsp filter and peak detector at their constants, and beatset's
+// 100+100-sample beat window.
 type Config struct {
-	// Fs is the sampling frequency; default ecgsyn.Fs (360 Hz).
-	Fs float64
-	// Gain (ADC units per millivolt) and ADCZero convert raw counts for the
-	// detection path; classification consumes raw counts directly, as on
-	// the node. Leaving Gain unset (<= 0) selects the MIT-BIH geometry
-	// (ecgsyn.Gain / ecgsyn.Baseline). Setting Gain takes ADCZero as given,
-	// so a zero baseline (signed, centered ADC counts) is expressible.
-	Gain    float64
-	ADCZero int32
-	// Before/After set the beat window around the R peak; defaults 100/100.
-	Before, After int
-	// Peak tunes the detector. Fs is filled from Config.Fs and SearchBackOff
-	// is forced on: search-back needs the record-wide median RR, which does
-	// not exist online (use internal/wbsn for retrospective batch analysis).
-	Peak peak.Config
-	// Baseline tunes the morphological filter; zero value takes
-	// sigdsp.DefaultBaselineConfig(Fs).
-	Baseline sigdsp.BaselineConfig
 	// BaseSample resumes an interrupted stream mid-record: it is the
 	// absolute index of the first sample this pipeline will be fed, and it
 	// shifts every emitted BeatResult (Peak, DetectedAt) into the original
@@ -70,36 +54,32 @@ type Config struct {
 	BaseSample int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Fs <= 0 {
-		c.Fs = ecgsyn.Fs
+// windowLen is the beat window length; the window starts beatset.Before
+// samples ahead of the R peak.
+const windowLen = beatset.Before + beatset.After
+
+// baseline is the morphological filter's configuration.
+var baseline = sigdsp.DefaultBaselineConfig(ecgsyn.Fs)
+
+// detectorConfig configures the QRS detector of a stream whose first sample
+// has absolute index base. SearchBackOff is forced on: search-back needs the
+// record-wide median RR, which does not exist online (use internal/wbsn for
+// retrospective batch analysis). The detector's input index space is aligned
+// with the raw input's (the filter emits output i — the filtered value of
+// raw sample i — once input i+Delay() has arrived), so the window phase of a
+// resumed stream is base itself.
+func detectorConfig(base int) peak.Config {
+	return peak.Config{Fs: ecgsyn.Fs, SearchBackOff: true, StartSample: base}
+}
+
+// checkGeometry rejects a model whose input dimension does not follow from
+// the beat window at its downsampling factor.
+func checkGeometry(emb *core.Embedded) error {
+	if want := dimAfter(windowLen, emb.Downsample); want != emb.D {
+		return fmt.Errorf("pipeline: window %d+%d at downsample %d gives dimension %d, model wants %d",
+			beatset.Before, beatset.After, emb.Downsample, want, emb.D)
 	}
-	if c.Gain <= 0 {
-		c.Gain = ecgsyn.Gain
-		if c.ADCZero == 0 {
-			c.ADCZero = ecgsyn.Baseline
-		}
-	}
-	if c.Before <= 0 {
-		c.Before = 100
-	}
-	if c.After <= 0 {
-		c.After = 100
-	}
-	c.Peak.Fs = c.Fs
-	c.Peak.SearchBackOff = true
-	if c.BaseSample < 0 {
-		c.BaseSample = 0
-	}
-	// The detector's input index space is aligned with the raw input's (the
-	// filter emits output i — the filtered value of raw sample i — once
-	// input i+Delay() has arrived), so the window phase of a resumed stream
-	// is BaseSample itself.
-	c.Peak.StartSample = c.BaseSample
-	if c.Baseline.Fs <= 0 {
-		c.Baseline = sigdsp.DefaultBaselineConfig(c.Fs)
-	}
-	return c
+	return nil
 }
 
 // BeatResult is one classified beat.
@@ -117,7 +97,7 @@ type BeatResult struct {
 // concurrent use; Engine multiplexes many pipelines over a worker pool.
 type Pipeline struct {
 	emb    *core.Embedded
-	cfg    Config
+	base   int // Config.BaseSample
 	filter *sigdsp.StreamECGFilter
 	det    *peak.StreamDetector
 
@@ -140,27 +120,26 @@ func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
 	if err := emb.Validate(); err != nil {
 		return nil, err
 	}
-	c := cfg.withDefaults()
-	if want := dimAfter(c.Before+c.After, emb.Downsample); want != emb.D {
-		return nil, fmt.Errorf("pipeline: window %d+%d at downsample %d gives dimension %d, model wants %d",
-			c.Before, c.After, emb.Downsample, want, emb.D)
+	if err := checkGeometry(emb); err != nil {
+		return nil, err
 	}
-	det, err := peak.NewStreamDetector(c.Peak)
+	base := max(cfg.BaseSample, 0)
+	det, err := peak.NewStreamDetector(detectorConfig(base))
 	if err != nil {
 		return nil, err
 	}
 	p := &Pipeline{
 		emb:    emb,
-		cfg:    c,
-		filter: sigdsp.NewStreamECGFilter(c.Baseline),
+		base:   base,
+		filter: sigdsp.NewStreamECGFilter(baseline),
 		det:    det,
-		window: make([]int32, c.Before+c.After),
+		window: make([]int32, windowLen),
 		ds:     make([]int32, emb.D),
 	}
 	p.scr.Grow(emb)
 	// The ring must still hold sample max(0, peak-Before) when a peak
 	// finalizes, at worst Delay() samples after the peak position.
-	p.raw = make([]int32, nextPow2(p.Delay()+c.Before+c.After+64))
+	p.raw = make([]int32, nextPow2(p.Delay()+windowLen+64))
 	p.rawMask = len(p.raw) - 1
 	return p, nil
 }
@@ -210,16 +189,16 @@ func (p *Pipeline) Delay() int {
 //
 // It is deliberately a safe over-approximation (~a dozen seconds of signal
 // at the paper's 360 Hz deployment), not a tight one: journal memory is
-// cheap, a divergent beat after failover is not.
-func ResyncWarmup(cfg Config) int {
-	c := cfg.withDefaults()
-	filter := sigdsp.NewStreamECGFilter(c.Baseline)
-	// withDefaults forces SearchBackOff, the only constructor error.
-	det, err := peak.NewStreamDetector(c.Peak)
+// cheap, a divergent beat after failover is not. It is the same for every
+// Config, since the front end is fixed.
+func ResyncWarmup(Config) int {
+	filter := sigdsp.NewStreamECGFilter(baseline)
+	// detectorConfig forces SearchBackOff, the only constructor error.
+	det, err := peak.NewStreamDetector(detectorConfig(0))
 	if err != nil {
 		panic("pipeline: ResyncWarmup: " + err.Error())
 	}
-	return 3*filter.Delay() + 2*det.Delay() + det.Window() + c.Before + c.After
+	return 3*filter.Delay() + 2*det.Delay() + det.Window() + windowLen
 }
 
 // MemoryBytes reports the pipeline's fixed working set: the raw ring, the
@@ -243,8 +222,7 @@ func (p *Pipeline) Push(sample int32) []BeatResult {
 	p.out = p.out[:0]
 	p.raw[p.n&p.rawMask] = sample
 	p.n++
-	mv := float64(sample-p.cfg.ADCZero) / p.cfg.Gain
-	y, ok := p.filter.Push(mv)
+	y, ok := p.filter.Push(ecgsyn.ToMillivolts(sample))
 	if !ok {
 		return nil
 	}
@@ -266,11 +244,10 @@ func (p *Pipeline) Push(sample int32) []BeatResult {
 func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {
 	p.out = p.out[:0]
 	raw, mask := p.raw, p.rawMask
-	zero, gain := p.cfg.ADCZero, p.cfg.Gain
 	for _, v := range samples {
 		raw[p.n&mask] = v
 		p.n++
-		y, ok := p.filter.Push(float64(v-zero) / gain)
+		y, ok := p.filter.Push(ecgsyn.ToMillivolts(v))
 		if !ok {
 			continue
 		}
@@ -304,7 +281,7 @@ func (p *Pipeline) Flush() []BeatResult {
 //rpbeat:allocfree
 func (p *Pipeline) classify(pk int) {
 	for i := range p.window {
-		j := pk - p.cfg.Before + i
+		j := pk - beatset.Before + i
 		if j < 0 {
 			j = 0
 		}
@@ -318,9 +295,9 @@ func (p *Pipeline) classify(pk int) {
 	// Indices are kept relative internally (ring masks, detector state) and
 	// re-based on emission, so a resumed stream reports absolute positions.
 	p.out = append(p.out, BeatResult{
-		Peak:       p.cfg.BaseSample + pk,
+		Peak:       p.base + pk,
 		Decision:   d,
-		DetectedAt: p.cfg.BaseSample + p.n - 1,
+		DetectedAt: p.base + p.n - 1,
 	})
 }
 
@@ -381,7 +358,7 @@ type BatchScratch struct {
 // work) and every classifyCtxStride beats, so an abandoned request stops
 // burning the worker quickly without putting a check in the per-beat hot
 // loop. Cancellation returns ctx.Err() (typed by the serving layer).
-func BatchClassifyInto(ctx context.Context, emb *core.Embedded, lead []int32, cfg Config, s *BatchScratch) ([]BeatResult, error) {
+func BatchClassifyInto(ctx context.Context, emb *core.Embedded, lead []int32, _ Config, s *BatchScratch) ([]BeatResult, error) {
 	if emb == nil {
 		return nil, errors.New("pipeline: nil classifier")
 	}
@@ -394,23 +371,21 @@ func BatchClassifyInto(ctx context.Context, emb *core.Embedded, lead []int32, cf
 	if err := emb.Validate(); err != nil {
 		return nil, err
 	}
-	c := cfg.withDefaults()
-	if want := dimAfter(c.Before+c.After, emb.Downsample); want != emb.D {
-		return nil, fmt.Errorf("pipeline: window %d+%d at downsample %d gives dimension %d, model wants %d",
-			c.Before, c.After, emb.Downsample, want, emb.D)
+	if err := checkGeometry(emb); err != nil {
+		return nil, err
 	}
 	s.mv = growFloat(s.mv, len(lead))
 	mv := s.mv[:len(lead)]
 	for i, v := range lead {
-		mv[i] = float64(v-c.ADCZero) / c.Gain
+		mv[i] = ecgsyn.ToMillivolts(v)
 	}
-	s.filtered = sigdsp.FilterECGInto(s.filtered, mv, c.Baseline, &s.filt)
-	peaks := peak.DetectInto(s.filtered, c.Peak, &s.det)
+	s.filtered = sigdsp.FilterECGInto(s.filtered, mv, baseline, &s.filt)
+	peaks := peak.DetectInto(s.filtered, detectorConfig(0), &s.det)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
-	s.window = growInt32(s.window, c.Before+c.After)[:c.Before+c.After]
+	s.window = growInt32(s.window, windowLen)[:windowLen]
 	s.ds = growInt32(s.ds, emb.D)[:emb.D]
 	s.cls.Grow(emb)
 	s.beats = s.beats[:0]
@@ -420,7 +395,7 @@ func BatchClassifyInto(ctx context.Context, emb *core.Embedded, lead []int32, cf
 				return nil, err
 			}
 		}
-		sigdsp.WindowIntInto(s.window, lead, pk, c.Before)
+		sigdsp.WindowIntInto(s.window, lead, pk, beatset.Before)
 		sigdsp.DownsampleIntInto(s.ds, s.window, emb.Downsample)
 		d := emb.ClassifyInto(s.ds, &s.cls)
 		s.beats = append(s.beats, BeatResult{Peak: pk, Decision: d, DetectedAt: len(lead) - 1})

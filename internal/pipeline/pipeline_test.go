@@ -9,6 +9,7 @@ import (
 	"rpbeat/internal/core"
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/fixp"
+	"rpbeat/internal/sigdsp"
 )
 
 var (
@@ -176,12 +177,43 @@ func TestPipelineBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestFrontEndGeometry pins the fixed front end in samples at 360 Hz: the
+// structuring elements, the detector window, the beat window and the delays
+// and replay bound they add up to. A changed constant shows up here.
+func TestFrontEndGeometry(t *testing.T) {
+	p, err := New(testModel(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		name      string
+		got, want int
+	}{
+		{"noise element", sigdsp.NoiseElem, 3},
+		{"baseline opening element", baseline.OpenLen(), 73},
+		{"baseline closing element", baseline.CloseLen(), 109},
+		{"filter delay", p.filter.Delay(), 184},
+		{"detector window", p.det.Window(), 720},
+		{"beat window", windowLen, 200},
+		{"Pipeline.Delay", p.Delay(), 1779},
+		// The gateway's replay journal window.
+		{"ResyncWarmup", ResyncWarmup(Config{}), 4662},
+	} {
+		if row.got != row.want {
+			t.Errorf("%s = %d samples, want %d", row.name, row.got, row.want)
+		}
+	}
+}
+
 func TestPipelineRejectsMismatchedGeometry(t *testing.T) {
-	emb := testModel(t)
-	if _, err := New(emb, Config{Before: 50, After: 50}); err == nil {
+	// The model's input dimension follows from the beat window at its own
+	// downsampling factor; the same tables claiming another factor do not fit.
+	emb := *testModel(t)
+	emb.Downsample *= 2
+	if _, err := New(&emb, Config{}); err == nil {
 		t.Fatal("expected a window/model dimension mismatch error")
 	}
-	if _, err := BatchClassify(context.Background(), emb, make([]int32, 100), Config{Before: 50, After: 50}); err == nil {
+	if _, err := BatchClassify(context.Background(), &emb, make([]int32, 100), Config{}); err == nil {
 		t.Fatal("expected a window/model dimension mismatch error")
 	}
 	if _, err := New(nil, Config{}); err == nil {

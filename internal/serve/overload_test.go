@@ -9,9 +9,7 @@ import (
 	"testing"
 
 	"rpbeat/internal/apierr"
-	"rpbeat/internal/catalog"
 	"rpbeat/internal/ecgsyn"
-	"rpbeat/internal/pipeline"
 	"rpbeat/internal/wire"
 )
 
@@ -104,75 +102,6 @@ func TestStreamCapShedsToBatchOnly(t *testing.T) {
 
 	holds[1].release()
 	<-holds[1].done
-}
-
-// TestEngineSlotExhaustionRendersTyped: the engine's own MaxStreams refusal
-// (one layer below the handler's shed ladder) surfaces on the wire as the
-// rendered typed body. Regression test pinning the engine's preallocated
-// slots-exhausted error to the {"error":{code,...}} contract.
-func TestEngineSlotExhaustionRendersTyped(t *testing.T) {
-	m, _ := testTrainedModel(t)
-	cat := catalog.New()
-	if _, err := cat.Put("m", m, nil); err != nil {
-		t.Fatal(err)
-	}
-	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: 1, MaxStreams: 1})
-	ts := httptest.NewServer(NewHandler(eng, HandlerConfig{}))
-	t.Cleanup(func() {
-		ts.Close()
-		eng.Close()
-	})
-
-	// Hold the single engine slot with an open-ended stream body.
-	pr, pw := io.Pipe()
-	req, err := http.NewRequest("POST", ts.URL+"/v1/stream", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", wire.ContentTypeSamples)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Errorf("held stream: %v", err)
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	waitOpenStreams(t, ts, 1)
-
-	resp, err := http.Post(ts.URL+"/v1/stream", wire.ContentTypeSamples, strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503 (body %s)", resp.StatusCode, raw)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("engine-slot refusal missing Retry-After")
-	}
-	var body ErrorResponse
-	if err := json.Unmarshal(raw, &body); err != nil {
-		t.Fatalf("error body is not the typed contract: %s", raw)
-	}
-	if body.Error.Code != apierr.CodeServerOverloaded {
-		t.Fatalf("error code = %q, want %q (body %s)", body.Error.Code, apierr.CodeServerOverloaded, raw)
-	}
-	// The message is the engine's, not a handler-level shed: this is the
-	// path the preallocated error travels.
-	if !strings.Contains(body.Error.Message, "stream slots exhausted") {
-		t.Fatalf("message %q does not carry the engine refusal", body.Error.Message)
-	}
-
-	pw.Close()
-	<-done
 }
 
 // TestBatchCap holds the ladder's second rung: with MaxBatch classify

@@ -88,9 +88,6 @@ const maxClassifySamples = 4 << 20
 
 // HandlerConfig tunes the handler; the zero value is the serving default.
 type HandlerConfig struct {
-	// MaxUploadBytes bounds a POST /v1/models body; default
-	// core.MaxModelBytes (the codec's own ceiling).
-	MaxUploadBytes int64
 	// MaxStreams bounds concurrently open /v1/stream requests. At the
 	// bound, new streams are shed with the typed server_overloaded error
 	// while batch /v1/classify stays admitted — the shed ladder's first
@@ -114,10 +111,9 @@ type HandlerConfig struct {
 }
 
 type server struct {
-	eng       *pipeline.Engine
-	maxUpload int64
-	gate      *overload.Gate
-	limiter   *overload.Limiter
+	eng     *pipeline.Engine
+	gate    *overload.Gate
+	limiter *overload.Limiter
 	// scratch pools the per-request working buffers of /v1/classify: the
 	// request body bytes, the decoded sample slice, the millivolt
 	// conversion, the morphological filter and wavelet-detector buffers,
@@ -139,14 +135,11 @@ var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b
 // PUT /v1/default) and GET /healthz.
 func NewHandler(eng *pipeline.Engine, cfg HandlerConfig) http.Handler {
 	s := &server{
-		eng: eng, maxUpload: cfg.MaxUploadBytes,
+		eng:  eng,
 		gate: overload.NewGate(overload.GateConfig{MaxStreams: cfg.MaxStreams, MaxBatch: cfg.MaxBatch}),
 	}
 	if cfg.RatePerTenant > 0 {
 		s.limiter = overload.NewLimiter(overload.LimiterConfig{Rate: cfg.RatePerTenant, Burst: cfg.RateBurst})
-	}
-	if s.maxUpload <= 0 {
-		s.maxUpload = core.MaxModelBytes
 	}
 	s.scratch.New = func() any { return new(classifyScratch) }
 	mux := http.NewServeMux()
@@ -329,7 +322,8 @@ func (s *server) uploadModel(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, apierr.New(apierr.CodeBadInput, "missing ?name= (the model name to version under)"))
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxUpload))
+	// core.MaxModelBytes is the codec's own ceiling.
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, core.MaxModelBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

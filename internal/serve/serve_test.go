@@ -328,14 +328,14 @@ func TestUploadTooLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: 1})
-	ts := httptest.NewServer(NewHandler(eng, HandlerConfig{MaxUploadBytes: 1024}))
+	ts := httptest.NewServer(NewHandler(eng, HandlerConfig{}))
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Close()
 	})
 
 	resp, err := http.Post(ts.URL+"/v1/models?name=big", "application/octet-stream",
-		bytes.NewReader(make([]byte, 4096)))
+		bytes.NewReader(make([]byte, core.MaxModelBytes+1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,26 +97,34 @@ func Close(x []float64, length int) []float64 {
 	return Erode(Dilate(x, length), length)
 }
 
-// BaselineConfig parameterizes morphological baseline-wander estimation.
-// The defaults follow the two-stage estimator used on the WBSN (opening with
-// an element longer than the QRS complex to suppress beats, then closing with
-// a 1.5x longer element to bridge the T wave), expressed in seconds and
-// converted with the sampling frequency.
+// The WBSN front end's structuring elements. Baseline estimation is the
+// two-stage estimator used on the node: opening with an element longer than
+// the QRS complex to suppress beats, then closing with a 1.5x longer element
+// to bridge the T wave, both expressed in seconds and converted with the
+// sampling frequency. Noise suppression uses a fixed small element.
+const (
+	openSec   = 0.2 // opening element: 73 samples at 360 Hz
+	closeSec  = 0.3 // closing element: 109 samples at 360 Hz
+	NoiseElem = 3   // noise-suppression element, samples
+)
+
+// BaselineConfig carries the sampling frequency that converts the front
+// end's structuring elements from seconds to samples.
 type BaselineConfig struct {
-	Fs        float64 // sampling frequency in Hz
-	OpenSec   float64 // opening element duration; default 0.2 s
-	CloseSec  float64 // closing element duration; default 0.3 s
-	NoiseElem int     // small element (samples) for noise suppression; default 3
+	Fs float64 // sampling frequency in Hz
 }
 
-// DefaultBaselineConfig returns the standard WBSN filter configuration for
-// the given sampling frequency.
+// DefaultBaselineConfig returns the WBSN filter configuration for the given
+// sampling frequency.
 func DefaultBaselineConfig(fs float64) BaselineConfig {
-	return BaselineConfig{Fs: fs, OpenSec: 0.2, CloseSec: 0.3, NoiseElem: 3}
+	return BaselineConfig{Fs: fs}
 }
 
-func (c BaselineConfig) openLen() int  { return oddAtLeast(int(c.OpenSec*c.Fs), 3) }
-func (c BaselineConfig) closeLen() int { return oddAtLeast(int(c.CloseSec*c.Fs), 5) }
+// OpenLen is the baseline opening element in samples.
+func (c BaselineConfig) OpenLen() int { return oddAtLeast(int(openSec*c.Fs), 3) }
+
+// CloseLen is the baseline closing element in samples.
+func (c BaselineConfig) CloseLen() int { return oddAtLeast(int(closeSec*c.Fs), 5) }
 
 func oddAtLeast(n, min int) int {
 	if n < min {
@@ -131,7 +139,7 @@ func oddAtLeast(n, min int) int {
 // Baseline estimates the baseline wander of x by opening-then-closing with
 // the configured structuring elements.
 func Baseline(x []float64, cfg BaselineConfig) []float64 {
-	return Close(Open(x, cfg.openLen()), cfg.closeLen())
+	return Close(Open(x, cfg.OpenLen()), cfg.CloseLen())
 }
 
 // RemoveBaseline returns x minus its estimated baseline. This is the first
@@ -146,12 +154,12 @@ func RemoveBaseline(x []float64, cfg BaselineConfig) []float64 {
 }
 
 // SuppressNoise attenuates high-frequency artifacts by averaging the
-// opening-closing and closing-opening of x with a small structuring element
-// (the "MF pair" smoother used in morphological ECG filtering).
-func SuppressNoise(x []float64, cfg BaselineConfig) []float64 {
-	k := oddAtLeast(cfg.NoiseElem, 3)
-	oc := Close(Open(x, k), k)
-	co := Open(Close(x, k), k)
+// opening-closing and closing-opening of x with the NoiseElem-sample
+// structuring element (the "MF pair" smoother used in morphological ECG
+// filtering), which does not depend on the sampling frequency.
+func SuppressNoise(x []float64, _ BaselineConfig) []float64 {
+	oc := Close(Open(x, NoiseElem), NoiseElem)
+	co := Open(Close(x, NoiseElem), NoiseElem)
 	out := make([]float64, len(x))
 	for i := range x {
 		out[i] = 0.5 * (oc[i] + co[i])
@@ -204,7 +212,7 @@ func FilterECGInto(dst, x []float64, cfg BaselineConfig, s *FilterScratch) []flo
 	// SuppressNoise: oc = Close(Open(x,k),k), co = Open(Close(x,k),k),
 	// averaged. Same operator order (and therefore the same floats) as the
 	// allocating composition.
-	k := oddAtLeast(cfg.NoiseElem, 3)
+	const k = NoiseElem
 	s.deque = slideExtremumInto(s.a, x, k, false, s.deque) // erode
 	s.deque = slideExtremumInto(s.b, s.a, k, true, s.deque)
 	s.deque = slideExtremumInto(s.a, s.b, k, true, s.deque)
@@ -218,7 +226,7 @@ func FilterECGInto(dst, x []float64, cfg BaselineConfig, s *FilterScratch) []flo
 	}
 
 	// RemoveBaseline: baseline = Close(Open(sup, openLen), closeLen).
-	ol, cl := cfg.openLen(), cfg.closeLen()
+	ol, cl := cfg.OpenLen(), cfg.CloseLen()
 	s.deque = slideExtremumInto(s.b, s.a, ol, false, s.deque)
 	s.deque = slideExtremumInto(s.c, s.b, ol, true, s.deque)
 	s.deque = slideExtremumInto(s.b, s.c, cl, true, s.deque)

@@ -27,7 +27,7 @@ type StreamECGFilter struct {
 	// co = Open(Close(x,k),k) = Dilate,Erode,Erode,Dilate.
 	oc, co []*StreamMorph
 	// Baseline estimation over the suppressed signal:
-	// Close(Open(y,openLen),closeLen) = Erode,Dilate (open) then
+	// Close(Open(y,OpenLen),CloseLen) = Erode,Dilate (open) then
 	// Dilate,Erode (close).
 	base []*StreamMorph
 	// supRing delays the suppressed signal by the baseline-cascade delay so
@@ -40,8 +40,8 @@ type StreamECGFilter struct {
 
 // NewStreamECGFilter builds the streaming front end for cfg.
 func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
-	k := oddAtLeast(cfg.NoiseElem, 3)
-	openL, closeL := cfg.openLen(), cfg.closeLen()
+	const k = NoiseElem
+	openL, closeL := cfg.OpenLen(), cfg.CloseLen()
 	f := &StreamECGFilter{
 		oc: []*StreamMorph{
 			NewStreamErode(k), NewStreamDilate(k),

@@ -9,6 +9,7 @@ package wbsn
 import (
 	"errors"
 
+	"rpbeat/internal/beatset"
 	"rpbeat/internal/core"
 	"rpbeat/internal/delin"
 	"rpbeat/internal/ecgsyn"
@@ -18,18 +19,13 @@ import (
 	"rpbeat/internal/sigdsp"
 )
 
-// Node is a configured WBSN instance.
+// Node is a WBSN instance: the paper's fixed front end (ecgsyn's 360 Hz
+// ADC geometry, beatset's beat window) around an embedded classifier.
 type Node struct {
-	Emb      *core.Embedded
-	Fs       float64
-	Before   int // beat window samples before the peak (default 100)
-	After    int // after the peak (default 100)
-	PeakCfg  peak.Config
-	DelinCfg delin.Config
+	Emb *core.Embedded
 }
 
-// NewNode builds a node around an embedded classifier with the paper's
-// window geometry.
+// NewNode builds a node around an embedded classifier.
 func NewNode(emb *core.Embedded) (*Node, error) {
 	if emb == nil {
 		return nil, errors.New("wbsn: nil classifier")
@@ -37,14 +33,7 @@ func NewNode(emb *core.Embedded) (*Node, error) {
 	if err := emb.Validate(); err != nil {
 		return nil, err
 	}
-	return &Node{
-		Emb:      emb,
-		Fs:       ecgsyn.Fs,
-		Before:   100,
-		After:    100,
-		PeakCfg:  peak.Config{Fs: ecgsyn.Fs},
-		DelinCfg: delin.Config{Fs: ecgsyn.Fs},
-	}, nil
+	return &Node{Emb: emb}, nil
 }
 
 // BeatReport is the node's output for one detected beat.
@@ -80,7 +69,7 @@ func (n *Node) Process(leads [][]int32) (*Result, error) {
 		return nil, errors.New("wbsn: no signal")
 	}
 	// Filter every lead in millivolts.
-	base := sigdsp.DefaultBaselineConfig(n.Fs)
+	base := sigdsp.DefaultBaselineConfig(ecgsyn.Fs)
 	filtered := make([][]float64, len(leads))
 	for l, sig := range leads {
 		mv := make([]float64, len(sig))
@@ -90,14 +79,14 @@ func (n *Node) Process(leads [][]int32) (*Result, error) {
 		filtered[l] = sigdsp.FilterECG(mv, base)
 	}
 
-	peaks := peak.Detect(filtered[0], n.PeakCfg)
+	peaks := peak.Detect(filtered[0], peak.Config{Fs: ecgsyn.Fs})
 
 	res := &Result{}
 	// Classify every beat; collect the abnormal ones for delineation.
 	var abnormalIdx []int
 	var abnormalPeaks []int
 	for i, p := range peaks {
-		w := sigdsp.WindowInt(leads[0], p, n.Before, n.After)
+		w := sigdsp.WindowInt(leads[0], p, beatset.Before, beatset.After)
 		w = sigdsp.DownsampleInt(w, n.Emb.Downsample)
 		d := n.Emb.Classify(w)
 		rep := BeatReport{Sample: p, Decision: d}
@@ -116,7 +105,7 @@ func (n *Node) Process(leads [][]int32) (*Result, error) {
 	// Delineate only the flagged beats (the gating that saves the duty
 	// cycle in Table III).
 	if len(abnormalPeaks) > 0 {
-		fids := delin.DelineateMultiLead(filtered, abnormalPeaks, n.DelinCfg)
+		fids := delin.DelineateMultiLead(filtered, abnormalPeaks, delin.Config{Fs: ecgsyn.Fs})
 		for j, idx := range abnormalIdx {
 			res.Beats[idx].Delineated = true
 			res.Beats[idx].Fiducials = fids[j]
