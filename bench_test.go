@@ -242,6 +242,33 @@ func BenchmarkKernel_PipelinePushSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkKernel_PipelinePushChunk180 is the engine's path: the full
+// online pipeline fed the serving chunk (180 samples, 0.5 s at 360 Hz) one
+// PushChunk at a time, after warm-up. allocs/op must be 0; ns/sample
+// compares with BenchmarkKernel_BatchClassify30s's per-sample cost
+// (TestFrontendBatchParity holds the ratio).
+func BenchmarkKernel_PipelinePushChunk180(b *testing.B) {
+	_, _, emb, _ := benchSetup(b)
+	pipe, err := pipeline.New(emb, pipeline.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "push", Seconds: 60, Seed: 6, PVCRate: 0.1}).Leads[0]
+	const chunk = 180
+	pipe.PushChunk(lead, nil)
+	off := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if off+chunk > len(lead) {
+			off = 0
+		}
+		pipe.PushChunk(lead[off:off+chunk], nil)
+		off += chunk
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/sample")
+}
+
 // BenchmarkKernel_BatchClassify30s is the /v1/classify serving shape: one
 // whole record through the batch reference path with pooled scratch.
 func BenchmarkKernel_BatchClassify30s(b *testing.B) {

@@ -1,11 +1,13 @@
 // Streaming: the sample-by-sample front end a node actually runs.
 //
 // The batch API (sigdsp.FilterECG) processes whole buffers; a sensor node
-// sees one ADC sample every 1/360 s and has a few kilobytes of RAM. This
-// example drives the bounded-memory streaming filter (noise suppression plus
-// baseline removal) over a synthetic recording, shows its fixed group delay,
-// and verifies on the fly that the stream output agrees with the batch
-// reference — bit for bit from the first sample, as the library guarantees.
+// sees one ADC sample every 1/360 s and has a few kilobytes of RAM, and a
+// server receives each patient's samples a chunk at a time. This example
+// drives the bounded-memory streaming filter (noise suppression plus
+// baseline removal) over a synthetic recording in one-second chunks, shows
+// its fixed group delay, and verifies that the stream output agrees with
+// the batch reference — bit for bit from the first sample, whatever the
+// chunking, as the library guarantees.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -29,16 +31,16 @@ func main() {
 	// Reference: the batch filter over the whole buffer.
 	batch := sigdsp.FilterECG(raw, cfg)
 
-	// Stream: one Push per ADC sample, bounded memory.
+	// Stream: one PushChunk per second of ADC samples, bounded memory.
 	f := sigdsp.NewStreamECGFilter(cfg)
 	fmt.Printf("streaming front end: group delay %d samples (%.0f ms at %.0f Hz)\n",
 		f.Delay(), 1000*float64(f.Delay())/rec.Fs, rec.Fs)
 
-	var out []float64
-	for _, x := range raw {
-		if y, ok := f.Push(x); ok {
-			out = append(out, y)
-		}
+	out := make([]float64, 0, len(raw))
+	chunk := make([]float64, int(rec.Fs))
+	for off := 0; off < len(raw); off += len(chunk) {
+		c := chunk[:copy(chunk, raw[off:])]
+		out = append(out, c[:f.PushChunk(c, c)]...)
 	}
 	fmt.Printf("pushed %d samples, emitted %d (the final %d need future input)\n",
 		len(raw), len(out), len(raw)-len(out))
@@ -52,12 +54,20 @@ func main() {
 	}
 	fmt.Printf("max |stream - batch| over %d samples: %.3g mV (bit-exact)\n", len(out), maxErr)
 
-	// What the node gains: memory. The stream keeps twelve morphology
-	// wedges, whose windows together span about twice the group delay at
-	// 16 B per window sample (value + index), plus an 8 B/sample alignment
-	// delay line; the batch version holds the input, the output and three
-	// full-record ping-pong buffers.
-	streamBytes := (f.Delay() + 1) * (2*16 + 8)
+	// What the node gains: memory. The stream keeps two samples for each of
+	// its eight 3-sample noise stages, a power-of-two ring of value +
+	// position (12 B per slot) for each of its four baseline stages, and an
+	// 8 B/sample delay line across the baseline cascade (Delay() less the
+	// four one-sample noise stages); the batch version holds the input, the
+	// output and three full-record ping-pong buffers.
+	ring := func(n int) int {
+		p := 1
+		for p < n {
+			p <<= 1
+		}
+		return p
+	}
+	streamBytes := 8*2*8 + 12*2*(ring(cfg.OpenLen())+ring(cfg.CloseLen())) + 8*(f.Delay()-4)
 	batchBytes := len(raw) * 8 * 5
 	fmt.Printf("approx working memory: stream %d B vs batch %d B for this record\n",
 		streamBytes, batchBytes)

@@ -245,16 +245,17 @@ func ExpectedBeats(lead []int32) []int {
 	if err != nil {
 		panic("load: ExpectedBeats: " + err.Error())
 	}
-	var out []int
-	for _, v := range lead {
-		y, ok := filter.Push(float64(v-ecgsyn.Baseline) / ecgsyn.Gain)
-		if !ok {
-			continue
-		}
-		out = append(out, det.Push(y)...)
+	mv := make([]float64, len(lead))
+	for i, v := range lead {
+		mv[i] = ecgsyn.ToMillivolts(v)
 	}
-	out = append(out, det.Flush()...)
-	return out
+	var out []int
+	for y := mv[:filter.PushChunk(mv, mv)]; len(y) > 0; {
+		used, peaks := det.PushChunk(y)
+		y = y[used:]
+		out = append(out, peaks...)
+	}
+	return append(out, det.Flush()...)
 }
 
 // expectedBeats returns (computing on first use) the shared oracle for

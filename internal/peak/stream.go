@@ -1,11 +1,11 @@
 package peak
 
-// Streaming (sample-by-sample) R-peak detection with bounded memory.
+// Streaming (chunk-at-a-time) R-peak detection with bounded memory.
 //
 // StreamDetector reproduces Detect exactly — same à trous scales, same
 // windowed-RMS adaptive thresholds, same modulus-maxima pairing, zero
 // crossing localization and refractory arbitration — but consumes the
-// filtered lead one sample at a time. The batch function is the reference:
+// filtered lead a chunk at a time. The batch function is the reference:
 // on any signal, the peaks a StreamDetector emits are identical to
 // Detect(x, cfg) up to the right signal border (the final thresholds of a
 // batch run use the last, partial RMS window of the whole record, which a
@@ -30,8 +30,9 @@ import (
 const streamDWTLevels = 3
 
 // StreamDetector is the online QRS detector. Feed it filtered samples with
-// Push; peak indices come back (possibly several per call, usually none)
-// once they are final, i.e. once no future sample can change them.
+// PushChunk (or Push, one sample at a time); peak indices come back
+// (possibly several per call, usually none) once they are final, i.e. once
+// no future sample can change them.
 type StreamDetector struct {
 	dwt                *sigdsp.StreamDWT
 	win, pair, refract int
@@ -115,23 +116,47 @@ func (d *StreamDetector) Delay() int {
 // (Config.StartSample) for bit-identical detections.
 func (d *StreamDetector) Window() int { return d.win }
 
-// Push consumes one sample of the filtered lead and returns the R peaks
-// finalized by it, as absolute sample indices (aligned with the input).
+// PushChunk consumes a prefix of the filtered lead x: all of it, or up to
+// and including the sample that completes the current adaptive-threshold
+// window, whichever is shorter. It returns how many samples it consumed and
+// the R peaks finalized by them, as absolute sample indices aligned with
+// the input; peaks are only ever finalized by a window's last sample, so
+// every peak of one call was finalized by x[used-1]. Callers loop until x
+// is consumed. The wavelet transform runs straight into the window buffers.
 // The returned slice is reused by the next call; copy it to retain.
-func (d *StreamDetector) Push(x float64) []int {
+//
+//rpbeat:allocfree
+func (d *StreamDetector) PushChunk(x []float64) (used int, peaks []int) {
 	d.emit = d.emit[:0]
-	w, ok := d.dwt.Push(x)
-	if !ok {
-		return nil
+	w1, w2 := d.wbuf[0], d.wbuf[1]
+	f := len(w1)
+	used = min(len(x), d.dwt.InputsFor(d.nextWin-f))
+	// The detector reads scales 2^2 and 2^3 (levels 1 and 2); level 0 is
+	// only the first approximation step.
+	dst := [streamDWTLevels][]float64{1: w1[f:d.nextWin], 2: w2[f:d.nextWin]}
+	m := d.dwt.PushChunk(dst[:], x[:used])
+	w1, w2 = w1[:f+m], w2[:f+m]
+	s1, s2 := d.sumsq[0], d.sumsq[1]
+	for i := f; i < f+m; i++ {
+		s1 += w1[i] * w1[i]
+		s2 += w2[i] * w2[i]
 	}
-	d.wbuf[0] = append(d.wbuf[0], w[1])
-	d.sumsq[0] += w[1] * w[1]
-	d.wbuf[1] = append(d.wbuf[1], w[2])
-	d.sumsq[1] += w[2] * w[2]
-	if len(d.wbuf[0]) == d.nextWin {
+	d.wbuf[0], d.wbuf[1] = w1, w2
+	d.sumsq[0], d.sumsq[1] = s1, s2
+	if len(w1) == d.nextWin {
 		d.completeWindow()
 	}
-	return d.emit
+	return used, d.emit
+}
+
+// Push consumes one sample of the filtered lead and returns the R peaks
+// finalized by it, as absolute sample indices (aligned with the input). It
+// is PushChunk over a one-sample chunk. The returned slice is reused by the
+// next call; copy it to retain.
+func (d *StreamDetector) Push(x float64) []int {
+	one := [1]float64{x}
+	_, peaks := d.PushChunk(one[:])
+	return peaks
 }
 
 // Flush finishes the stream: the final partial threshold window is processed
@@ -163,14 +188,24 @@ func (d *StreamDetector) completeWindow() {
 	thr2 := math.Sqrt(d.sumsq[1] / float64(count))
 	var zs float64
 	base := d.wbase
+	r := base % d.ring
 	for k := 0; k < count; k++ {
 		zv := d.wbuf[0][k]/(thr1+1e-300) + d.wbuf[1][k]/(thr2+1e-300)
-		d.z[(base+k)%d.ring] = zv
+		d.z[r] = zv
 		zs += zv * zv
+		r++
+		if r == d.ring {
+			r = 0
+		}
 	}
 	tz := math.Sqrt(zs / float64(count))
+	r = base % d.ring
 	for k := 0; k < count; k++ {
-		d.thrZ[(base+k)%d.ring] = tz
+		d.thrZ[r] = tz
+		r++
+		if r == d.ring {
+			r = 0
+		}
 	}
 	d.zN = base + count
 	d.wbase = d.zN
@@ -185,16 +220,24 @@ func (d *StreamDetector) completeWindow() {
 // extrema (the detectPass criteria) and finalizes the pending candidate once
 // no future candidate can fall inside its refractory period.
 func (d *StreamDetector) advance() {
+	// Ring positions of scan-1, scan and scan+1, advanced without a
+	// division per sample (scan starts at 1, so scan-1 is never negative).
+	ring := d.ring
+	prev, cur := (d.scan-1)%ring, d.scan%ring
 	for d.scan+1 < d.zN {
 		i := d.scan
 		d.scan++
-		v := d.z[i%d.ring]
-		if math.Abs(v) < thresholdFactor*d.thrZ[i%d.ring] {
+		next := cur + 1
+		if next == ring {
+			next = 0
+		}
+		v, thr := d.z[cur], d.thrZ[cur]
+		pv, nv := d.z[prev], d.z[next]
+		prev, cur = cur, next
+		if math.Abs(v) < thresholdFactor*thr {
 			continue
 		}
-		prev := d.z[(i-1)%d.ring]
-		next := d.z[(i+1)%d.ring]
-		if (v > 0 && v >= prev && v > next) || (v < 0 && v <= prev && v < next) {
+		if (v > 0 && v >= pv && v > nv) || (v < 0 && v <= pv && v < nv) {
 			d.extremum(i, v)
 		}
 	}

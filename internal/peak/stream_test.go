@@ -23,31 +23,40 @@ func TestStreamDetectorMatchesBatch(t *testing.T) {
 		cfg := Config{Fs: 360, SearchBackOff: true}
 		batch := Detect(x, cfg)
 
-		d, err := NewStreamDetector(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stream []int
-		for _, v := range x {
-			stream = append(stream, d.Push(v)...)
-		}
-		stream = append(stream, d.Flush()...)
+		// Chunked feeds must not move a peak: a whole-record call, the
+		// serving chunk, both sides of sigdsp.Block, one sample at a time.
+		for _, size := range []int{len(x), 180, 65, 64, 1} {
+			d, err := NewStreamDetector(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stream []int
+			for off := 0; off < len(x); off += size {
+				for y := x[off:min(off+size, len(x))]; len(y) > 0; {
+					used, peaks := d.PushChunk(y)
+					y = y[used:]
+					stream = append(stream, peaks...)
+				}
+			}
+			stream = append(stream, d.Flush()...)
 
-		// Batch thresholds near the record end come from windows the stream
-		// only completes at Flush with fewer samples (the wavelet tail is
-		// never produced), so parity is asserted away from the right border.
-		tail := len(x) - d.Delay()
-		want := keepBefore(batch, tail)
-		got := keepBefore(stream, tail)
-		if len(want) == 0 {
-			t.Fatalf("seed %d: batch found no peaks before the tail margin", tc.seed)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: stream found %d peaks, batch %d", tc.seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: peak %d at %d, batch at %d", tc.seed, i, got[i], want[i])
+			// Batch thresholds near the record end come from windows the
+			// stream only completes at Flush with fewer samples (the wavelet
+			// tail is never produced), so parity is asserted away from the
+			// right border.
+			tail := len(x) - d.Delay()
+			want := keepBefore(batch, tail)
+			got := keepBefore(stream, tail)
+			if len(want) == 0 {
+				t.Fatalf("seed %d: batch found no peaks before the tail margin", tc.seed)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d chunk %d: stream found %d peaks, batch %d", tc.seed, size, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d chunk %d: peak %d at %d, batch at %d", tc.seed, size, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -96,4 +105,26 @@ func BenchmarkStreamDetectorPush(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Push(x[i%len(x)])
 	}
+}
+
+// BenchmarkKernel_StreamDetectorChunk180 feeds the detector 180-sample
+// chunks of a filtered lead (the serving chunk: 0.5 s at 360 Hz), its own
+// wavelet transform included.
+func BenchmarkKernel_StreamDetectorChunk180(b *testing.B) {
+	const size = 180
+	x := filteredRecord(60, 9, 0.1)
+	d, _ := NewStreamDetector(Config{Fs: 360, SearchBackOff: true})
+	b.ReportAllocs()
+	off := 0
+	for b.Loop() {
+		if off+size > len(x) {
+			off = 0
+		}
+		for y := x[off : off+size]; len(y) > 0; {
+			used, _ := d.PushChunk(y)
+			y = y[used:]
+		}
+		off += size
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
 }

@@ -45,6 +45,42 @@ func TestPipelinePushZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestPipelineHeapPerStream holds a stream's heap footprint, everything New
+// and a warm PushChunk leave behind, to at most 48 KiB: the engine keeps
+// one pipeline per open stream, so bytes per stream set how many streams a
+// server can hold. The block front end keeps its scratch in stack arrays,
+// not per-stream fields, for this reason; a raw ring padded past its 2,048
+// entries would break the bound too.
+func TestPipelineHeapPerStream(t *testing.T) {
+	emb := testModel(t)
+	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "hp", Seconds: 30, Seed: 4, PVCRate: 0.1}).Leads[0]
+	const streams, chunk, limit = 256, 180, 48 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pipes := make([]*Pipeline, streams)
+	for i := range pipes {
+		p, err := New(emb, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(lead); off += chunk {
+			p.PushChunk(lead[off:min(off+chunk, len(lead))], nil)
+		}
+		pipes[i] = p
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pipes)
+	perStream := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / streams
+	t.Logf("heap per stream: %d B (limit %d B)", perStream, limit)
+	if perStream > limit {
+		t.Fatalf("each pipeline holds %d B of heap, want <= %d B", perStream, limit)
+	}
+}
+
 // TestEngineSendZeroAlloc holds the steady-state Send path to zero
 // allocations: once the stream's spare chunk buffers, its FIFO backing
 // array, the shard queue and the pipeline's internal buffers are warm,

@@ -402,51 +402,62 @@ func TestEngineOverload(t *testing.T) {
 	}
 }
 
-// TestPushChunkMatchesPush: feeding a record through PushChunk (with uneven
-// chunk sizes, including single samples) emits exactly the beats a
-// per-sample Push run emits — the bit-identity the engine worker's chunked
-// inner loop rests on.
+// TestPushChunkMatchesPush: feeding a record through PushChunk at any chunk
+// size emits exactly the beats a per-sample Push run emits, DetectedAt
+// included, from a stream's start and from a resumed BaseSample — the
+// bit-identity the engine worker's chunked inner loop rests on.
 func TestPushChunkMatchesPush(t *testing.T) {
 	emb := testModel(t)
 	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "pc", Seconds: 45, Seed: 21, PVCRate: 0.1}).Leads[0]
 
-	ref, err := New(emb, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []BeatResult
-	for _, v := range lead {
-		want = append(want, ref.Push(v)...)
-	}
-	want = append(want, ref.Flush()...)
-
-	chunked, err := New(emb, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []BeatResult
-	emit := func(beats []BeatResult) { got = append(got, beats...) }
-	sizes := []int{1, 7, 360, 1024, 3, 719}
-	for off, i := 0, 0; off < len(lead); i++ {
-		end := off + sizes[i%len(sizes)]
-		if end > len(lead) {
-			end = len(lead)
+	// One sample at a time, both sides of sigdsp.Block, the serving chunk,
+	// odd multi-block sizes, the whole record in one call, and uneven sizes
+	// cycled within one stream.
+	chunkings := [][]int{{1}, {2}, {3}, {63}, {64}, {65}, {180}, {719}, {1024}, {len(lead)}, {1, 7, 360, 1024, 3, 719}}
+	for _, base := range []int{0, 7777} {
+		ref, err := New(emb, Config{BaseSample: base})
+		if err != nil {
+			t.Fatal(err)
 		}
-		chunked.PushChunk(lead[off:end], emit)
-		off = end
-	}
-	got = append(got, chunked.Flush()...)
-
-	if len(got) != len(want) {
-		t.Fatalf("chunked run emitted %d beats, per-sample %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("beat %d: chunked %+v != per-sample %+v", i, got[i], want[i])
+		var want []BeatResult
+		for i, v := range lead {
+			for _, b := range ref.Push(v) {
+				// Pushed one at a time, a beat is finalized by the sample
+				// just pushed.
+				if b.DetectedAt != base+i {
+					t.Fatalf("base %d: beat %d finalized by sample %d reports DetectedAt %d", base, b.Peak, base+i, b.DetectedAt)
+				}
+				want = append(want, b)
+			}
 		}
-	}
-	if len(want) == 0 {
-		t.Fatal("no beats at all")
+		want = append(want, ref.Flush()...)
+		if len(want) == 0 {
+			t.Fatal("no beats at all")
+		}
+
+		for _, sizes := range chunkings {
+			chunked, err := New(emb, Config{BaseSample: base})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []BeatResult
+			emit := func(beats []BeatResult) { got = append(got, beats...) }
+			for off, c := 0, 0; off < len(lead); c++ {
+				end := min(off+sizes[c%len(sizes)], len(lead))
+				chunked.PushChunk(lead[off:end], emit)
+				off = end
+			}
+			got = append(got, chunked.Flush()...)
+
+			if len(got) != len(want) {
+				t.Fatalf("base %d chunks %v: chunked run emitted %d beats, per-sample %d", base, sizes, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("base %d chunks %v: beat %d: chunked %+v != per-sample %+v", base, sizes, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package pipeline chains the library's streaming operators into an online
-// heartbeat classification engine: raw ADC samples go in one at a time, and
-// classified beats come out as soon as they are final — the deployment shape
-// of the paper's WBSN node (sub-systems (1) and (3) of Fig. 6) and the
-// substrate the serving layer (cmd/rpserve) builds on.
+// heartbeat classification engine: raw ADC samples go in a chunk at a time,
+// and classified beats come out as soon as they are final — the deployment
+// shape of the paper's WBSN node (sub-systems (1) and (3) of Fig. 6) and
+// the substrate the serving layer (cmd/rpserve) builds on.
 //
 // The stages are the exact streaming counterparts of the batch path that
 // internal/wbsn runs over whole records:
 //
-//	raw ADC sample
+//	raw ADC samples
 //	  └─ millivolt conversion
 //	       └─ sigdsp.StreamECGFilter   (noise suppression + baseline removal)
 //	            └─ peak.StreamDetector (à trous scales, adaptive thresholds,
@@ -15,11 +15,18 @@
 //	                 └─ beat window from the raw-sample ring
 //	                      └─ downsampling → core.Embedded (integer RP + NFC)
 //
-// Each stage reports its group delay, every buffer is a fixed-size ring, and
-// the whole pipeline is bit-identical to the batch reference (BatchClassify)
-// except within Delay() samples of the record end, where batch thresholds
-// use future samples a stream cannot see. TestPipelineMatchesBatch holds the
-// two paths to beat-for-beat equality.
+// PushChunk runs a chunk sigdsp.Block (64) samples at a time through stack
+// buffers, so a stream's heap is its operator state and its fixed-size
+// rings. The detector stops at every threshold-window boundary, which is
+// where peaks are finalized, so each beat's DetectedAt is the raw index of
+// the sample that completed its window: the completing detection index
+// plus the DWT and filter delays, the same for any chunking. The raw ring
+// covers Delay() + beatset.Before + one block of samples (1,943 in 2,048
+// entries). Each stage reports its group delay, and the whole pipeline is
+// bit-identical to the batch reference (BatchClassify) except within
+// Delay() samples of the record end, where batch thresholds use future
+// samples a stream cannot see. TestPipelineMatchesBatch holds the two paths
+// to beat-for-beat equality.
 package pipeline
 
 import (
@@ -138,8 +145,10 @@ func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
 	}
 	p.scr.Grow(emb)
 	// The ring must still hold sample max(0, peak-Before) when a peak
-	// finalizes, at worst Delay() samples after the peak position.
-	p.raw = make([]int32, nextPow2(p.Delay()+windowLen+64))
+	// finalizes, at worst Delay() samples after the peak position, while
+	// PushChunk has written up to a block of raw samples past that one:
+	// Delay() + Before + Block = 1,943 samples, in 2,048 entries.
+	p.raw = make([]int32, nextPow2(p.Delay()+beatset.Before+sigdsp.Block))
 	p.rawMask = len(p.raw) - 1
 	return p, nil
 }
@@ -215,44 +224,48 @@ func (p *Pipeline) Samples() int { return p.n }
 
 // Push consumes one raw ADC sample and returns the beats it finalized
 // (usually none — beats surface in bursts as threshold windows complete).
-// The returned slice is reused by the next call; copy it to retain.
+// It is PushChunk over a one-sample chunk. The returned slice is reused by
+// the next call; copy it to retain.
 //
 //rpbeat:allocfree
 func (p *Pipeline) Push(sample int32) []BeatResult {
-	p.out = p.out[:0]
-	p.raw[p.n&p.rawMask] = sample
-	p.n++
-	y, ok := p.filter.Push(ecgsyn.ToMillivolts(sample))
-	if !ok {
-		return nil
-	}
-	for _, pk := range p.det.Push(y) {
-		p.classify(pk)
-	}
+	one := [1]int32{sample}
+	p.PushChunk(one[:], nil)
 	return p.out
 }
 
 // PushChunk consumes a whole chunk of raw ADC samples and invokes emit once
 // with every beat the chunk finalized, in input order (emit is not called
-// for chunks that finalize nothing). It is bit-identical to calling Push per
-// sample and concatenating the results; the per-sample return-slice reset
-// and call overhead are amortized over the chunk, which is what the engine's
-// workers and /v1/stream run. The slice passed to emit is reused by the next
-// Push/PushChunk call; copy it to retain.
+// for chunks that finalize nothing). The beats do not depend on how the
+// stream is split into chunks (see the package comment); this is what the
+// engine's workers and /v1/stream run. The slice passed to emit is reused
+// by the next Push/PushChunk call; copy it to retain.
 //
 //rpbeat:allocfree
 func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {
 	p.out = p.out[:0]
 	raw, mask := p.raw, p.rawMask
-	for _, v := range samples {
-		raw[p.n&mask] = v
-		p.n++
-		y, ok := p.filter.Push(ecgsyn.ToMillivolts(v))
-		if !ok {
-			continue
+	for len(samples) > 0 {
+		m := min(len(samples), sigdsp.Block)
+		var y [sigdsp.Block]float64
+		for i, v := range samples[:m] {
+			raw[(p.n+i)&mask] = v
+			y[i] = ecgsyn.ToMillivolts(v)
 		}
-		for _, pk := range p.det.Push(y) {
-			p.classify(pk)
+		samples = samples[m:]
+		p.n += m
+		// The k filtered samples belong to the block's last k raw samples,
+		// and the detector stops at each window boundary, so at-1 is the
+		// raw sample that finalized the peaks of each call.
+		k := p.filter.PushChunk(y[:m], y[:m])
+		at := p.n - k
+		for f := y[:k]; len(f) > 0; {
+			used, peaks := p.det.PushChunk(f)
+			f = f[used:]
+			at += used
+			for _, pk := range peaks {
+				p.classify(pk, at-1)
+			}
 		}
 	}
 	if len(p.out) > 0 && emit != nil {
@@ -269,24 +282,25 @@ func (p *Pipeline) Flush() []BeatResult {
 	}
 	p.flushed = true
 	for _, pk := range p.det.Flush() {
-		p.classify(pk)
+		p.classify(pk, p.n-1)
 	}
 	return p.out
 }
 
-// classify cuts the beat window out of the raw ring (with the same edge
-// replication as sigdsp.WindowInt), downsamples and runs the integer
+// classify cuts the beat window of the peak at pk out of the raw ring (with
+// the same edge replication as sigdsp.WindowInt over the samples up to at,
+// the one that finalized the beat), downsamples and runs the integer
 // RP + NFC classifier.
 //
 //rpbeat:allocfree
-func (p *Pipeline) classify(pk int) {
+func (p *Pipeline) classify(pk, at int) {
 	for i := range p.window {
 		j := pk - beatset.Before + i
 		if j < 0 {
 			j = 0
 		}
-		if j >= p.n {
-			j = p.n - 1
+		if j > at {
+			j = at
 		}
 		p.window[i] = p.raw[j&p.rawMask]
 	}
@@ -297,7 +311,7 @@ func (p *Pipeline) classify(pk int) {
 	p.out = append(p.out, BeatResult{
 		Peak:       p.base + pk,
 		Decision:   d,
-		DetectedAt: p.base + p.n - 1,
+		DetectedAt: p.base + at,
 	})
 }
 

@@ -1,115 +1,149 @@
 package sigdsp
 
-// Streaming (sample-by-sample) versions of the front-end operators, matching
-// how the node actually consumes its ADC: bounded memory, O(1) amortized
-// work per sample, and an explicitly reported group delay so downstream
-// stages can align their sample indices with the batch implementations.
+// Block-at-a-time streaming kernels for the front end, matching how a
+// serving worker actually receives its ADC: a chunk of samples at a time.
+// Each kernel keeps bounded state between blocks, runs in place over a
+// block, and reports its group delay through the operator that owns it, so
+// downstream stages can align their sample indices with the batch
+// implementations.
 //
 // The batch functions in this package are the reference; every streaming
-// operator is tested to produce bit-identical output (modulo the documented
-// warm-up region) against its batch counterpart.
+// operator is tested to produce bit-identical output against its batch
+// counterpart, from sample 0, for any split of the input into chunks.
 
-// StreamExtremum is a running windowed min or max over the last `length`
-// samples (Lemire's monotonic-wedge algorithm): O(1) amortized per sample
-// with at most `length` stored indices. The wedge lives in a fixed-capacity
-// ring deque, so steady-state Push never allocates — the property the whole
-// pipeline's zero-allocation hot path rests on (a plain slice deque would
-// shed front capacity at every pop and reallocate on append).
-type StreamExtremum struct {
-	length  int
-	wantMax bool
-	buf     []float64 // ring buffer of the last `length` samples
-	idx     []int     // ring deque of absolute indices, capacity length+1
-	head    int       // deque front position in idx
-	count   int       // deque occupancy
-	n       int       // samples consumed
+// Block is the most samples a stream operator processes in one pass. Its
+// scratch buffers are stack arrays of Block samples, so a longer chunk runs
+// as consecutive blocks; a caller that keeps raw-input history for the
+// outputs (internal/pipeline's raw ring) must cover one block of lead over
+// the operators' delays.
+const Block = 64
+
+// tap3 is one NoiseElem-sample erosion or dilation stage of a stream.
+// Output i is the extremum of inputs i-1, i and i+1, so the stage lags its
+// input by one sample. It carries its two newest inputs between blocks, and
+// its first input stands in for input -1, which reproduces the batch
+// operator's border-shrunk window. Ties keep the newest sample, as
+// slideExtremumInto's monotonic deque does, so equal values of opposite
+// sign (±0) come out bit-identical too.
+type tap3 struct {
+	older, newer   float64
+	dilate, primed bool
 }
 
-// NewStreamMax returns a running maximum over `length` samples.
-func NewStreamMax(length int) *StreamExtremum { return newStreamExtremum(length, true) }
-
-// NewStreamMin returns a running minimum over `length` samples.
-func NewStreamMin(length int) *StreamExtremum { return newStreamExtremum(length, false) }
-
-func newStreamExtremum(length int, wantMax bool) *StreamExtremum {
-	if length < 1 {
-		length = 1
+// pass runs the stage in place over x and returns how many outputs it wrote
+// to the front of x: one per input, less one for the stage's first input.
+//
+//rpbeat:allocfree
+func (s *tap3) pass(x []float64) int {
+	if len(x) == 0 {
+		return 0
 	}
-	return &StreamExtremum{
-		length:  length,
-		wantMax: wantMax,
-		buf:     make([]float64, length),
-		idx:     make([]int, length+1),
+	in := x
+	if !s.primed {
+		s.older, s.newer, s.primed = x[0], x[0], true
+		in = x[1:]
 	}
-}
-
-// Push consumes one sample and returns the extremum of the trailing window
-// (shorter during warm-up).
-func (s *StreamExtremum) Push(x float64) float64 {
-	s.buf[s.n%s.length] = x
-	// Pop dominated indices off the back of the wedge.
-	for s.count > 0 {
-		back := s.buf[s.idx[(s.head+s.count-1)%len(s.idx)]%s.length]
-		if s.wantMax {
-			if x < back {
-				break
+	a, b := s.older, s.newer
+	if s.dilate {
+		for i, c := range in {
+			m := c
+			if b > m {
+				m = b
 			}
-		} else if x > back {
-			break
+			if a > m {
+				m = a
+			}
+			x[i] = m
+			a, b = b, c
 		}
-		s.count--
+	} else {
+		for i, c := range in {
+			m := c
+			if b < m {
+				m = b
+			}
+			if a < m {
+				m = a
+			}
+			x[i] = m
+			a, b = b, c
+		}
 	}
-	s.idx[(s.head+s.count)%len(s.idx)] = s.n
-	s.count++
-	// Expire the front once it leaves the window.
-	if s.idx[s.head] <= s.n-s.length {
-		s.head = (s.head + 1) % len(s.idx)
-		s.count--
-	}
-	s.n++
-	return s.buf[s.idx[s.head]%s.length]
+	s.older, s.newer = a, b
+	return len(in)
 }
 
-// StreamMorph runs a centered erosion or dilation as a stream: output sample
-// i (in input coordinates) becomes available after Delay() further input
-// samples have arrived.
-type StreamMorph struct {
-	ex    *StreamExtremum
-	right int // trailing window must extend this far past the center
-	n     int
+// wedge is one long erosion or dilation stage of a stream: Lemire's
+// monotonic wedge over the trailing window of the last length inputs, O(1)
+// amortized per sample. The output for the window ending at input i+right
+// is output i, so with right = length-1-length/2 it is the batch operator's
+// centered window (the trailing window over a stream prefix covers exactly
+// the batch operator's border-shrunk window), and with right = 0 the plain
+// trailing extremum. The wedge lives in power-of-two rings of values and
+// positions, at most length entries, so a stage never allocates after
+// construction.
+type wedge struct {
+	length, right int
+	dilate        bool
+	val           []float64 // wedge values, ring indexed by counter&mask
+	pos           []uint32  // their input positions, mod 2^32
+	head, tail    int       // the wedge occupies ring counters [head, tail)
+	n             int       // inputs consumed
 }
 
-// NewStreamErode returns a streaming erosion with a flat element of the
-// given length, aligned with Erode.
-func NewStreamErode(length int) *StreamMorph {
-	if length < 1 {
-		length = 1
+// newWedge returns the stage aligned with Erode (dilate false) or Dilate
+// for a flat element of the given length.
+func newWedge(length int, dilate bool) wedge {
+	size := nextPow2(length)
+	return wedge{
+		length: length, right: length - 1 - length/2, dilate: dilate,
+		val: make([]float64, size),
+		pos: make([]uint32, size),
 	}
-	return &StreamMorph{ex: newStreamExtremum(length, false), right: length - 1 - length/2}
 }
 
-// NewStreamDilate returns a streaming dilation aligned with Dilate.
-func NewStreamDilate(length int) *StreamMorph {
-	if length < 1 {
-		length = 1
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
 	}
-	return &StreamMorph{ex: newStreamExtremum(length, true), right: length - 1 - length/2}
+	return p
 }
 
-// Delay returns how many input samples arrive before output sample 0.
-func (m *StreamMorph) Delay() int { return m.right }
-
-// Push consumes one sample. It returns the next output sample and true once
-// the pipeline has filled (after Delay() samples), or 0 and false before.
-// Note the border semantics differ from the batch operator only in the first
-// Delay() outputs (the batch version shrinks its window at the left border;
-// the stream has no access to "future" samples and therefore emits the
-// trailing-window result there).
-func (m *StreamMorph) Push(x float64) (float64, bool) {
-	v := m.ex.Push(x)
-	m.n++
-	if m.n <= m.right {
-		return 0, false
+// pass runs the stage in place over x and returns how many outputs it wrote
+// to the front of x: one per input, less the first right inputs the stage
+// ever sees. Ties keep the newest sample, as in tap3.
+//
+//rpbeat:allocfree
+func (w *wedge) pass(x []float64) int {
+	mask := len(w.val) - 1
+	val, pos := w.val, w.pos
+	length := uint32(w.length)
+	head, tail, n, k := w.head, w.tail, w.n, 0
+	for _, v := range x {
+		// Expire the front once it leaves the window of input n. The wedge
+		// is empty only before the first input, whose zeroed slot reads as
+		// position 0, inside that window.
+		if uint32(n)-pos[head&mask] >= length {
+			head++
+		}
+		if w.dilate {
+			for tail != head && v >= val[(tail-1)&mask] {
+				tail--
+			}
+		} else {
+			for tail != head && v <= val[(tail-1)&mask] {
+				tail--
+			}
+		}
+		val[tail&mask], pos[tail&mask] = v, uint32(n)
+		tail++
+		n++
+		if n > w.right {
+			x[k] = val[head&mask]
+			k++
+		}
 	}
-	return v, true
+	w.head, w.tail, w.n = head, tail, n
+	return k
 }

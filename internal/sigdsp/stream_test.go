@@ -1,74 +1,108 @@
 package sigdsp
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"rpbeat/internal/rng"
 )
 
+// runStage feeds x through an in-place stage pass in chunks of the given
+// sizes (cycled) and returns everything it emitted.
+func runStage(pass func([]float64) int, x []float64, sizes ...int) []float64 {
+	var out []float64
+	for off, c := 0, 0; off < len(x); c++ {
+		end := min(off+sizes[c%len(sizes)], len(x))
+		chunk := append([]float64(nil), x[off:end]...)
+		out = append(out, chunk[:pass(chunk)]...)
+		off = end
+	}
+	return out
+}
+
+// tieSignal is quantized to a few levels, both zeros included, so equal
+// samples are common and a tie rule that kept the wrong one would show in
+// the bits.
+func tieSignal(r *rng.Rand, n int) []float64 {
+	levels := []float64{-2, -1, math.Copysign(0, -1), 0, 1, 2}
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = levels[r.Intn(len(levels))]
+	}
+	return x
+}
+
+// newestExtremum is the extremum of w scanned oldest to newest, a tie going
+// to the newer sample.
+func newestExtremum(w []float64, dilate bool) float64 {
+	best := w[0]
+	for _, v := range w[1:] {
+		if (dilate && v >= best) || (!dilate && v <= best) {
+			best = v
+		}
+	}
+	return best
+}
+
+// The wedge with no output lag is the plain trailing-window extremum, ties
+// to the newest sample; the window is shorter during warm-up.
 func TestStreamExtremumMatchesTrailingWindow(t *testing.T) {
 	r := rng.New(1)
-	for _, length := range []int{1, 2, 3, 7, 32} {
-		x := randomSignal(r, 300)
-		sMax := NewStreamMax(length)
-		sMin := NewStreamMin(length)
-		for i := range x {
-			gotMax := sMax.Push(x[i])
-			gotMin := sMin.Push(x[i])
-			lo := i - length + 1
-			if lo < 0 {
-				lo = 0
+	for length := 1; length <= 200; length++ {
+		x := tieSignal(r, 3*length+50)
+		for _, dilate := range []bool{false, true} {
+			w := newWedge(length, dilate)
+			w.right = 0
+			got := runStage(w.pass, x, 1+length%7, 64, 3)
+			if len(got) != len(x) {
+				t.Fatalf("len %d: emitted %d samples, want %d", length, len(got), len(x))
 			}
-			wantMax, wantMin := x[lo], x[lo]
-			for j := lo + 1; j <= i; j++ {
-				if x[j] > wantMax {
-					wantMax = x[j]
+			for i, v := range got {
+				want := newestExtremum(x[max(0, i-length+1):i+1], dilate)
+				if math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("len %d dilate %v sample %d: %v want %v", length, dilate, i, v, want)
 				}
-				if x[j] < wantMin {
-					wantMin = x[j]
-				}
-			}
-			if gotMax != wantMax {
-				t.Fatalf("len %d sample %d: max %v want %v", length, i, gotMax, wantMax)
-			}
-			if gotMin != wantMin {
-				t.Fatalf("len %d sample %d: min %v want %v", length, i, gotMin, wantMin)
 			}
 		}
 	}
 }
 
+// morphStage is the streaming form of Erode (dilate false) or Dilate with
+// a flat element of the given length, as StreamECGFilter builds it: the
+// fused 3-tap stage for the noise element, a wedge otherwise.
+func morphStage(length int, dilate bool) (pass func([]float64) int, delay int) {
+	if length == NoiseElem {
+		s := &tap3{dilate: dilate}
+		return s.pass, 1
+	}
+	w := newWedge(length, dilate)
+	return w.pass, w.right
+}
+
+// The centered stages equal the batch operators bitwise from sample 0 (the
+// trailing window over the first samples covers exactly the batch
+// operator's shrunken window) and emit all but their last Delay() outputs.
 func TestStreamMorphMatchesBatchAfterWarmup(t *testing.T) {
 	r := rng.New(2)
-	for _, length := range []int{3, 5, 9, 31} {
-		x := randomSignal(r, 400)
-		batchE := Erode(x, length)
-		batchD := Dilate(x, length)
-		sm := NewStreamErode(length)
-		sd := NewStreamDilate(length)
-		var gotE, gotD []float64
-		for _, v := range x {
-			if o, ok := sm.Push(v); ok {
-				gotE = append(gotE, o)
-			}
-			if o, ok := sd.Push(v); ok {
-				gotD = append(gotD, o)
-			}
-		}
-		// Output i corresponds to input i; the stream cannot produce the
-		// final Delay() samples (their windows need future input) and its
-		// first Delay() outputs use a trailing (not centered) window.
-		warm := length // covers the left-border semantic difference
-		if len(gotE) != len(x)-sm.Delay() {
-			t.Fatalf("len %d: stream emitted %d samples, want %d", length, len(gotE), len(x)-sm.Delay())
-		}
-		for i := warm; i < len(gotE); i++ {
-			if gotE[i] != batchE[i] {
-				t.Fatalf("len %d: erosion sample %d: stream %v batch %v", length, i, gotE[i], batchE[i])
-			}
-			if gotD[i] != batchD[i] {
-				t.Fatalf("len %d: dilation sample %d: stream %v batch %v", length, i, gotD[i], batchD[i])
+	for _, length := range []int{3, 5, 9, 31, 73, 109} {
+		for name, x := range map[string][]float64{"random": randomSignal(r, 400), "ties": tieSignal(r, 400)} {
+			for _, dilate := range []bool{false, true} {
+				want := Erode(x, length)
+				if dilate {
+					want = Dilate(x, length)
+				}
+				pass, delay := morphStage(length, dilate)
+				got := runStage(pass, x, 1, 2, 63, 64, 65)
+				if len(got) != len(x)-delay {
+					t.Fatalf("len %d: emitted %d samples, want %d", length, len(got), len(x)-delay)
+				}
+				for i, v := range got {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("len %d %s dilate %v sample %d: stream %v batch %v",
+							length, name, dilate, i, v, want[i])
+					}
+				}
 			}
 		}
 	}
@@ -80,14 +114,9 @@ func TestStreamMorphPropertyEquivalence(t *testing.T) {
 		length := 3 + r.Intn(20)
 		x := randomSignal(r, 100+r.Intn(100))
 		batch := Erode(x, length)
-		s := NewStreamErode(length)
-		var got []float64
-		for _, v := range x {
-			if o, ok := s.Push(v); ok {
-				got = append(got, o)
-			}
-		}
-		for i := length; i < len(got); i++ {
+		pass, _ := morphStage(length, false)
+		got := runStage(pass, x, 1+r.Intn(70), 1+r.Intn(70))
+		for i := range got {
 			if got[i] != batch[i] {
 				return false
 			}
@@ -100,16 +129,19 @@ func TestStreamMorphPropertyEquivalence(t *testing.T) {
 }
 
 func TestStreamExtremumBoundedMemory(t *testing.T) {
-	s := NewStreamMax(16)
-	ring := &s.idx[0]
+	w := newWedge(16, true)
+	w.right = 0
+	ring := &w.val[0]
 	r := rng.New(9)
+	var x [1]float64
 	for i := 0; i < 10000; i++ {
-		s.Push(r.Norm())
-		if s.count > 16 {
-			t.Fatalf("deque holds %d entries for a 16-sample window", s.count)
+		x[0] = r.Norm()
+		w.pass(x[:])
+		if w.tail-w.head > 16 {
+			t.Fatalf("wedge holds %d entries for a 16-sample window", w.tail-w.head)
 		}
 	}
-	if &s.idx[0] != ring {
-		t.Fatal("deque ring was reallocated; Push must not allocate")
+	if &w.val[0] != ring || len(w.val) != 16 {
+		t.Fatal("wedge ring was reallocated; a pass must not allocate")
 	}
 }

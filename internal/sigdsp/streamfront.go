@@ -1,70 +1,57 @@
 package sigdsp
 
-// Streaming versions of the two remaining batch front-end operators: the
-// complete ECG filter (noise suppression + baseline removal, the software
-// equivalent of FilterECG) and the à trous dyadic wavelet transform that
-// feeds R-peak detection. Together with StreamMorph these make the entire
-// sub-system (1) front end runnable one ADC sample at a time with bounded
-// memory — the substrate of internal/pipeline.
+// Streaming versions of the two batch front-end operators: the complete ECG
+// filter (noise suppression + baseline removal, the software equivalent of
+// FilterECG) and the à trous dyadic wavelet transform that feeds R-peak
+// detection. Together they make the entire sub-system (1) front end
+// runnable a block of ADC samples at a time with bounded memory — the
+// substrate of internal/pipeline.
 //
 // Bit-identity contract: every operator here reproduces its batch
 // counterpart exactly — including the left signal border, where the batch
 // operators shrink their windows (a trailing window over the first samples
 // covers exactly the same clipped range) or replicate the edge sample
-// (StreamDWT memoizes the first sample of each level). The only divergence
-// is the right border: a stream cannot see future samples, so the final
-// Delay() outputs of a record are never emitted and must be handled by the
-// caller's flush policy.
+// (StreamDWT prefills each level's history with its first sample) — and
+// its output does not depend on how the input is split into chunks. The
+// only divergence is the right border: a stream cannot see future samples,
+// so the final Delay() outputs of a record are never emitted and must be
+// handled by the caller's flush policy.
 
 // StreamECGFilter is the streaming form of FilterECG: morphological noise
 // suppression (the averaged open-close / close-open pair) followed by
-// baseline-wander removal, with the raw-path delay line needed to align the
-// final subtraction. Output sample i is emitted after input sample
-// i + Delay() arrives and is bit-identical to FilterECG(x, cfg)[i].
+// baseline-wander removal, with the delay line that aligns the final
+// subtraction. Output sample i is emitted with input sample i + Delay() and
+// is bit-identical to FilterECG(x, cfg)[i].
 type StreamECGFilter struct {
-	// Noise suppression: two parallel 4-stage chains over the same input.
-	// oc = Close(Open(x,k),k) = Erode,Dilate,Dilate,Erode;
+	// Noise suppression: two parallel chains of four 3-sample stages over
+	// the same input. oc = Close(Open(x,k),k) = Erode,Dilate,Dilate,Erode;
 	// co = Open(Close(x,k),k) = Dilate,Erode,Erode,Dilate.
-	oc, co []*StreamMorph
+	oc, co [4]tap3
 	// Baseline estimation over the suppressed signal:
 	// Close(Open(y,OpenLen),CloseLen) = Erode,Dilate (open) then
 	// Dilate,Erode (close).
-	base []*StreamMorph
-	// supRing delays the suppressed signal by the baseline-cascade delay so
-	// the subtraction y - baseline is index-aligned.
-	supRing []float64
-	supN    int
-	baseDel int
-	total   int
+	base [4]wedge
+	// sup delays the suppressed signal by the baseline cascade's delay so
+	// the subtraction y - baseline is index-aligned: a ring of exactly that
+	// many samples, whose slot at supAt holds the sample that far back.
+	sup   []float64
+	supAt int
+	total int
 }
 
 // NewStreamECGFilter builds the streaming front end for cfg.
 func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
-	const k = NoiseElem
-	openL, closeL := cfg.OpenLen(), cfg.CloseLen()
+	ol, cl := cfg.OpenLen(), cfg.CloseLen()
 	f := &StreamECGFilter{
-		oc: []*StreamMorph{
-			NewStreamErode(k), NewStreamDilate(k),
-			NewStreamDilate(k), NewStreamErode(k),
-		},
-		co: []*StreamMorph{
-			NewStreamDilate(k), NewStreamErode(k),
-			NewStreamErode(k), NewStreamDilate(k),
-		},
-		base: []*StreamMorph{
-			NewStreamErode(openL), NewStreamDilate(openL),
-			NewStreamDilate(closeL), NewStreamErode(closeL),
-		},
+		oc:   [4]tap3{{}, {dilate: true}, {dilate: true}, {}},
+		co:   [4]tap3{{dilate: true}, {}, {}, {dilate: true}},
+		base: [4]wedge{newWedge(ol, false), newWedge(ol, true), newWedge(cl, true), newWedge(cl, false)},
 	}
-	for _, s := range f.base {
-		f.baseDel += s.Delay()
+	for _, w := range f.base {
+		f.total += w.right
 	}
-	noiseDel := 0
-	for _, s := range f.oc {
-		noiseDel += s.Delay()
-	}
-	f.total = noiseDel + f.baseDel
-	f.supRing = make([]float64, f.baseDel+1)
+	f.sup = make([]float64, f.total)
+	f.total += len(f.oc) // one sample per 3-sample stage
 	return f
 }
 
@@ -72,159 +59,209 @@ func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
 // once input sample i+Delay() has been consumed.
 func (f *StreamECGFilter) Delay() int { return f.total }
 
-func pushChain(stages []*StreamMorph, x float64) (float64, bool) {
-	v, ok := x, true
-	for _, s := range stages {
-		v, ok = s.Push(v)
-		if !ok {
-			return 0, false
+// PushChunk consumes the raw samples src and writes the filtered samples
+// they complete to the front of dst, returning how many: one per input once
+// the cascade has filled (the first Delay() inputs complete none), in
+// order. dst needs room for len(src) samples and may be src itself. The
+// work runs Block samples at a time through stack buffers, so the filter's
+// own state is all it keeps between calls.
+//
+//rpbeat:allocfree
+func (f *StreamECGFilter) PushChunk(dst, src []float64) int {
+	out := 0
+	for len(src) > 0 {
+		m := min(len(src), Block)
+		var a, b [Block]float64
+		copy(a[:m], src[:m])
+		copy(b[:m], src[:m])
+		src = src[m:]
+		// Noise suppression: oc in a, co in b. Both chains run four
+		// one-sample stages, so they always emit equally many samples.
+		k := m
+		for i := range f.oc {
+			f.co[i].pass(b[:k])
+			k = f.oc[i].pass(a[:k])
 		}
+		for i := range a[:k] {
+			a[i] = 0.5 * (a[i] + b[i])
+		}
+		// The baseline cascade runs over a copy of the suppressed signal in
+		// b, while the delay line swaps each suppressed sample in a for the
+		// one len(f.sup) samples older.
+		copy(b[:k], a[:k])
+		ring, at := f.sup, f.supAt
+		for i := range a[:k] {
+			a[i], ring[at] = ring[at], a[i]
+			at++
+			if at == len(ring) {
+				at = 0
+			}
+		}
+		f.supAt = at
+		n := k
+		for i := range f.base {
+			n = f.base[i].pass(b[:n])
+		}
+		// The n baseline samples belong to the last n delayed samples; the
+		// ones before them are the delay line's warm-up.
+		for i, bl := range b[:n] {
+			dst[out+i] = a[k-n+i] - bl
+		}
+		out += n
 	}
-	return v, true
+	return out
 }
 
 // Push consumes one raw sample and, once the cascade is primed, emits one
-// filtered sample (aligned to input index n - Delay()).
+// filtered sample (aligned to input index n - Delay()). It is PushChunk
+// over a one-sample chunk.
 func (f *StreamECGFilter) Push(x float64) (float64, bool) {
-	a, okA := pushChain(f.oc, x)
-	b, okB := pushChain(f.co, x)
-	if !okA || !okB { // the chains share stage lengths, so okA == okB
+	one := [1]float64{x}
+	if f.PushChunk(one[:], one[:]) == 0 {
 		return 0, false
 	}
-	sup := 0.5 * (a + b)
-
-	m := f.supN
-	f.supRing[m%len(f.supRing)] = sup
-	f.supN++
-	bl, ok := pushChain(f.base, sup)
-	if !ok {
-		return 0, false
-	}
-	i := m - f.baseDel
-	return f.supRing[i%len(f.supRing)] - bl, true
+	return one[0], true
 }
 
-// streamDWTLevel computes one à trous level as a stream: given the level's
-// approximation signal a (arriving one sample at a time), it emits the
-// recentered detail sample w[i] and the next-level approximation sample,
-// reproducing AtrousDWT exactly (the left border replicates a[0]; the right
-// border is never reached by a stream).
-type streamDWTLevel struct {
-	gap, half int
-	buf       []float64
-	n         int // input samples consumed
-	out       int // next output index
-	first     float64
-	hasFirst  bool
-}
-
-func newStreamDWTLevel(level int) *streamDWTLevel {
-	gap := 1 << level
-	return &streamDWTLevel{gap: gap, half: gap / 2, buf: make([]float64, 4*gap)}
-}
-
-// delay returns how many extra inputs must arrive before output i exists.
-func (l *streamDWTLevel) delay() int { return l.half + 2*l.gap }
-
-func (l *streamDWTLevel) push(a float64) (w, next float64, ok bool) {
-	if !l.hasFirst {
-		l.first, l.hasFirst = a, true
-	}
-	l.buf[l.n%len(l.buf)] = a
-	l.n++
-
-	i := l.out
-	if i+l.half+2*l.gap >= l.n {
-		return 0, 0, false
-	}
-	at := func(j int) float64 {
-		if j < 0 {
-			return l.first
-		}
-		return l.buf[j%len(l.buf)]
-	}
-	am := at(i + l.half - l.gap)
-	a0 := at(i + l.half)
-	ap := at(i + l.half + l.gap)
-	app := at(i + l.half + 2*l.gap)
-	l.out++
-	// Same expressions as AtrousDWT (recentered by half up front).
-	return 2 * (ap - a0), (am + 3*a0 + 3*ap + app) / 8, true
-}
-
-// StreamDWT is the streaming à trous transform: it consumes one input sample
-// per Push and, after Delay() samples of warm-up, emits the detail samples
-// W[0..levels-1][i] for one index i per call, bit-identical to
-// AtrousDWT(x, levels').W[j][i] for any levels' >= levels (deeper levels do
-// not affect shallower ones).
+// StreamDWT is the streaming à trous transform: after Delay() inputs of
+// warm-up, each input sample completes the detail samples W[0..levels-1][i]
+// of one more index i, bit-identical to AtrousDWT(x, levels').W[j][i] for
+// any levels' >= levels (deeper levels do not affect shallower ones).
+//
+// Each level keeps a power-of-two ring of its own input (the previous
+// level's approximation), sized so that a block's aligned detail samples
+// can be read back from it once the deepest level has caught up: no level
+// buffers its detail output.
 type StreamDWT struct {
-	levels []*streamDWTLevel
-	// fifo[j] holds detail samples level j has produced but that are not yet
-	// aligned with the deeper (slower) levels; head[j] is its logical front.
-	fifo [][]float64
-	head []int
-	out  []float64
-	n    int // aligned output samples emitted
+	levels []dwtLevel
+	delay  int
+	n      int // input samples consumed
+
+	out  []float64   // Push's result
+	outs [][]float64 // Push's one-sample destinations, views of out
+}
+
+// dwtLevel is one à trous level: its output i (detail and next
+// approximation) needs its input i+delay.
+type dwtLevel struct {
+	gap, half, delay int
+	ring             []float64 // the level's input, indexed by position&mask
+	n                int       // input samples consumed
 }
 
 // NewStreamDWT builds a streaming transform with the given number of detail
 // levels (>= 1).
 func NewStreamDWT(levels int) *StreamDWT {
-	if levels < 1 {
-		levels = 1
-	}
+	levels = max(levels, 1)
 	d := &StreamDWT{
-		levels: make([]*streamDWTLevel, levels),
-		fifo:   make([][]float64, levels),
-		head:   make([]int, levels),
+		levels: make([]dwtLevel, levels),
 		out:    make([]float64, levels),
+		outs:   make([][]float64, levels),
 	}
 	for j := range d.levels {
-		d.levels[j] = newStreamDWTLevel(j)
+		gap := 1 << j
+		d.levels[j] = dwtLevel{gap: gap, half: gap / 2, delay: gap/2 + 2*gap}
+		d.delay += d.levels[j].delay
+		d.outs[j] = d.out[j : j+1]
+	}
+	// Level j's ring must hold, at the end of a block, the input from which
+	// the block's first aligned detail sample is read: its newest input is
+	// the deeper levels' delays plus one block ahead of that sample. It
+	// must also keep the first-sample prefill standing in for the inputs
+	// before 0 until the level's first outputs have read them.
+	ahead := d.delay
+	for j := range d.levels {
+		l := &d.levels[j]
+		l.ring = make([]float64, nextPow2(max(ahead-l.half+Block, 4*l.gap+1)))
+		ahead -= l.delay
 	}
 	return d
 }
 
 // Delay returns the total warm-up: detail index i for every level is
 // available once input sample i+Delay() has been consumed.
-func (d *StreamDWT) Delay() int {
-	total := 0
-	for _, l := range d.levels {
-		total += l.delay()
+func (d *StreamDWT) Delay() int { return d.delay }
+
+// InputsFor returns how many more input samples complete the next k
+// aligned detail indices.
+func (d *StreamDWT) InputsFor(k int) int { return k + max(0, d.delay-d.n) }
+
+// PushChunk consumes x and writes the detail samples it completes: the
+// c-th index completed by this call goes to dst[j][c] for every level j
+// (len(dst) == levels; a nil dst[j] skips level j). It returns how many
+// indices x completed — one per input once Delay() inputs have been
+// consumed, so each dst[j] needs room for len(x) samples at most.
+//
+//rpbeat:allocfree
+func (d *StreamDWT) PushChunk(dst [][]float64, x []float64) int {
+	last := len(d.levels) - 1
+	done := 0
+	for len(x) > 0 {
+		m := min(len(x), Block)
+		in := x[:m]
+		x = x[m:]
+		d.n += m
+		// Each level but the deepest turns its input block into the next
+		// level's, ping-ponging between two stack buffers; the deepest
+		// only counts the indices its inputs complete.
+		var buf [2][Block]float64
+		k := 0
+		for j := range d.levels {
+			l := &d.levels[j]
+			ring, mask, n, gap := l.ring, len(l.ring)-1, l.n, l.gap
+			if n == 0 && len(in) > 0 {
+				for i := range ring { // stands in for the inputs before 0
+					ring[i] = in[0]
+				}
+			}
+			next := &buf[j&1]
+			k = 0
+			for _, v := range in {
+				ring[n&mask] = v
+				n++
+				if n <= l.delay {
+					continue
+				}
+				if j < last {
+					// AtrousDWTInto's lowpass at c = i+half, where c+2*gap
+					// is the input just written.
+					c := n - 1 - 2*gap
+					next[k] = (ring[(c-gap)&mask] + 3*ring[c&mask] +
+						3*ring[(c+gap)&mask] + ring[(c+2*gap)&mask]) / 8
+				}
+				k++
+			}
+			l.n = n
+			in = next[:k]
+		}
+		// The deepest level's k outputs are the indices this block aligned;
+		// read every level's detail at them back from its ring, with
+		// AtrousDWTInto's highpass.
+		end := d.levels[last].n - d.levels[last].delay
+		for j, w := range dst {
+			if w == nil {
+				continue
+			}
+			l := &d.levels[j]
+			ring, mask := l.ring, len(l.ring)-1
+			c, out := end-k+l.half, w[done:done+k]
+			for o := range out {
+				out[o] = 2 * (ring[(c+o+l.gap)&mask] - ring[(c+o)&mask])
+			}
+		}
+		done += k
 	}
-	return total
+	return done
 }
 
 // Push consumes one input sample. Once all levels have produced detail
 // sample i it returns the slice [W0[i], W1[i], ...] and true. The returned
-// slice is reused by the next call; copy it to retain.
+// slice is reused by the next call; copy it to retain. It is PushChunk over
+// a one-sample chunk.
 func (d *StreamDWT) Push(x float64) ([]float64, bool) {
-	v := x
-	for j, l := range d.levels {
-		w, next, ok := l.push(v)
-		if !ok {
-			break
-		}
-		d.fifo[j] = append(d.fifo[j], w)
-		v = next
+	one := [1]float64{x}
+	if d.PushChunk(d.outs, one[:]) == 0 {
+		return nil, false
 	}
-	for j := range d.levels {
-		if d.head[j] >= len(d.fifo[j]) {
-			return nil, false
-		}
-	}
-	for j := range d.levels {
-		d.out[j] = d.fifo[j][d.head[j]]
-		d.head[j]++
-		// Compact drained FIFOs so they stay bounded.
-		if d.head[j] == len(d.fifo[j]) {
-			d.fifo[j] = d.fifo[j][:0]
-			d.head[j] = 0
-		} else if d.head[j] > 64 {
-			d.fifo[j] = append(d.fifo[j][:0], d.fifo[j][d.head[j]:]...)
-			d.head[j] = 0
-		}
-	}
-	d.n++
 	return d.out, true
 }
