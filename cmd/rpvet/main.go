@@ -1,8 +1,9 @@
 // Command rpvet is the repo's multichecker: it runs the stock `go vet`
 // passes (as a subprocess, when a go toolchain is on PATH) and then the
-// four rpbeat invariant analyzers — allocfree, apierrcheck, poolcheck,
-// snapshotcheck — over the module's packages, exiting nonzero on any
-// diagnostic. CI runs it before the test tiers so an invariant violation
+// five rpbeat invariant analyzers — allocfree, apierrcheck, deadcode,
+// poolcheck, snapshotcheck — over the module's packages, exiting nonzero on
+// any diagnostic. deadcode always covers the whole module, whatever the
+// patterns. CI runs it before the test tiers so an invariant violation
 // fails fast:
 //
 //	go run ./cmd/rpvet ./...
@@ -28,6 +29,7 @@ import (
 	"rpbeat/internal/analysis"
 	"rpbeat/internal/analysis/allocfree"
 	"rpbeat/internal/analysis/apierrcheck"
+	"rpbeat/internal/analysis/deadcode"
 	"rpbeat/internal/analysis/poolcheck"
 	"rpbeat/internal/analysis/snapshotcheck"
 )
@@ -35,6 +37,7 @@ import (
 var analyzers = []*analysis.Analyzer{
 	allocfree.Analyzer,
 	apierrcheck.Analyzer,
+	deadcode.Analyzer,
 	poolcheck.Analyzer,
 	snapshotcheck.Analyzer,
 }
@@ -91,21 +94,34 @@ func run(patterns []string, novet bool) error {
 		}
 	}
 
-	paths, err := analysis.ExpandPatterns(modPath, root, patterns)
+	// The per-package analyzers check the packages the patterns name;
+	// deadcode checks the whole module, whatever the patterns.
+	loader := analysis.NewLoader(modPath, root)
+	load := func(patterns []string) ([]*analysis.Package, error) {
+		paths, err := analysis.ExpandPatterns(modPath, root, patterns)
+		if err != nil {
+			return nil, err
+		}
+		pkgs := make([]*analysis.Package, 0, len(paths))
+		for _, p := range paths {
+			pkg, err := loader.Load(p)
+			if err != nil {
+				return nil, fmt.Errorf("loading %s: %w", p, err)
+			}
+			pkgs = append(pkgs, pkg)
+		}
+		return pkgs, nil
+	}
+	pkgs, err := load(patterns)
 	if err != nil {
 		return err
 	}
-	loader := analysis.NewLoader(modPath, root)
-	var pkgs []*analysis.Package
-	for _, p := range paths {
-		pkg, err := loader.Load(p)
-		if err != nil {
-			return fmt.Errorf("loading %s: %w", p, err)
-		}
-		pkgs = append(pkgs, pkg)
+	module, err := load(nil)
+	if err != nil {
+		return err
 	}
 
-	diags, err := analysis.RunAnalyzers(analyzers, pkgs)
+	diags, err := analysis.RunAnalyzers(analyzers, pkgs, module)
 	if err != nil {
 		return err
 	}

@@ -46,6 +46,10 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports diagnostics through the pass.
 	Run func(*Pass) error
+	// Module marks a whole-module analyzer: Run is called once, with
+	// Pass.Module holding every package of the module and Pass.Files every
+	// file of them (Pkg and TypesInfo are nil).
+	Module bool
 }
 
 // Pass carries one analyzed package into an Analyzer's Run.
@@ -55,6 +59,7 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	Module    []*Package // every package of the module, for a Module analyzer
 
 	diags []Diagnostic
 }
@@ -66,6 +71,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// Allowed reports whether a //rpvet:allow comment for the pass's analyzer
+// waives pos, the way it would waive a diagnostic reported there.
+func (p *Pass) Allowed(pos token.Pos) bool {
+	return suppressed(p.Fset, p.Files, Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name})
 }
 
 // Diagnostic is one reported invariant violation.
@@ -107,12 +118,37 @@ func suppressed(fset *token.FileSet, files []*ast.File, d Diagnostic) bool {
 	return false
 }
 
-// RunAnalyzers applies every analyzer to every package, drops suppressed
-// diagnostics and returns the rest in file/line order.
-func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
+// RunAnalyzers applies every per-package analyzer to every package of pkgs
+// and every Module analyzer once to module, drops suppressed diagnostics
+// and returns the rest in file/line order.
+func RunAnalyzers(analyzers []*Analyzer, pkgs, module []*Package) ([]Diagnostic, error) {
 	var out []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+	run := func(pass *Pass, what string) error {
+		if err := pass.Analyzer.Run(pass); err != nil {
+			return fmt.Errorf("%s on %s: %w", pass.Analyzer.Name, what, err)
+		}
+		for _, d := range pass.diags {
+			if !suppressed(pass.Fset, pass.Files, d) {
+				out = append(out, d)
+			}
+		}
+		return nil
+	}
+	for _, a := range analyzers {
+		if a.Module {
+			if len(module) == 0 {
+				continue
+			}
+			pass := &Pass{Analyzer: a, Fset: module[0].Fset, Module: module}
+			for _, pkg := range module {
+				pass.Files = append(pass.Files, pkg.Files...)
+			}
+			if err := run(pass, "the module"); err != nil {
+				return out, err
+			}
+			continue
+		}
+		for _, pkg := range pkgs {
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -120,13 +156,8 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) 
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 			}
-			if err := a.Run(pass); err != nil {
-				return out, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-			}
-			for _, d := range pass.diags {
-				if !suppressed(pkg.Fset, pkg.Files, d) {
-					out = append(out, d)
-				}
+			if err := run(pass, pkg.Path); err != nil {
+				return out, err
 			}
 		}
 	}

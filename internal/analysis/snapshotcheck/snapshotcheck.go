@@ -1,9 +1,9 @@
 // Package snapshotcheck guards the copy-on-write publication discipline:
 // once a value is published through atomic.Pointer.Store (the catalog's
-// snapshots, the gateway's backend ring), concurrent readers hold it
-// lock-free, so any subsequent write through the published pointer is a
-// data race — the whole point of copy-on-write is that published values
-// are frozen and mutation happens on a fresh copy before the next Store.
+// snapshots), concurrent readers hold it lock-free, so any subsequent write
+// through the published pointer is a data race — the whole point of
+// copy-on-write is that published values are frozen and mutation happens
+// on a fresh copy before the next Store.
 package snapshotcheck
 
 import (

@@ -39,8 +39,8 @@ const (
 	Train2V        = 892
 	Train2L        = 1084
 	TestN          = 74355
-	TestV          = 6618
-	TestL          = 8039
+	TestV          = 6618 //rpvet:allow deadcode -- Table I: TestInventoryMatchesTableI checks the synthesized totals against it
+	TestL          = 8039 //rpvet:allow deadcode -- Table I: TestInventoryMatchesTableI checks the synthesized totals against it
 )
 
 // Beat is one windowed heartbeat.
@@ -320,6 +320,8 @@ func (ds *Dataset) Labels(indices []int) []uint8 {
 }
 
 // Validate checks invariants (window sizes, class sanity, split overlap).
+//
+//rpvet:allow deadcode -- reference: TestBuildSmallValid and TestFullScaleComposition check Build's output with it
 func (ds *Dataset) Validate() error {
 	if len(ds.Beats) == 0 {
 		return errors.New("beatset: empty dataset")

@@ -190,6 +190,7 @@ func (p *Params) gate(f [nfc.NumClasses]uint32, d nfc.Decision) nfc.Decision {
 // coefficients, with caller-owned code scratch of length Words(K).
 //
 //rpbeat:allocfree
+//rpvet:allow deadcode -- reference: TestFusedKernelMatchesReference and TestBitembKernelSpeedupFloor compare the fused kernel against it
 func (p *Params) ClassifyInto(u []int32, alpha fixp.AlphaQ15, code []uint64) nfc.Decision {
 	p.PackInto(u, code)
 	return p.ClassifyCode(code, alpha)

@@ -306,6 +306,8 @@ func (m *Model) Evaluate(ds *beatset.Dataset, idx []int) []metrics.Eval {
 
 // Classify runs the float pipeline on one beat window (already downsampled
 // to length D) at the given α.
+//
+//rpvet:allow deadcode -- float reference: BenchmarkKernel_FloatClassifierPerBeat prices the float pipeline against the integer heads
 func (m *Model) Classify(window []float64, alpha float64) nfc.Decision {
 	return m.MF.Classify(m.P.Project(window), alpha)
 }

@@ -79,11 +79,6 @@ func (s *Scratch) Grow(e *Embedded) {
 	}
 }
 
-// MemoryBytes reports the scratch footprint.
-func (s *Scratch) MemoryBytes() int {
-	return 4*len(s.U) + 2*len(s.Grades) + 8*len(s.Code) + 4*len(s.Pre)
-}
-
 // Quantize converts the model for embedded execution with the given
 // membership shape (MFLinear for deployment; MFTriangular and MFGaussianRef
 // exist for the Figure 4/5 comparisons). For KindBitemb models the shape is

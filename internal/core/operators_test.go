@@ -29,10 +29,11 @@ func TestCrossoverInheritsWholeRows(t *testing.T) {
 	for row := 0; row < 6; row++ {
 		fromA, fromB := true, true
 		for c := 0; c < 40; c++ {
-			if child.At(row, c) != a.At(row, c) {
+			i := row*40 + c
+			if child.El[i] != a.El[i] {
 				fromA = false
 			}
-			if child.At(row, c) != b.At(row, c) {
+			if child.El[i] != b.El[i] {
 				fromB = false
 			}
 		}

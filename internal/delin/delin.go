@@ -60,22 +60,13 @@ type Config struct {
 	Fs float64 // sampling frequency; default 360
 }
 
-// DelineateLead delineates every beat of one filtered (baseline-free) lead
-// given the detected R-peak positions. The lead is rectified first so that
-// inverted waves (discordant T in LBBB/PVC beats, Q/S deflections) present
-// the same corner geometry as upright ones: onsets/ends are concave corners
-// (MMD maxima) and wave apexes convex peaks (MMD minima) of the envelope.
-func DelineateLead(x []float64, rPeaks []int, cfg Config) []Fiducials {
-	env := make([]float64, len(x))
-	for i, v := range x {
-		env[i] = math.Abs(v)
-	}
-	return delineate(env, rPeaks, cfg)
-}
-
-// DelineateMultiLead fuses the filtered leads (root sum of squares, which
-// rectifies and combines wave energy across projections) and delineates the
-// fused envelope. This is the 3-lead configuration of sub-system (2).
+// DelineateMultiLead fuses the filtered (baseline-free) leads (root sum of
+// squares, which rectifies and combines wave energy across projections) and
+// delineates the fused envelope, given the detected R-peak positions. This
+// is the 3-lead configuration of sub-system (2). Rectification gives
+// inverted waves (discordant T in LBBB/PVC beats, Q/S deflections) the same
+// corner geometry as upright ones: onsets/ends are concave corners (MMD
+// maxima) and wave apexes convex peaks (MMD minima) of the envelope.
 func DelineateMultiLead(leads [][]float64, rPeaks []int, cfg Config) []Fiducials {
 	if len(leads) == 0 {
 		return nil

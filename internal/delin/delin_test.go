@@ -114,7 +114,7 @@ func TestPWavePresenceByClass(t *testing.T) {
 
 func TestSingleLeadAgreesWithTruthOnQRS(t *testing.T) {
 	leads, peaks, _, truth := quietRecord(4, 60, 0, false)
-	fids := DelineateLead(leads[0], peaks, Config{Fs: 360})
+	fids := DelineateMultiLead(leads[:1], peaks, Config{Fs: 360})
 	const tol = 20
 	ok, n := 0, 0
 	for i, f := range fids {
@@ -186,7 +186,7 @@ func TestDelineateEmptyInputs(t *testing.T) {
 	if got := DelineateMultiLead(nil, []int{5}, Config{}); got != nil {
 		t.Fatal("no leads should give nil")
 	}
-	fids := DelineateLead([]float64{0, 0, 0}, []int{-5, 99}, Config{Fs: 360})
+	fids := DelineateMultiLead([][]float64{{0, 0, 0}}, []int{-5, 99}, Config{Fs: 360})
 	if len(fids) != 2 {
 		t.Fatalf("got %d fiducial sets", len(fids))
 	}

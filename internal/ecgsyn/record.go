@@ -22,11 +22,6 @@ type Fiducials struct {
 	TOn, TPeak, TOff     int
 }
 
-// NumFiducialPoints is the number of fiducial points reported per beat by the
-// delineation stage (3 waves x onset/peak/end), used for radio payload
-// accounting in the energy model.
-const NumFiducialPoints = 9
-
 // Record is a synthesized multi-lead ECG recording with beat annotations and
 // exact fiducial ground truth.
 type Record struct {

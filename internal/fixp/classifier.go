@@ -28,6 +28,8 @@ func AlphaToQ15(a float64) AlphaQ15 {
 }
 
 // Float converts back to a float α.
+//
+//rpvet:allow deadcode -- reference: TestDefuzzifyMatchesFloatRule runs the float decision rule at the quantized alpha
 func (a AlphaQ15) Float() float64 { return float64(a) / (1 << 15) }
 
 // Classifier is the integer neuro-fuzzy classifier deployed on the node:
@@ -173,22 +175,14 @@ func Defuzzify(f [NumClasses]uint32, alpha AlphaQ15) nfc.Decision {
 	return nfc.DecideU
 }
 
-// Classify runs the complete integer pipeline on projected coefficients.
-// It allocates a grade buffer per call; hot paths should preallocate one of
-// GradeBufLen() and use ClassifyInto.
-func (c *Classifier) Classify(u []int32, alpha AlphaQ15) nfc.Decision {
-	grades := make([]uint16, c.GradeBufLen())
-	c.Grades(u, grades)
-	return Defuzzify(Fuzzify(c.K, grades), alpha)
-}
-
 // GradeBufLen returns the length of the grade scratch buffer ClassifyInto
 // and FuzzyValues require (K*NumClasses), so callers can preallocate without
 // duplicating the layout rule.
 func (c *Classifier) GradeBufLen() int { return c.K * NumClasses }
 
-// ClassifyInto is Classify with a caller-provided grade buffer (length
-// GradeBufLen()), for the allocation-free hot path.
+// ClassifyInto runs the complete integer pipeline on projected
+// coefficients, with a caller-provided grade buffer of length
+// GradeBufLen(), for the allocation-free hot path.
 //
 //rpbeat:allocfree
 func (c *Classifier) ClassifyInto(u []int32, alpha AlphaQ15, grades []uint16) nfc.Decision {

@@ -12,8 +12,8 @@ import (
 func TestG1Value(t *testing.T) {
 	// g1 = 65535 * exp(-2.35^2/2) ≈ 65535 * 0.0632.
 	want := 65535 * math.Exp(-2.35*2.35/2)
-	if math.Abs(float64(G1())-want) > 1 {
-		t.Fatalf("g1 = %d, want ~%.0f", G1(), want)
+	if math.Abs(float64(g1)-want) > 1 {
+		t.Fatalf("g1 = %d, want ~%.0f", g1, want)
 	}
 }
 

@@ -32,10 +32,6 @@ const SOverSigma = 2.35
 // scaled to GradeMax: the knee between the two linear segments of Fig. 4.
 var g1 = uint16(math.Round(GradeMax * math.Exp(-SOverSigma*SOverSigma/2)))
 
-// G1 returns the linearization knee grade (exported for the Figure 4
-// experiment and for documentation).
-func G1() uint16 { return g1 }
-
 // MFKind selects the membership-function shape of an integer classifier.
 type MFKind uint8
 
@@ -162,6 +158,8 @@ func (m *IntMF) Eval(x int32) uint16 {
 
 // EvalFloat returns the ideal (float Gaussian) grade scaled to GradeMax,
 // used to measure the linearization error (Fig. 4).
+//
+//rpvet:allow deadcode -- reference: TestLinearMFApproximatesGaussian measures the linearization error against it
 func (m *IntMF) EvalFloat(x int32) float64 {
 	sigma := m.SigmaF
 	if sigma <= 0 {

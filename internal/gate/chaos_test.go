@@ -1,12 +1,11 @@
 package gate
 
-// Chaos suite for the gateway tier: backends die mid-stream, the pool
-// membership changes under live traffic, and the contract must hold. A
-// backend death is invisible — victim streams continue on a successor with
-// no error line, no lost or duplicated beat, and a done line accounting for
-// the whole record. Unaffected streams are beat-for-beat identical to a
-// direct-to-backend run and a full-stack Close leaks no goroutines. Run
-// under -race.
+// Chaos suite for the gateway tier: backends die mid-stream under live
+// traffic, and the contract must hold. A backend death is invisible —
+// victim streams continue on a successor with no error line, no lost or
+// duplicated beat, and a done line accounting for the whole record.
+// Unaffected streams are beat-for-beat identical to a direct-to-backend run
+// and a full-stack Close leaks no goroutines. Run under -race.
 
 import (
 	"bufio"
@@ -319,119 +318,5 @@ func TestChaosBackendKillNoSuccessor(t *testing.T) {
 	}
 	if got := s.gw.Status().Failovers; got != 0 {
 		t.Fatalf("%d failovers counted with no backend to fail over to", got)
-	}
-}
-
-// TestChaosMembershipRehash is the membership-change conformance test:
-// removing a backend moves exactly its keys (counted), an in-flight stream
-// pinned to the removed backend drains to completion beat-exact, and adding
-// a backend moves keys only onto the newcomer.
-func TestChaosMembershipRehash(t *testing.T) {
-	s := newGateStack(t, 3, serve.HandlerConfig{}, Config{})
-	defer s.Close()
-	s.gw.CheckNow(context.Background())
-
-	keys := testKeys(1000)
-	ownerOf := func() map[string]string {
-		out := make(map[string]string, len(keys))
-		for _, k := range keys {
-			owner, ok := s.gw.BackendFor(k)
-			if !ok {
-				t.Fatalf("no backend for %s", k)
-			}
-			out[k] = owner
-		}
-		return out
-	}
-	before := ownerOf()
-	removed := s.backends[2].ts.URL
-
-	// Pin a live stream to the backend about to leave: write the first of
-	// two frames, hold mid-stream across the membership change.
-	frame1 := mustFrame(t, testLead(6, 31))
-	frame2 := mustFrame(t, testLead(6, 32))
-	pinnedID := keysOwnedBy(t, s, removed, 1)[0]
-	ls := openStream(t, s.ts.Client(), s.ts.URL, pinnedID, frame1)
-
-	if err := s.gw.Remove(removed); err != nil {
-		t.Fatal(err)
-	}
-
-	// Conformance: exactly the removed backend's keys move, nobody else's.
-	after := ownerOf()
-	moved, wasRemoved := 0, 0
-	for _, k := range keys {
-		if before[k] == removed {
-			wasRemoved++
-			if after[k] == removed {
-				t.Fatalf("key %s still owned by removed backend", k)
-			}
-			continue
-		}
-		if after[k] != before[k] {
-			moved++
-			t.Errorf("key %s moved %s -> %s though its backend survived", k, before[k], after[k])
-		}
-	}
-	if moved != 0 {
-		t.Fatalf("%d keys moved off surviving backends, want 0", moved)
-	}
-	if fair := len(keys) / 3; wasRemoved < fair/2 || wasRemoved > fair*2 {
-		t.Errorf("removed backend owned %d keys, want ~%d", wasRemoved, fair)
-	}
-
-	// The pinned stream drains beat-exact through the removal: the relay
-	// holds the *backend, not the ring slot.
-	if _, err := ls.pw.Write(frame2); err != nil {
-		t.Fatalf("pinned stream write after removal: %v", err)
-	}
-	ls.pw.Close()
-	rest, err := io.ReadAll(ls.br)
-	if err != nil {
-		t.Fatalf("pinned stream drain: %v", err)
-	}
-	ls.resp.Body.Close()
-	ref := streamDirect(t, s.backends[2], append(append([]byte{}, frame1...), frame2...))
-	if !bytes.HasSuffix(ref, rest) || len(rest) >= len(ref) {
-		t.Fatalf("drained stream diverges from direct run\nrelayed tail: %q\ndirect:       %q", rest, ref)
-	}
-	for _, line := range bytes.SplitAfter(rest, []byte("\n")) {
-		if e := errLine(line); e != nil {
-			t.Fatalf("drained stream carries an error line: %q", line)
-		}
-	}
-
-	// A fresh request for the pinned id now lands on a survivor.
-	status, _, hdr := postBody(t, s.ts.Client(), http.MethodPost,
-		s.ts.URL+"/v1/classify", wire.ContentTypeSamples,
-		map[string]string{"X-Stream-Id": pinnedID}, mustFrame(t, testLead(2, 33)))
-	if status != http.StatusOK {
-		t.Fatalf("post-removal classify status %d", status)
-	}
-	if got := hdr.Get("X-Rpgate-Backend"); got == removed || got == "" {
-		t.Fatalf("post-removal backend %q, want a survivor", got)
-	}
-
-	// Adding a backend moves keys only onto it.
-	fresh := newBackendStack(t, "b4", serve.HandlerConfig{})
-	defer fresh.Close()
-	if err := s.gw.Add(fresh.ts.URL); err != nil {
-		t.Fatal(err)
-	}
-	s.gw.CheckNow(context.Background())
-	preAdd, postAdd := after, ownerOf()
-	gained := 0
-	for _, k := range keys {
-		if postAdd[k] == preAdd[k] {
-			continue
-		}
-		if postAdd[k] != fresh.ts.URL {
-			t.Fatalf("key %s moved %s -> %s on add; only the new backend may gain keys",
-				k, preAdd[k], postAdd[k])
-		}
-		gained++
-	}
-	if fair := len(keys) / 3; gained < fair/3 || gained > fair*2 {
-		t.Errorf("addition moved %d keys onto the newcomer, want roughly %d", gained, fair)
 	}
 }

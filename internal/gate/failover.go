@@ -86,7 +86,7 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 	d := &downlink{w: w, flush: rc.Flush, watermark: -1, buf: *bp}
 
 	key := affinityKey(r)
-	attemptsLeft := len(g.Members()) // every backend gets at most one shot
+	attemptsLeft := len(g.members) // every backend gets at most one shot
 	headersSent := false
 	cur := b
 	for attempt := 0; ; attempt++ {

@@ -111,10 +111,11 @@ type Gateway struct {
 	// smaller window breaks that, a larger one only costs memory.
 	window int
 
-	// mu guards the membership view. The relay path takes it only for the
-	// ring lookup (RLock); rebuilds happen on Add/Remove.
-	mu       sync.RWMutex
-	members  []string // insertion order (fan-out and probe order)
+	// The pool is fixed in New: members in Config.Backends order (fan-out
+	// and probe order), the ring over their URLs, and the URL -> backend
+	// map the ring's answers resolve through. Nothing writes them after New,
+	// so the relay path reads them without a lock.
+	members  []*backend
 	ring     *Ring
 	backends map[string]*backend
 
@@ -183,6 +184,7 @@ func New(cfg Config) (*Gateway, error) {
 			MaxIdleConnsPerHost: 1024,
 		}}
 	}
+	urls := make([]string, 0, len(cfg.Backends))
 	for _, raw := range cfg.Backends {
 		u, err := normalizeBackend(raw)
 		if err != nil {
@@ -191,10 +193,12 @@ func New(cfg Config) (*Gateway, error) {
 		if _, dup := g.backends[u]; dup {
 			return nil, fmt.Errorf("gate: duplicate backend %s", u)
 		}
-		g.backends[u] = newBackend(u)
-		g.members = append(g.members, u)
+		b := newBackend(u)
+		g.backends[u] = b
+		g.members = append(g.members, b)
+		urls = append(urls, u)
 	}
-	g.ring = NewRing(g.members, g.replicas)
+	g.ring = NewRing(urls, g.replicas)
 	g.bufs.New = func() any { b := make([]byte, relayBufBytes); return &b }
 	if g.runLoop {
 		g.loopWG.Add(1)
@@ -228,59 +232,12 @@ func (g *Gateway) Close() {
 	}
 }
 
-// Add inserts a backend into the pool. Only the ring share its virtual
-// nodes cover moves onto it; every other stream keeps its backend.
-func (g *Gateway) Add(rawURL string) error {
-	u, err := normalizeBackend(rawURL)
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, dup := g.backends[u]; dup {
-		return fmt.Errorf("gate: backend %s already in pool", u)
-	}
-	g.backends[u] = newBackend(u)
-	g.members = append(g.members, u)
-	g.ring = NewRing(g.members, g.replicas)
-	return nil
-}
-
-// Remove drops a backend from the pool. In-flight relays already bound to
-// it complete undisturbed (they hold the *backend, not the map entry); new
-// streams that hashed there rehash to the survivors, and only those.
-func (g *Gateway) Remove(rawURL string) error {
-	u, err := normalizeBackend(rawURL)
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.backends[u]; !ok {
-		return fmt.Errorf("gate: backend %s not in pool", u)
-	}
-	delete(g.backends, u)
-	for i, m := range g.members {
-		if m == u {
-			g.members = append(g.members[:i], g.members[i+1:]...)
-			break
-		}
-	}
-	g.ring = NewRing(g.members, g.replicas)
-	return nil
-}
-
-// Members returns the pool's backend URLs in insertion order.
-func (g *Gateway) Members() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return append([]string(nil), g.members...)
-}
-
 // BackendFor returns the backend URL a stream key routes to right now
 // (health and divergence included), or ok=false when nothing is routable.
 // This is the routing decision the relay path makes, exposed for
 // conformance tests and operators.
+//
+//rpvet:allow deadcode -- conformance probe: TestGatewayAffinityStable and the chaos tests check the relay against it
 func (g *Gateway) BackendFor(key string) (string, bool) {
 	b := g.pick(key, nil)
 	if b == nil {
@@ -294,26 +251,20 @@ func (g *Gateway) BackendFor(key string) (string, bool) {
 // ones. skip is nil when a request is first routed, and the backend just
 // lost when a stream fails over.
 func (g *Gateway) pick(key string, skip *backend) *backend {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	usable := func(member string) bool {
-		b := g.backends[member]
-		return b != skip && b.routable()
-	}
 	if key == "" {
 		n := len(g.members)
-		if n == 0 {
-			return nil
-		}
 		start := int(g.rr.Add(1)-1) % n
 		for i := 0; i < n; i++ {
-			if m := g.members[(start+i)%n]; usable(m) {
-				return g.backends[m]
+			if b := g.members[(start+i)%n]; b != skip && b.routable() {
+				return b
 			}
 		}
 		return nil
 	}
-	m, ok := g.ring.LookupFunc(key, usable)
+	m, ok := g.ring.LookupFunc(key, func(member string) bool {
+		b := g.backends[member]
+		return b != skip && b.routable()
+	})
 	if !ok {
 		return nil
 	}
@@ -566,17 +517,10 @@ type checkResult struct {
 func (g *Gateway) checkRound(ctx context.Context, force bool) {
 	g.checkMu.Lock()
 	defer g.checkMu.Unlock()
-	g.mu.RLock()
-	bs := make([]*backend, 0, len(g.members))
-	for _, m := range g.members {
-		bs = append(bs, g.backends[m])
-	}
-	g.mu.RUnlock()
-
 	now := time.Now().UnixNano()
-	results := make([]*checkResult, len(bs))
+	results := make([]*checkResult, len(g.members))
 	var wg sync.WaitGroup
-	for i, b := range bs {
+	for i, b := range g.members {
 		if !force && now < b.nextCheck.Load() {
 			continue // still backing off
 		}
@@ -793,14 +737,11 @@ type HealthResponse struct {
 
 // Status snapshots the pool (the healthz body, also for tests/operators).
 func (g *Gateway) Status() HealthResponse {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
 	out := HealthResponse{
 		ShedNoBackend: g.shedNoBackend.Load(),
 		Failovers:     g.failovers.Load(),
 	}
-	for _, m := range g.members {
-		b := g.backends[m]
+	for _, b := range g.members {
 		st := BackendStatus{
 			URL:       b.url,
 			Healthy:   b.healthy.Load(),
@@ -968,14 +909,7 @@ func (g *Gateway) uploadModel(w http.ResponseWriter, r *http.Request) {
 // prefixed with its backend's URL.
 func (g *Gateway) fanOut(ctx context.Context, method, path string, body []byte,
 	outcome func(b *backend, res *http.Response) error) (members int, failures []string) {
-	g.mu.RLock()
-	bs := make([]*backend, 0, len(g.members))
-	for _, m := range g.members {
-		bs = append(bs, g.backends[m])
-	}
-	g.mu.RUnlock()
-
-	for _, b := range bs {
+	for _, b := range g.members {
 		req, err := http.NewRequestWithContext(ctx, method, b.url+path, bytes.NewReader(body))
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
@@ -993,7 +927,7 @@ func (g *Gateway) fanOut(ctx context.Context, method, path string, body []byte,
 			failures = append(failures, fmt.Sprintf("%s: %v", b.url, err))
 		}
 	}
-	return len(bs), failures
+	return len(g.members), failures
 }
 
 // deleteModel fans a version retirement out to every backend. Mixed

@@ -1,8 +1,9 @@
 // Package gate is the gateway tier: it routes any number of client
 // connections onto a pool of rpserve backends, keeping per-stream pipeline
-// state correct by stream affinity. A consistent-hash ring maps every
-// stream ID onto one backend; membership changes move only the minimal
-// slice of the key space (the removed backend's keys, or the share a new
+// state correct by stream affinity. The pool is fixed per process. A
+// consistent-hash ring maps every stream ID onto one backend; when the
+// gateway restarts with a changed -backend list, only the minimal slice of
+// the key space moves (the removed backend's keys, or the share a new
 // backend takes over), so a fleet-wide reshuffle never happens. The relay
 // path copies bytes verbatim in both directions — binary
 // application/x-rpbeat-samples uplink, NDJSON downlink — through pooled
@@ -22,8 +23,9 @@ import "sort"
 // Every member contributes `replicas` virtual points; a key is owned by the
 // first point clockwise from the key's hash. Lookups are allocation-free.
 //
-// The ring is rebuilt (not mutated) on membership change — see
-// Gateway.Add/Remove — so readers hold one *Ring and are never torn.
+// The gateway builds one ring over its fixed pool in New and never mutates
+// it. Its minimal key movement matters across restarts: a gateway started
+// with one backend more or less than before moves only that backend's share.
 type Ring struct {
 	members []string // sorted, so construction order never matters
 	points  []ringPoint
@@ -38,7 +40,7 @@ type ringPoint struct {
 
 // DefaultReplicas is the virtual-node count per member when the caller does
 // not choose: enough that a 3-node pool balances within ~10–20%, cheap
-// enough that rebuilds on membership change stay microseconds.
+// enough that building the ring stays microseconds.
 const DefaultReplicas = 64
 
 // NewRing builds a ring over the given members (deduplicated, order
@@ -79,20 +81,11 @@ func NewRing(members []string, replicas int) *Ring {
 	return r
 }
 
-// Members returns the ring's member set, sorted. The slice is shared; do
-// not mutate.
-func (r *Ring) Members() []string { return r.members }
-
-// Lookup returns the member owning key. ok is false only for an empty
-// ring.
-func (r *Ring) Lookup(key string) (member string, ok bool) {
-	return r.LookupFunc(key, nil)
-}
-
 // LookupFunc returns the first member clockwise from key's hash for which
-// usable returns true (nil means every member is usable) — how the gateway
-// skips unhealthy, draining or catalog-divergent backends without
-// reshuffling the healthy share of the key space. Allocation-free.
+// usable returns true (nil means every member is usable; ok is false only
+// for an empty ring) — how the gateway skips unhealthy, draining or
+// catalog-divergent backends without reshuffling the healthy share of the
+// key space. Allocation-free.
 func (r *Ring) LookupFunc(key string, usable func(member string) bool) (string, bool) {
 	n := len(r.points)
 	if n == 0 {

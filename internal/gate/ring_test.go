@@ -28,7 +28,7 @@ func testMembers(n int) []string {
 func owners(r *Ring, keys []string) map[string]string {
 	out := make(map[string]string, len(keys))
 	for _, k := range keys {
-		m, ok := r.Lookup(k)
+		m, ok := r.LookupFunc(k, nil)
 		if !ok {
 			panic("empty ring")
 		}
@@ -59,7 +59,7 @@ func TestRingBalance(t *testing.T) {
 	r := NewRing(testMembers(n), 0)
 	counts := map[string]int{}
 	for _, k := range keys {
-		m, _ := r.Lookup(k)
+		m, _ := r.LookupFunc(k, nil)
 		counts[m]++
 	}
 	want := len(keys) / n
@@ -138,7 +138,7 @@ func TestRingLookupFuncSkips(t *testing.T) {
 	down := members[1]
 	usable := func(m string) bool { return m != down }
 	for _, k := range keys {
-		full, _ := r.Lookup(k)
+		full, _ := r.LookupFunc(k, nil)
 		failover, ok := r.LookupFunc(k, usable)
 		if !ok {
 			t.Fatalf("key %s: no usable member", k)
@@ -153,7 +153,7 @@ func TestRingLookupFuncSkips(t *testing.T) {
 	if _, ok := r.LookupFunc(keys[0], func(string) bool { return false }); ok {
 		t.Fatal("lookup with nothing usable reported ok")
 	}
-	if _, ok := NewRing(nil, 0).Lookup("x"); ok {
+	if _, ok := NewRing(nil, 0).LookupFunc("x", nil); ok {
 		t.Fatal("empty ring reported ok")
 	}
 }
@@ -176,6 +176,6 @@ func BenchmarkRingLookup(b *testing.B) {
 	keys := testKeys(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Lookup(keys[i&1023])
+		r.LookupFunc(keys[i&1023], nil)
 	}
 }

@@ -96,12 +96,6 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy.
-func (p *Params) Clone() *Params {
-	q := &Params{K: p.K, C: append([]float64(nil), p.C...), Sigma: append([]float64(nil), p.Sigma...)}
-	return q
-}
-
 // LogFuzzy computes the log-domain fuzzy values log f_l for the projected
 // coefficients u (len K), writing them into out.
 func (p *Params) LogFuzzy(u []float64, out *[NumClasses]float64) {
@@ -174,10 +168,6 @@ func (p *Params) Classify(u []float64, alpha float64) Decision {
 }
 
 // --- parameter vector codec (for the SCG optimizer) ---
-
-// VectorLen returns the optimizer parameter count: a center and a log-sigma
-// per (coefficient, class).
-func (p *Params) VectorLen() int { return 2 * p.K * NumClasses }
 
 // ToVector serializes the parameters as [c..., log σ...]. Sigmas are
 // optimized in the log domain so positivity is structural.

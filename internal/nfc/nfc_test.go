@@ -32,8 +32,8 @@ func TestNewParamsValid(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.VectorLen() != 48 {
-		t.Fatalf("vector length %d, want 48", p.VectorLen())
+	if n := len(p.ToVector()); n != 48 {
+		t.Fatalf("vector length %d, want 48", n)
 	}
 }
 
@@ -232,14 +232,5 @@ func TestInitFromData(t *testing.T) {
 	}
 	if correct < 295 {
 		t.Fatalf("only %d/300 correct on separated clusters", correct)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	p := NewParams(2)
-	q := p.Clone()
-	q.C[0] = 99
-	if p.C[0] == 99 {
-		t.Fatal("clone aliases original")
 	}
 }

@@ -237,13 +237,3 @@ func (l *Limiter) evictLocked() {
 	}
 	delete(l.tenants, victim)
 }
-
-// Tenants reports the current tenant-table size.
-func (l *Limiter) Tenants() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.tenants)
-}

@@ -96,9 +96,6 @@ func (p *Projection) Project(v []float64) []float64 {
 	return out
 }
 
-// K returns the number of retained components.
-func (p *Projection) K() int { return len(p.Components) }
-
 func newSquare(n int) [][]float64 {
 	backing := make([]float64, n*n)
 	m := make([][]float64, n)

@@ -350,6 +350,8 @@ func median(v []float64) float64 {
 // Match compares detections against reference annotations with the given
 // tolerance (samples) and returns (truePositives, falsePositives,
 // falseNegatives). Each reference matches at most one detection.
+//
+//rpvet:allow deadcode -- reference: TestIntegration_DetectorOnDiskedRecord and TestMatchAccounting score detections with it
 func Match(detected, reference []int, tol int) (tp, fp, fn int) {
 	used := make([]bool, len(detected))
 	for _, ref := range reference {

@@ -47,12 +47,19 @@ type StreamDetector struct {
 	wbuf  [2][]float64
 	sumsq [2]float64
 
-	// Detection signal and its threshold, as rings indexed by absolute
-	// sample position modulo ring.
-	z, thrZ []float64
-	ring    int
-	zN      int // detection-signal samples produced
-	scan    int // next index to scan for significant extrema
+	// Detection signal, as a ring indexed by absolute sample position
+	// modulo ring.
+	z    []float64
+	ring int
+	zN   int // detection-signal samples produced
+	scan int // next index to scan for significant extrema
+
+	// Thresholds of the last completed window, which starts at absolute
+	// index thrStart, and of the window before it. The extremum scan lags
+	// one sample behind the detection signal, so the only earlier index it
+	// reads is the previous window's last.
+	thr, prevThr float64
+	thrStart     int
 
 	havePrev bool // last significant extremum (pair-window state)
 	prevPos  int
@@ -97,7 +104,6 @@ func NewStreamDetector(cfg Config) (*StreamDetector, error) {
 	}
 	d.ring = d.win + d.pair + 16
 	d.z = make([]float64, d.ring)
-	d.thrZ = make([]float64, d.ring)
 	d.wbuf[0] = make([]float64, 0, d.win)
 	d.wbuf[1] = make([]float64, 0, d.win)
 	return d, nil
@@ -198,15 +204,7 @@ func (d *StreamDetector) completeWindow() {
 			r = 0
 		}
 	}
-	tz := math.Sqrt(zs / float64(count))
-	r = base % d.ring
-	for k := 0; k < count; k++ {
-		d.thrZ[r] = tz
-		r++
-		if r == d.ring {
-			r = 0
-		}
-	}
+	d.prevThr, d.thr, d.thrStart = d.thr, math.Sqrt(zs/float64(count)), base
 	d.zN = base + count
 	d.wbase = d.zN
 	d.nextWin = d.win // only the first window of a resumed stream is short
@@ -231,7 +229,10 @@ func (d *StreamDetector) advance() {
 		if next == ring {
 			next = 0
 		}
-		v, thr := d.z[cur], d.thrZ[cur]
+		v, thr := d.z[cur], d.thr
+		if i < d.thrStart {
+			thr = d.prevThr
+		}
 		pv, nv := d.z[prev], d.z[next]
 		prev, cur = cur, next
 		if math.Abs(v) < thresholdFactor*thr {

@@ -1,6 +1,8 @@
 package peak
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"rpbeat/internal/ecgsyn"
@@ -14,12 +16,49 @@ func filteredRecord(seconds float64, seed uint64, pvc float64) []float64 {
 	return sigdsp.FilterECG(rec.LeadMillivolts(0), sigdsp.DefaultBaselineConfig(rec.Fs))
 }
 
+// boundaryLead is a synthetic filtered lead whose adaptive-threshold windows
+// alternate between three narrow beats and one wide beat, so neighbouring
+// windows' thresholds differ, with a small bump across each window boundary
+// that puts a modulus maximum of the detection signal on the last index of
+// a window. The extremum scan reaches that index only once the next window
+// has completed, and must still test it against its own window's
+// threshold, as Detect does.
+func boundaryLead() []float64 {
+	const win = 720 // the detector window at 360 Hz
+	x := make([]float64, 6*win)
+	bump := func(center, width, amp float64) {
+		for i := range x {
+			if d := (float64(i) - center) / width; d > -6 && d < 6 {
+				x[i] += amp * math.Exp(-d*d/2)
+			}
+		}
+	}
+	for w := 0; w < 6; w++ {
+		if w%2 == 0 {
+			for _, at := range []int{150, 360, 570} {
+				bump(float64(w*win+at), 4, 1)
+			}
+		} else {
+			bump(float64(w*win+360), 10, 1)
+		}
+	}
+	for k := 1; k < 6; k++ {
+		bump(float64(k*win+1), 4, 0.3)
+	}
+	return x
+}
+
 func TestStreamDetectorMatchesBatch(t *testing.T) {
 	for _, tc := range []struct {
-		seed uint64
-		pvc  float64
-	}{{1, 0}, {2, 0.15}, {7, 0.3}} {
-		x := filteredRecord(180, tc.seed, tc.pvc)
+		name string
+		x    []float64
+	}{
+		{"seed 1", filteredRecord(180, 1, 0)},
+		{"seed 2", filteredRecord(180, 2, 0.15)},
+		{"seed 7", filteredRecord(180, 7, 0.3)},
+		{"window boundary", boundaryLead()},
+	} {
+		x := tc.x
 		cfg := Config{Fs: 360, SearchBackOff: true}
 		batch := Detect(x, cfg)
 
@@ -48,15 +87,10 @@ func TestStreamDetectorMatchesBatch(t *testing.T) {
 			want := keepBefore(batch, tail)
 			got := keepBefore(stream, tail)
 			if len(want) == 0 {
-				t.Fatalf("seed %d: batch found no peaks before the tail margin", tc.seed)
+				t.Fatalf("%s: batch found no peaks before the tail margin", tc.name)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d chunk %d: stream found %d peaks, batch %d", tc.seed, size, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d chunk %d: peak %d at %d, batch at %d", tc.seed, size, i, got[i], want[i])
-				}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s chunk %d: stream peaks %v, batch %v", tc.name, size, got, want)
 			}
 		}
 	}

@@ -400,9 +400,9 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// Pipeline exposes the underlying pipeline for delay/memory accounting.
-// Mutating calls (Push, Flush) are the engine's alone; callers may only use
-// read-only accessors such as Delay and MemoryBytes.
+// Pipeline exposes the underlying pipeline for delay accounting. Mutating
+// calls (Push, Flush) are the engine's alone; callers may only use
+// read-only accessors such as Delay.
 func (s *Stream) Pipeline() *Pipeline { return s.pipe }
 
 // enqueue publishes a stream (already transitioned to stateQueued by the

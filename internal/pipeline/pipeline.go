@@ -210,18 +210,6 @@ func ResyncWarmup(Config) int {
 	return 3*filter.Delay() + 2*det.Delay() + det.Window() + windowLen
 }
 
-// MemoryBytes reports the pipeline's fixed working set: the raw ring, the
-// classifier tables (including the sparse projection kernel the host hot
-// path runs) and the scratch buffers. It does not grow with stream length
-// (asserted by TestPipelineBoundedMemory).
-func (p *Pipeline) MemoryBytes() int {
-	return 4*len(p.raw) + p.emb.HostBytes() +
-		4*(len(p.window)+len(p.ds)) + p.scr.MemoryBytes()
-}
-
-// Samples returns how many input samples the pipeline has consumed.
-func (p *Pipeline) Samples() int { return p.n }
-
 // Push consumes one raw ADC sample and returns the beats it finalized
 // (usually none — beats surface in bursts as threshold windows complete).
 // It is PushChunk over a one-sample chunk. The returned slice is reused by

@@ -55,11 +55,6 @@ func (o OpCount) Times(n uint64) OpCount {
 	}
 }
 
-// Total returns the total operation count.
-func (o OpCount) Total() uint64 {
-	return o.Add + o.Mul + o.Div + o.Load + o.Store + o.Branch + o.Shift
-}
-
 // CycleModel assigns per-operation cycle costs for a target core.
 type CycleModel struct {
 	Name    string

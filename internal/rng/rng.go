@@ -122,19 +122,6 @@ func (r *Rand) NormScaled(mean, sd float64) float64 {
 	return mean + sd*r.Norm()
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Shuffle randomly permutes n elements using the provided swap function.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -155,22 +142,6 @@ func (r *Rand) Trit() int8 {
 	default:
 		return 0
 	}
-}
-
-// VerySparseTrit returns one of {+1, -1, 0} with the Li-Hastie-Church "very
-// sparse" probabilities {1/(2√d), 1/(2√d), 1-1/√d}. It consumes one draw for
-// the zero test plus one for the sign when non-zero; d must be positive.
-func (r *Rand) VerySparseTrit(d int) int8 {
-	if d <= 0 {
-		panic("rng: VerySparseTrit needs d > 0")
-	}
-	if r.Float64()*math.Sqrt(float64(d)) >= 1 {
-		return 0
-	}
-	if r.Intn(2) == 0 {
-		return +1
-	}
-	return -1
 }
 
 // LogSparseTrit returns one of {+1, -1, 0} at the aggressive end of the

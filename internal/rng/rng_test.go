@@ -114,23 +114,6 @@ func TestNormScaled(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(17)
-	for _, n := range []int{0, 1, 2, 5, 50} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	r := New(19)
 	s := []int{0, 1, 2, 3, 4, 5, 6, 7}

@@ -56,9 +56,6 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{K: m.K, D: m.D, El: el}
 }
 
-// At returns element (row, col).
-func (m *Matrix) At(row, col int) int8 { return m.El[row*m.D+col] }
-
 // Set assigns element (row, col); v must be in {-1, 0, +1}.
 func (m *Matrix) Set(row, col int, v int8) {
 	if v < -1 || v > 1 {
@@ -133,6 +130,7 @@ func (m *Matrix) ProjectInt(v []int32) []int32 {
 // length K, avoiding allocation in the per-beat hot path.
 //
 //rpbeat:allocfree
+//rpvet:allow deadcode -- reference: BenchmarkKernel_ProjectionDense_8x50 (DESIGN.md kernel memory layouts) and TestFusedKernelMatchesReference compare against it
 func (m *Matrix) ProjectIntInto(v []int32, u []int32) {
 	if len(v) != m.D || len(u) != m.K {
 		panic("rp: ProjectIntInto dimension mismatch")
@@ -151,21 +149,6 @@ func (m *Matrix) ProjectIntInto(v []int32, u []int32) {
 		u[r] = s
 	}
 }
-
-// NonZeros returns the number of non-zero elements (the projection's
-// addition count, i.e. its per-beat computational cost).
-func (m *Matrix) NonZeros() int {
-	n := 0
-	for _, v := range m.El {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// ByteSize returns the storage footprint of the dense int8 representation.
-func (m *Matrix) ByteSize() int { return len(m.El) }
 
 // --- packed 2-bit representation ---
 
@@ -214,19 +197,6 @@ func (p *PackedMatrix) Unpack() (*Matrix, error) {
 	return m, nil
 }
 
-// At returns element (row, col) of the packed matrix.
-func (p *PackedMatrix) At(row, col int) int8 {
-	i := row*p.D + col
-	code := (p.Bits[i/4] >> uint((i%4)*2)) & 0b11
-	switch code {
-	case 0b01:
-		return 1
-	case 0b10:
-		return -1
-	}
-	return 0
-}
-
 // ProjectInt computes u = P·v directly from the packed representation, as
 // the embedded code does (decode 2 bits, add/subtract).
 func (p *PackedMatrix) ProjectInt(v []int32) []int32 {
@@ -239,7 +209,7 @@ func (p *PackedMatrix) ProjectInt(v []int32) []int32 {
 }
 
 // packedDecode maps one packed byte to the four signs it encodes, in column
-// order (lowest 2 bits first). The invalid code 11 decodes to 0, matching At.
+// order (lowest 2 bits first). The invalid code 11 decodes to 0.
 // 256 entries × 4 int8 = 1 KB, shared by every projection.
 var packedDecode = func() (t [256][4]int8) {
 	sign := [4]int8{0b00: 0, 0b01: 1, 0b10: -1, 0b11: 0}
@@ -297,24 +267,3 @@ func (p *PackedMatrix) ProjectIntInto(v []int32, u []int32) {
 
 // ByteSize returns the storage footprint of the packed representation.
 func (p *PackedMatrix) ByteSize() int { return len(p.Bits) }
-
-// --- downsampling composition ---
-
-// DownsampleColumns returns a new matrix that operates on a signal
-// downsampled by the given factor: column c of the result corresponds to
-// column c*factor of m. It implements the memory reduction of Sec. III-B
-// ("if one every four samples of the acquired signal is considered, the size
-// of the matrix is reduced by a factor of four").
-func (m *Matrix) DownsampleColumns(factor int) *Matrix {
-	if factor <= 1 {
-		return m.Clone()
-	}
-	d2 := (m.D + factor - 1) / factor
-	out := &Matrix{K: m.K, D: d2, El: make([]int8, m.K*d2)}
-	for r := 0; r < m.K; r++ {
-		for c := 0; c < d2; c++ {
-			out.El[r*d2+c] = m.El[r*m.D+c*factor]
-		}
-	}
-	return out
-}

@@ -8,7 +8,7 @@ import (
 // SparseMatrix is the third representation of a ternary projection matrix,
 // optimized for the host-side hot path: per row, only the column indices of
 // the non-zero entries are stored, split by sign. ProjectIntInto then costs
-// exactly NonZeros() additions/subtractions with no per-element branch —
+// one addition or subtraction per non-zero entry with no per-element branch —
 // the ~d/3 operations per coefficient the paper's energy argument assumes
 // (an Achlioptas matrix is zero with probability 2/3), instead of the d
 // element decodes the dense and packed kernels pay.
@@ -18,9 +18,8 @@ import (
 // structure is four flat slices regardless of K.
 //
 // SparseMatrix trades memory for speed — see ByteSize and the "kernel memory
-// layouts" section of DESIGN.md. It is built from a Matrix or PackedMatrix
-// at load time and is immutable afterwards, so it may be shared freely
-// across goroutines.
+// layouts" section of DESIGN.md. It is built from a Matrix at load time and
+// is immutable afterwards, so it may be shared freely across goroutines.
 type SparseMatrix struct {
 	K, D int
 	// Pos holds the column indices of +1 entries, all rows concatenated;
@@ -67,52 +66,9 @@ func NewSparse(m *Matrix) *SparseMatrix {
 	return s
 }
 
-// Sparse builds the sparse representation directly from the packed 2-bit
-// form, without materializing the dense matrix. It fails on the invalid
-// code 11, like Unpack.
-func (p *PackedMatrix) Sparse() (*SparseMatrix, error) {
-	s := &SparseMatrix{
-		K:        p.K,
-		D:        p.D,
-		PosStart: make([]int32, p.K+1),
-		NegStart: make([]int32, p.K+1),
-	}
-	for r := 0; r < p.K; r++ {
-		base := r * p.D
-		for c := 0; c < p.D; c++ {
-			i := base + c
-			switch (p.Bits[i/4] >> uint((i%4)*2)) & 0b11 {
-			case 0b01:
-				s.Pos = append(s.Pos, int32(c))
-			case 0b10:
-				s.Neg = append(s.Neg, int32(c))
-			case 0b11:
-				return nil, fmt.Errorf("rp: invalid packed code 11 at element %d", i)
-			}
-		}
-		s.PosStart[r+1] = int32(len(s.Pos))
-		s.NegStart[r+1] = int32(len(s.Neg))
-	}
-	return s, nil
-}
-
-// Dense expands the sparse matrix back to the dense form.
-func (s *SparseMatrix) Dense() *Matrix {
-	m := &Matrix{K: s.K, D: s.D, El: make([]int8, s.K*s.D)}
-	for r := 0; r < s.K; r++ {
-		for _, c := range s.Pos[s.PosStart[r]:s.PosStart[r+1]] {
-			m.El[r*s.D+int(c)] = 1
-		}
-		for _, c := range s.Neg[s.NegStart[r]:s.NegStart[r+1]] {
-			m.El[r*s.D+int(c)] = -1
-		}
-	}
-	return m
-}
-
 // Validate checks structural invariants: monotone row offsets and in-range,
-// strictly increasing column indices per row (the order NewSparse and
-// PackedMatrix.Sparse produce, and what Dense round-tripping relies on).
+// strictly increasing column indices per row (the order NewSparse
+// produces).
 func (s *SparseMatrix) Validate() error {
 	if s.K <= 0 || s.D <= 0 {
 		return errors.New("rp: non-positive dimensions")
@@ -149,20 +105,10 @@ func (s *SparseMatrix) Validate() error {
 	return check(s.Neg, s.NegStart, "neg")
 }
 
-// ProjectInt computes u = P·v for integer input, touching only the non-zero
-// entries.
-func (s *SparseMatrix) ProjectInt(v []int32) []int32 {
-	if len(v) != s.D {
-		panic(fmt.Sprintf("rp: input length %d != D=%d", len(v), s.D))
-	}
-	u := make([]int32, s.K)
-	s.ProjectIntInto(v, u)
-	return u
-}
-
-// ProjectIntInto is ProjectInt writing into a caller-provided slice of
-// length K. This is the fastest integer projection kernel in the package:
-// one gather-add per non-zero, no branches, no allocation.
+// ProjectIntInto computes u = P·v for integer input into a caller-provided
+// slice of length K, touching only the non-zero entries. This is the
+// fastest integer projection kernel in the package: one gather-add per
+// non-zero, no branches, no allocation.
 //
 //rpbeat:allocfree
 func (s *SparseMatrix) ProjectIntInto(v []int32, u []int32) {
@@ -180,32 +126,6 @@ func (s *SparseMatrix) ProjectIntInto(v []int32, u []int32) {
 		u[r] = acc
 	}
 }
-
-// Project computes u = P·v for float input. Unlike the integer kernels it
-// is not bit-identical to Matrix.Project: summing positives then negatives
-// reorders the floating-point additions (differences are at rounding level;
-// the integer projections, where ternary matrices actually ship, are exact).
-func (s *SparseMatrix) Project(v []float64) []float64 {
-	if len(v) != s.D {
-		panic(fmt.Sprintf("rp: input length %d != D=%d", len(v), s.D))
-	}
-	u := make([]float64, s.K)
-	for r := 0; r < s.K; r++ {
-		var acc float64
-		for _, c := range s.Pos[s.PosStart[r]:s.PosStart[r+1]] {
-			acc += v[c]
-		}
-		for _, c := range s.Neg[s.NegStart[r]:s.NegStart[r+1]] {
-			acc -= v[c]
-		}
-		u[r] = acc
-	}
-	return u
-}
-
-// NonZeros returns the number of stored entries — the projection's exact
-// addition count.
-func (s *SparseMatrix) NonZeros() int { return len(s.Pos) + len(s.Neg) }
 
 // ByteSize returns the storage footprint of the sparse representation:
 // 4 bytes per non-zero index plus the two row-offset arrays. For an

@@ -1,7 +1,7 @@
 package rp
 
 import (
-	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +15,7 @@ func referenceProjectInt(m *Matrix, v []int32) []int32 {
 	for r := 0; r < m.K; r++ {
 		var s int32
 		for c := 0; c < m.D; c++ {
-			switch m.At(r, c) {
+			switch m.El[r*m.D+c] {
 			case 1:
 				s += v[c]
 			case -1:
@@ -27,10 +27,18 @@ func referenceProjectInt(m *Matrix, v []int32) []int32 {
 	return u
 }
 
+// sparseProjectInt is ProjectIntInto into a fresh slice.
+func sparseProjectInt(s *SparseMatrix, v []int32) []int32 {
+	u := make([]int32, s.K)
+	s.ProjectIntInto(v, u)
+	return u
+}
+
 // TestProjectionEquivalenceQuick is the cross-representation property test:
 // for random shapes (including D not divisible by 4, so packed rows start
 // mid-byte) and random signed inputs, dense, packed and sparse projections —
-// built along both conversion paths — must agree exactly with the reference.
+// the sparse one built from the dense matrix and from the unpacked 2-bit
+// form, the codec's path — must agree exactly with the reference.
 func TestProjectionEquivalenceQuick(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -45,11 +53,12 @@ func TestProjectionEquivalenceQuick(t *testing.T) {
 
 		p := Pack(m)
 		sd := NewSparse(m)
-		sp, err := p.Sparse()
+		unpacked, err := p.Unpack()
 		if err != nil {
-			t.Logf("seed %d: Sparse from packed: %v", seed, err)
+			t.Logf("seed %d: Unpack: %v", seed, err)
 			return false
 		}
+		sp := NewSparse(unpacked)
 		if err := sd.Validate(); err != nil {
 			t.Logf("seed %d: sparse validate: %v", seed, err)
 			return false
@@ -57,8 +66,8 @@ func TestProjectionEquivalenceQuick(t *testing.T) {
 		for name, got := range map[string][]int32{
 			"dense":         m.ProjectInt(v),
 			"packed":        p.ProjectInt(v),
-			"sparse-dense":  sd.ProjectInt(v),
-			"sparse-packed": sp.ProjectInt(v),
+			"sparse-dense":  sparseProjectInt(sd, v),
+			"sparse-packed": sparseProjectInt(sp, v),
 		} {
 			for i := range want {
 				if got[i] != want[i] {
@@ -81,25 +90,17 @@ func TestSparseAllZeroMatrix(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s.NonZeros() != 0 {
-		t.Fatalf("all-zero matrix has %d stored entries", s.NonZeros())
+	if n := len(s.Pos) + len(s.Neg); n != 0 {
+		t.Fatalf("all-zero matrix has %d stored entries", n)
 	}
 	v := make([]int32, 10)
 	for i := range v {
 		v[i] = int32(i + 1)
 	}
-	for i, x := range s.ProjectInt(v) {
+	for i, x := range sparseProjectInt(s, v) {
 		if x != 0 {
 			t.Fatalf("coefficient %d = %d, want 0", i, x)
 		}
-	}
-	// The packed path agrees.
-	sp, err := Pack(m).Sparse()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.NonZeros() != 0 {
-		t.Fatalf("packed-derived sparse has %d entries", sp.NonZeros())
 	}
 }
 
@@ -115,7 +116,7 @@ func TestSparseEmptyRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := []int32{10, 20, 30, 40, 50}
-	got := s.ProjectInt(v)
+	got := sparseProjectInt(s, v)
 	want := referenceProjectInt(m, v)
 	for i := range want {
 		if got[i] != want[i] {
@@ -127,57 +128,44 @@ func TestSparseEmptyRow(t *testing.T) {
 	}
 }
 
+// TestSparseDenseRoundTrip rebuilds the dense matrix from the sparse index
+// lists: NewSparse must keep every non-zero, with its sign, at its column.
 func TestSparseDenseRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		m := NewRandom(r, 1+r.Intn(6), 1+r.Intn(60))
-		back := NewSparse(m).Dense()
-		for i := range m.El {
-			if back.El[i] != m.El[i] {
-				return false
+		s := NewSparse(m)
+		back := make([]int8, len(m.El))
+		for row := 0; row < s.K; row++ {
+			for _, c := range s.Pos[s.PosStart[row]:s.PosStart[row+1]] {
+				back[row*s.D+int(c)] = 1
+			}
+			for _, c := range s.Neg[s.NegStart[row]:s.NegStart[row+1]] {
+				back[row*s.D+int(c)] = -1
 			}
 		}
-		return true
+		return slices.Equal(back, m.El)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestSparseFromPackedRejectsInvalidCode(t *testing.T) {
-	p := &PackedMatrix{K: 1, D: 1, Bits: []byte{0b11}}
-	if _, err := p.Sparse(); err == nil {
-		t.Fatal("code 11 should be rejected")
-	}
-}
-
 func TestSparseNonZerosAndByteSize(t *testing.T) {
 	m := NewRandom(rng.New(21), 8, 200)
 	s := NewSparse(m)
-	if s.NonZeros() != m.NonZeros() {
-		t.Fatalf("sparse NonZeros %d, dense %d", s.NonZeros(), m.NonZeros())
+	nonZeros := 0
+	for _, v := range m.El {
+		if v != 0 {
+			nonZeros++
+		}
 	}
-	want := 4 * (s.NonZeros() + 2*(s.K+1))
+	if n := len(s.Pos) + len(s.Neg); n != nonZeros {
+		t.Fatalf("sparse stores %d entries, dense has %d non-zeros", n, nonZeros)
+	}
+	want := 4 * (nonZeros + 2*(s.K+1))
 	if s.ByteSize() != want {
 		t.Fatalf("ByteSize %d, want %d", s.ByteSize(), want)
-	}
-}
-
-func TestSparseProjectFloatMatchesDense(t *testing.T) {
-	r := rng.New(22)
-	m := NewRandom(r, 6, 80)
-	s := NewSparse(m)
-	v := make([]float64, 80)
-	for i := range v {
-		v[i] = r.Norm()
-	}
-	uf := m.Project(v)
-	us := s.Project(v)
-	for i := range uf {
-		// Summation order differs (positives first), so allow rounding noise.
-		if diff := math.Abs(uf[i] - us[i]); diff > 1e-9 {
-			t.Fatalf("coefficient %d: dense %v, sparse %v (diff %g)", i, uf[i], us[i], diff)
-		}
 	}
 }
 

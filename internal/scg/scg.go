@@ -52,14 +52,6 @@ type Result struct {
 	Converged  bool // gradient or step tolerance met (vs. iteration cap)
 }
 
-func norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {

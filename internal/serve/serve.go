@@ -194,6 +194,8 @@ type classifyScratch struct {
 }
 
 // ErrorResponse is the uniform JSON error body of every endpoint.
+//
+//rpvet:allow deadcode -- reference: TestCodecEquivalenceStdlibVsFast and TestTornFramesStream decode error bodies with encoding/json through it
 type ErrorResponse struct {
 	Error apierr.Error `json:"error"`
 }
@@ -555,6 +557,8 @@ type StreamChunk struct {
 
 // StreamBeat is one NDJSON response line of POST /v1/stream: a beat the
 // online pipeline finalized, flushed as soon as it is known.
+//
+//rpvet:allow deadcode -- reference: TestCodecEquivalenceStdlibVsFast decodes the fast encoder's beat lines with encoding/json through it
 type StreamBeat struct {
 	Sample     int    `json:"sample"`
 	Class      string `json:"class"`

@@ -144,6 +144,8 @@ func Baseline(x []float64, cfg BaselineConfig) []float64 {
 
 // RemoveBaseline returns x minus its estimated baseline. This is the first
 // filtering stage of the WBSN front end.
+//
+//rpvet:allow deadcode -- reference: TestFilterECGIntoMatchesFilterECG composes the front end from it
 func RemoveBaseline(x []float64, cfg BaselineConfig) []float64 {
 	b := Baseline(x, cfg)
 	out := make([]float64, len(x))
@@ -157,6 +159,8 @@ func RemoveBaseline(x []float64, cfg BaselineConfig) []float64 {
 // opening-closing and closing-opening of x with the NoiseElem-sample
 // structuring element (the "MF pair" smoother used in morphological ECG
 // filtering), which does not depend on the sampling frequency.
+//
+//rpvet:allow deadcode -- reference: TestFilterECGIntoMatchesFilterECG composes the front end from it
 func SuppressNoise(x []float64, _ BaselineConfig) []float64 {
 	oc := Close(Open(x, NoiseElem), NoiseElem)
 	co := Open(Close(x, NoiseElem), NoiseElem)

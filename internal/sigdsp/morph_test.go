@@ -170,6 +170,24 @@ func TestBaselineTracksSlowDrift(t *testing.T) {
 	}
 }
 
+// mean returns the arithmetic mean of x.
+func mean(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v
+	}
+	return s / float64(len(x))
+}
+
+// rms returns the root-mean-square of x.
+func rms(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s / float64(len(x)))
+}
+
 func TestRemoveBaselineZeroCentersOutput(t *testing.T) {
 	fs := 360.0
 	n := 3600
@@ -179,7 +197,7 @@ func TestRemoveBaselineZeroCentersOutput(t *testing.T) {
 		x[i] = 2.0 + 0.8*math.Sin(2*math.Pi*0.2*tsec) // offset + wander
 	}
 	y := RemoveBaseline(x, DefaultBaselineConfig(fs))
-	m := Mean(y[n/4 : 3*n/4])
+	m := mean(y[n/4 : 3*n/4])
 	if math.Abs(m) > 0.1 {
 		t.Fatalf("baseline-removed mean %.3f, want ~0", m)
 	}
@@ -193,8 +211,8 @@ func TestSuppressNoiseReducesRMSOfWhiteNoise(t *testing.T) {
 		x[i] = 0.1 * r.Norm()
 	}
 	y := SuppressNoise(x, DefaultBaselineConfig(360))
-	if RMS(y) >= RMS(x) {
-		t.Fatalf("noise suppression did not reduce RMS: %.4f >= %.4f", RMS(y), RMS(x))
+	if rms(y) >= rms(x) {
+		t.Fatalf("noise suppression did not reduce RMS: %.4f >= %.4f", rms(y), rms(x))
 	}
 }
 

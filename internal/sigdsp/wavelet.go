@@ -1,7 +1,5 @@
 package sigdsp
 
-import "math"
-
 // Dyadic à trous wavelet transform with the quadratic-spline wavelet of
 // Mallat & Zhong, the standard choice for QRS detection (Martinez et al.;
 // Rincon et al., IEEE TITB 2011, used on the IcyHeart node). The transform
@@ -38,6 +36,8 @@ type DWT struct {
 
 // AtrousDWT computes `levels` detail scales of x. Border samples are handled
 // by edge replication. Typical use for 360 Hz ECG is levels = 4.
+//
+//rpvet:allow deadcode -- reference: TestStreamDWTMatchesAtrousDWT and FuzzFrontEndChunks compare the streaming transform against it
 func AtrousDWT(x []float64, levels int) DWT {
 	var d DWT
 	AtrousDWTInto(&d, x, levels)
@@ -114,23 +114,9 @@ func minInt(a, b int) int {
 	return b
 }
 
-// Downsample returns every factor-th sample of x starting at offset 0.
-// It implements the 4x rate reduction (360 Hz -> 90 Hz) used by the embedded
-// classifier to shrink the projection matrix.
-func Downsample(x []float64, factor int) []float64 {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out
-}
-
-// DownsampleInt is Downsample for integer (ADC count) signals.
+// DownsampleInt returns every factor-th sample of x starting at offset 0:
+// the 4x rate reduction (360 Hz -> 90 Hz) the embedded classifier uses to
+// shrink the projection matrix.
 func DownsampleInt(x []int32, factor int) []int32 {
 	if factor <= 1 {
 		out := make([]int32, len(x))
@@ -163,30 +149,9 @@ func DownsampleIntInto(dst []int32, x []int32, factor int) {
 	}
 }
 
-// Window extracts the samples [center-before, center+after) from x,
+// WindowInt extracts the samples [center-before, center+after) from x,
 // replicating edge samples when the window exceeds the signal. The paper's
 // beat window is before = after = 100 samples at 360 Hz.
-func Window(x []float64, center, before, after int) []float64 {
-	out := make([]float64, before+after)
-	n := len(x)
-	for i := range out {
-		j := center - before + i
-		if j < 0 {
-			j = 0
-		}
-		if j >= n {
-			j = n - 1
-		}
-		if n == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = x[j]
-	}
-	return out
-}
-
-// WindowInt is Window for integer signals.
 func WindowInt(x []int32, center, before, after int) []int32 {
 	out := make([]int32, before+after)
 	WindowIntInto(out, x, center, before)
@@ -213,28 +178,4 @@ func WindowIntInto(dst []int32, x []int32, center, before int) {
 		}
 		dst[i] = x[j]
 	}
-}
-
-// Mean returns the arithmetic mean of x (0 for empty input).
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s / float64(len(x))
-}
-
-// RMS returns the root-mean-square of x (0 for empty input).
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s / float64(len(x)))
 }

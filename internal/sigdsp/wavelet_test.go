@@ -108,9 +108,9 @@ func TestAtrousDWTZeroCrossingAtPeak(t *testing.T) {
 }
 
 func TestDownsample(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	got := Downsample(x, 4)
-	want := []float64{0, 4, 8}
+	x := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	got := DownsampleInt(x, 4)
+	want := []int32{0, 4, 8}
 	if len(got) != len(want) {
 		t.Fatalf("len = %d, want %d", len(got), len(want))
 	}
@@ -120,10 +120,10 @@ func TestDownsample(t *testing.T) {
 		}
 	}
 	// factor 1 copies
-	c := Downsample(x, 1)
+	c := DownsampleInt(x, 1)
 	c[0] = 99
 	if x[0] == 99 {
-		t.Fatal("Downsample(x,1) aliased its input")
+		t.Fatal("DownsampleInt(x,1) aliased its input")
 	}
 }
 
@@ -142,16 +142,16 @@ func TestDownsampleInt(t *testing.T) {
 }
 
 func TestWindowEdges(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	w := Window(x, 0, 2, 3)
-	want := []float64{1, 1, 1, 2, 3}
+	x := []int32{1, 2, 3, 4, 5}
+	w := WindowInt(x, 0, 2, 3)
+	want := []int32{1, 1, 1, 2, 3}
 	for i := range want {
 		if w[i] != want[i] {
 			t.Fatalf("left-edge window[%d] = %v, want %v", i, w[i], want[i])
 		}
 	}
-	w = Window(x, 4, 2, 3)
-	want = []float64{3, 4, 5, 5, 5}
+	w = WindowInt(x, 4, 2, 3)
+	want = []int32{3, 4, 5, 5, 5}
 	for i := range want {
 		if w[i] != want[i] {
 			t.Fatalf("right-edge window[%d] = %v, want %v", i, w[i], want[i])
@@ -160,54 +160,16 @@ func TestWindowEdges(t *testing.T) {
 }
 
 func TestWindowInterior(t *testing.T) {
-	x := make([]float64, 300)
+	x := make([]int32, 300)
 	for i := range x {
-		x[i] = float64(i)
+		x[i] = int32(i)
 	}
-	w := Window(x, 150, 100, 100)
+	w := WindowInt(x, 150, 100, 100)
 	if len(w) != 200 {
 		t.Fatalf("window length %d, want 200", len(w))
 	}
 	if w[0] != 50 || w[100] != 150 || w[199] != 249 {
 		t.Fatalf("window content wrong: w[0]=%v w[100]=%v w[199]=%v", w[0], w[100], w[199])
-	}
-}
-
-func TestWindowIntMatchesFloat(t *testing.T) {
-	xi := make([]int32, 50)
-	xf := make([]float64, 50)
-	r := rng.New(8)
-	for i := range xi {
-		v := int32(r.Intn(2048))
-		xi[i] = v
-		xf[i] = float64(v)
-	}
-	wi := WindowInt(xi, 25, 10, 10)
-	wf := Window(xf, 25, 10, 10)
-	for i := range wi {
-		if float64(wi[i]) != wf[i] {
-			t.Fatalf("int/float window mismatch at %d", i)
-		}
-	}
-}
-
-func TestMeanRMS(t *testing.T) {
-	if Mean(nil) != 0 || RMS(nil) != 0 {
-		t.Fatal("empty input should give 0")
-	}
-	x := []float64{3, 3, 3, 3}
-	if Mean(x) != 3 {
-		t.Fatalf("mean = %v", Mean(x))
-	}
-	if RMS(x) != 3 {
-		t.Fatalf("rms = %v", RMS(x))
-	}
-	y := []float64{-1, 1, -1, 1}
-	if Mean(y) != 0 {
-		t.Fatalf("mean = %v", Mean(y))
-	}
-	if RMS(y) != 1 {
-		t.Fatalf("rms = %v", RMS(y))
 	}
 }
 

@@ -61,6 +61,8 @@ type Store struct {
 }
 
 // New builds a store with the given byte budget.
+//
+//rpvet:allow deadcode -- reference: TestSimulationMatchesEnduranceModel checks Endurance against the simulated store
 func New(capacity int, policy Policy) (*Store, error) {
 	if capacity <= 0 {
 		return nil, errors.New("store: capacity must be positive")
@@ -92,19 +94,6 @@ func (s *Store) Add(abnormal bool) bool {
 		s.full++
 	}
 	return true
-}
-
-// Used returns the bytes consumed.
-func (s *Store) Used() int { return s.used }
-
-// Beats returns (full waveforms stored, markers stored, beats dropped).
-func (s *Store) Beats() (full, markers, dropped int) {
-	return s.full, s.markers, s.dropped
-}
-
-// Utilization returns the used fraction of the budget.
-func (s *Store) Utilization() float64 {
-	return float64(s.used) / float64(s.Capacity)
 }
 
 // Endurance estimates how many seconds of recording fit in a budget under

@@ -36,12 +36,11 @@ func TestStoreAllConsumesFullRecords(t *testing.T) {
 	if !s.Add(false) == false {
 		t.Fatal("11th beat should be dropped")
 	}
-	full, markers, dropped := s.Beats()
-	if full != 10 || markers != 0 || dropped != 1 {
-		t.Fatalf("full=%d markers=%d dropped=%d", full, markers, dropped)
+	if s.full != 10 || s.markers != 0 || s.dropped != 1 {
+		t.Fatalf("full=%d markers=%d dropped=%d", s.full, s.markers, s.dropped)
 	}
-	if s.Used() != 10*FullBeatBytes {
-		t.Fatalf("used %d", s.Used())
+	if s.used != 10*FullBeatBytes {
+		t.Fatalf("used %d", s.used)
 	}
 }
 
@@ -58,12 +57,11 @@ func TestStoreAbnormalGates(t *testing.T) {
 			t.Fatalf("marker %d dropped", i)
 		}
 	}
-	full, markers, dropped := s.Beats()
-	if full != 1 || markers != 5 || dropped != 0 {
-		t.Fatalf("full=%d markers=%d dropped=%d", full, markers, dropped)
+	if s.full != 1 || s.markers != 5 || s.dropped != 0 {
+		t.Fatalf("full=%d markers=%d dropped=%d", s.full, s.markers, s.dropped)
 	}
-	if s.Utilization() != 1.0 {
-		t.Fatalf("utilization %v, want 1", s.Utilization())
+	if s.used != s.Capacity {
+		t.Fatalf("used %d of %d bytes, want the whole budget", s.used, s.Capacity)
 	}
 	if s.Add(false) {
 		t.Fatal("store should be full")

@@ -12,6 +12,8 @@ import "testing"
 
 // AssertZeroAlloc fails the test if f allocates. name labels the measured
 // operation in the failure message.
+//
+//rpvet:allow deadcode -- test harness: the zero-allocation tests of wire, serve, pipeline, gate and bitemb
 func AssertZeroAlloc(t *testing.T, name string, f func()) {
 	t.Helper()
 	AssertZeroAllocN(t, name, 100, f)
@@ -25,6 +27,8 @@ func AssertZeroAlloc(t *testing.T, name string, f func()) {
 // work to a goroutine (engine workers draining chunks) are measured
 // globally by testing.AllocsPerRun, and a warm-up racing the first round
 // can charge one-time growth to it.
+//
+//rpvet:allow deadcode -- test harness: the zero-allocation tests of gate, load, pipeline, serve and sigdsp
 func AssertZeroAllocN(t *testing.T, name string, runs int, f func()) {
 	t.Helper()
 	var allocs float64
@@ -39,6 +43,8 @@ func AssertZeroAllocN(t *testing.T, name string, runs int, f func()) {
 
 // AssertAllocsAtMost bounds f's allocations per run for paths with a
 // documented nonzero floor (e.g. sort.Slice boxing its less closure).
+//
+//rpvet:allow deadcode -- test harness: TestDetectIntoSteadyStateAllocs and the pipeline allocation tests
 func AssertAllocsAtMost(t *testing.T, name string, max float64, runs int, f func()) {
 	t.Helper()
 	if allocs := testing.AllocsPerRun(runs, f); allocs > max {

@@ -18,6 +18,8 @@ const ratioRun = 20 * time.Millisecond
 // host speed moves both halves of most pairs alike, and the median drops
 // the pairs it splits. Timing one operation to the end before starting the
 // other would put any such change straight into the ratio.
+//
+//rpvet:allow deadcode -- test harness: TestBitembKernelSpeedupFloor and TestFrontendBatchParity
 func MedianRatio(pairs int, a, b func(n int)) (ratio, aNs, bNs float64) {
 	na, nb := callsPerRun(a), callsPerRun(b)
 	ratios := make([]float64, pairs)

@@ -54,14 +54,6 @@ type Result struct {
 	DelineatedBeats int
 }
 
-// ActivationRate is the fraction of beats that triggered delineation.
-func (r *Result) ActivationRate() float64 {
-	if len(r.Beats) == 0 {
-		return 0
-	}
-	return float64(r.DelineatedBeats) / float64(len(r.Beats))
-}
-
 // Process runs the full pipeline over raw ADC leads (lead 0 drives
 // detection and classification; all leads feed delineation).
 func (n *Node) Process(leads [][]int32) (*Result, error) {

@@ -76,7 +76,7 @@ func TestProcessEndToEnd(t *testing.T) {
 	}
 	// Abnormal beats (including PVCs) should trigger delineation; the
 	// activation rate must sit between the PVC rate and ~1.
-	rate := res.ActivationRate()
+	rate := float64(res.DelineatedBeats) / float64(len(res.Beats))
 	if rate < 0.05 || rate > 0.8 {
 		t.Fatalf("activation rate %.3f implausible", rate)
 	}
@@ -157,7 +157,7 @@ func TestNormalOnlyRecordMostlyDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rate := res.ActivationRate(); rate > 0.5 {
+	if rate := float64(res.DelineatedBeats) / float64(len(res.Beats)); rate > 0.5 {
 		t.Fatalf("activation rate %.3f on an all-normal record (expected mostly discards)", rate)
 	}
 }

@@ -26,7 +26,6 @@ import (
 const (
 	CodeNormal byte = 1 // N: normal beat
 	CodeLBBB   byte = 2 // L: left bundle branch block beat
-	CodeRBBB   byte = 3 // R: right bundle branch block beat
 	CodePVC    byte = 5 // V: premature ventricular contraction
 
 	// Pseudo-annotation codes (never returned as beats).

@@ -201,7 +201,7 @@ func TestAnnotationsPropertyRoundTrip(t *testing.T) {
 		n := 1 + r.Intn(100)
 		anns := make([]Ann, n)
 		t0 := 0
-		codes := []byte{CodeNormal, CodeLBBB, CodePVC, CodeRBBB}
+		codes := []byte{CodeNormal, CodeLBBB, CodePVC, 3} // 3: R, right bundle branch block
 		for i := range anns {
 			t0 += r.Intn(5000) // sometimes > 1023 to exercise SKIP
 			anns[i] = Ann{Sample: t0, Code: codes[r.Intn(len(codes))]}
