@@ -53,7 +53,6 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
-		replicas  = flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = default)")
 		interval  = flag.Duration("health-interval", gate.DefaultHealthInterval, "backend health/catalog probe cadence")
 		timeout   = flag.Duration("health-timeout", 2*time.Second, "per-probe timeout")
 		failAfter = flag.Int("fail-after", 2, "consecutive transport failures before a backend leaves rotation")
@@ -76,7 +75,6 @@ func main() {
 	}
 	g, err := gate.New(gate.Config{
 		Backends:       backends,
-		Replicas:       *replicas,
 		HealthInterval: *interval,
 		HealthTimeout:  *timeout,
 		FailAfter:      *failAfter,

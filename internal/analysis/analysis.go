@@ -12,8 +12,9 @@
 //     //rpvet:allow suppression mechanism;
 //   - load.go: a module-aware package loader that parses and type-checks
 //     rpbeat packages from source in dependency order, resolving standard
-//     library imports through go/importer's source importer (no `go list`
-//     subprocess, no network, no GOPATH);
+//     library imports from compiler export data through go/importer's gc
+//     importer (which runs the go command to find it; no network, no
+//     GOPATH);
 //   - analysistest/: a fixture harness in the style of x/tools'
 //     analysistest, driving an analyzer over testdata/src packages and
 //     matching reported diagnostics against `// want "regexp"` comments.

@@ -27,7 +27,8 @@ type Package struct {
 // in three tiers: an optional overlay directory first (the analysistest
 // fixture root, mapping import path -> Overlay/<path>), then the module's
 // own packages (ModulePath prefix -> ModuleDir), then the standard library
-// through go/importer's source importer. Module and overlay packages are
+// from its compiler export data (go/importer's gc importer, which asks the
+// go command where that data is). Module and overlay packages are
 // type-checked recursively in dependency order and memoized, so every
 // package is checked exactly once per Loader.
 type Loader struct {
@@ -49,7 +50,7 @@ func NewLoader(modulePath, moduleDir string) *Loader {
 		Fset:       fset,
 		ModulePath: modulePath,
 		ModuleDir:  moduleDir,
-		std:        importer.ForCompiler(fset, "source", nil),
+		std:        importer.ForCompiler(fset, "gc", nil),
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
 	}

@@ -6,9 +6,10 @@ package gate
 // package.
 
 // JournalBench drives one replay journal through its steady-state cycle —
-// append a unit, backend-body read, delivery ack — exactly as a live relay
-// does once warm. Warm it up for a few hundred steps before measuring so
-// the arena and entry ring reach their recycled fixed point.
+// append a unit, backend-body read, delivery ack — as a live relay does
+// once warm, less the client read a live body's Read makes before its
+// append. Warm it up for a few hundred steps before measuring so the entry
+// ring and its slot buffers reach their recycled fixed point.
 type JournalBench struct {
 	j     *journal
 	body  *journalBody
@@ -22,7 +23,7 @@ type JournalBench struct {
 // synthetic uplink unit of unitBytes bytes carrying unitSamples samples.
 func NewJournalBench(window, unitBytes, unitSamples int) *JournalBench {
 	b := &JournalBench{
-		j:    newJournal(window),
+		j:    newJournal(window, nil), // Step appends every unit its Read sends
 		raw:  make([]byte, unitBytes),
 		buf:  make([]byte, unitBytes),
 		unit: int64(unitSamples),

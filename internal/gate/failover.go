@@ -3,14 +3,15 @@ package gate
 // Transparent mid-stream failover for /v1/stream.
 //
 // The stream relay tees the client's uplink through a bounded replay journal
-// (journal.go) and parses the backend's NDJSON downlink line by line. A pump
-// goroutine reads the uplink into the journal through wire.UplinkReader, the
-// reader the backend itself runs, and each backend attempt's request body
-// reads straight from the journal, so a relayed stream runs two goroutines:
-// the handler and the pump. When the backend dies mid-stream — a transport
-// error, an unexpected EOF, or a typed retryable error line like
-// shutting_down — the relay reopens the stream on the ring's next routable
-// backend, replays the retained journal with the resume handshake
+// (journal.go) and parses the backend's NDJSON downlink line by line. Each
+// backend attempt's request body reads straight from the journal, and once
+// it has sent everything journaled it reads the client's next unit through
+// wire.UplinkReader, the reader the backend itself runs; so a relayed
+// stream runs no goroutine of its own beside its handler, and the client is
+// read only when a backend asks for bytes. When the backend dies mid-stream
+// — a transport error, an unexpected EOF, or a typed retryable error line
+// like shutting_down — the relay reopens the stream on the ring's next
+// routable backend, replays the retained journal with the resume handshake
 // (wire.ResumeFromHeader), suppresses the replayed beats the client already
 // has (every beat with sample index at or below the delivery watermark —
 // exact, because refractory arbitration makes beat positions strictly
@@ -40,7 +41,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"rpbeat/internal/apierr"
@@ -60,24 +60,19 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 		return
 	}
 
-	j := newJournal(g.window)
-	var pump sync.WaitGroup
-	pump.Add(1)
-	go func() {
-		defer pump.Done()
-		pumpUplink(r.Body, wire.IsSampleContentType(r.Header.Get("Content-Type")), j)
-	}()
+	j := newJournal(g.window, wire.NewUplinkReader(r.Body, wire.IsSampleContentType(r.Header.Get("Content-Type"))))
 	defer func() {
-		// The pump must not touch r.Body after this handler returns: closing
-		// the journal stops it at its next unit, and a read deadline bounds
-		// a read still blocked on a quiet client. A pump that has reached
-		// the uplink's EOF gets no deadline: net/http's background read owns
-		// the connection by then, and failing that read would cancel the
-		// connection's next request.
+		// Nothing may read r.Body after this handler returns. Closing the
+		// journal stops every body before its next client read, a read
+		// deadline cuts short one still blocked on a quiet client, and the
+		// pull lock waits it out. An uplink that has reached its EOF gets no
+		// deadline: net/http's background read owns the connection by then,
+		// and failing that read would cancel the connection's next request.
 		if !j.close() {
 			rc.SetReadDeadline(time.Now().Add(serve.UplinkGrace))
 		}
-		pump.Wait()
+		j.pull.Lock()
+		j.pull.Unlock()
 		serve.EndUplink(w, r.Body)
 	}()
 
@@ -197,61 +192,6 @@ func (g *Gateway) failStream(w http.ResponseWriter, flush func() error, headersS
 	flush()
 	*bp = line[:0]
 	lineBufs.Put(bp)
-}
-
-// --- uplink pump ---
-
-// pumpUplink reads the client's upload into journal entries: binary frames
-// or NDJSON chunk lines, kept verbatim (replayed bytes are the client's
-// bytes, never a re-encoding) with their sample counts, split exactly as the
-// backend's own wire.UplinkReader splits them. A unit the reader rejects
-// poisons the journal and the remaining bytes flow through raw.
-func pumpUplink(body io.Reader, isBinary bool, j *journal) {
-	ur := wire.NewUplinkReader(body, isBinary)
-	for {
-		raw, samples, err := ur.Next()
-		switch {
-		case err == nil:
-			if !j.append(raw, len(samples)) {
-				return
-			}
-		case wire.Malformed(err):
-			poisonRest(j, raw, ur) // the backend will refuse it; just carry the bytes
-			return
-		default:
-			j.finish() // EOF or a client-side transport error: nothing more is coming
-			return
-		}
-	}
-}
-
-// poisonRest disables failover (the journal's sample accounting just broke),
-// journals whatever partial bytes are pending, and pumps the rest of the
-// uplink through raw so the backend can deliver its own typed verdict.
-func poisonRest(j *journal, pending []byte, rest io.Reader) {
-	j.poison()
-	if len(pending) > 0 {
-		if !j.append(pending, 0) {
-			return
-		}
-	}
-	pumpRaw(rest, j)
-}
-
-func pumpRaw(r io.Reader, j *journal) {
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := r.Read(buf)
-		if n > 0 {
-			if !j.append(buf[:n], 0) {
-				return
-			}
-		}
-		if err != nil {
-			j.finish()
-			return
-		}
-	}
 }
 
 // --- downlink ---

@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 	"testing"
-	"time"
 
 	"rpbeat/internal/faultinject"
 	"rpbeat/internal/pipeline"
@@ -197,10 +196,10 @@ func TestGateFailoverResyncBitIdentity(t *testing.T) {
 
 // TestJournalAppendZeroAlloc pins the relay's hot-path invariant: a
 // steady-state journal cycle — append, the attempt's body reading the entry
-// back out, watermark advancing, evicted arena space recycling — allocates
+// back out, watermark advancing, evicted slot buffers recycling — allocates
 // nothing.
 func TestJournalAppendZeroAlloc(t *testing.T) {
-	j := newJournal(100)
+	j := newJournal(100, nil)
 	body, _ := j.resetForAttempt()
 	raw := bytes.Repeat([]byte{7}, 140)
 	buf := make([]byte, 256)
@@ -216,7 +215,7 @@ func TestJournalAppendZeroAlloc(t *testing.T) {
 		j.ack(total)
 	}
 	for i := 0; i < 200; i++ {
-		step() // grow arena and entry ring to steady state
+		step() // grow the entry ring and its slot buffers to steady state
 	}
 	testutil.AssertZeroAlloc(t, "journal.append", step)
 }
@@ -227,7 +226,7 @@ func TestJournalAppendZeroAlloc(t *testing.T) {
 // regenerable.
 func TestJournalRetentionAnchorsToAcks(t *testing.T) {
 	const window = 100
-	j := newJournal(window)
+	j := newJournal(window, nil)
 	body, base := j.resetForAttempt()
 	if base != 0 {
 		t.Fatalf("empty journal resolves base %d, want 0", base)
@@ -269,38 +268,117 @@ func TestJournalRetentionAnchorsToAcks(t *testing.T) {
 	}
 }
 
+// TestJournalEvictsOnEveryAppend bounds retention from above: every append
+// evicts all that the rule allows, so a failover replays the window plus
+// the delivery lag, never a backlog. After steady appends with acks,
+// resetForAttempt's base lies within one unit of acked − window.
+func TestJournalEvictsOnEveryAppend(t *testing.T) {
+	const window, unit, lag = 100, 10, 50
+	j := newJournal(window, nil)
+	body, _ := j.resetForAttempt()
+	raw := bytes.Repeat([]byte{3}, 64)
+	buf := make([]byte, len(raw))
+	var total, acked int64
+	for i := 0; i < 500; i++ {
+		if total >= lag {
+			acked = total - lag
+			j.ack(acked)
+		}
+		if !j.append(raw, unit) {
+			t.Fatal("append refused")
+		}
+		total += unit
+		if _, err := body.Read(buf); err != nil {
+			t.Fatalf("body read refused: %v", err)
+		}
+	}
+	_, base := j.resetForAttempt()
+	if want := acked - window; base > want || base <= want-unit {
+		t.Fatalf("replay base %d, want within one %d-sample unit below acked %d - window %d = %d",
+			base, unit, acked, window, want)
+	}
+}
+
 // TestJournalOverflowPoisons pins graceful degradation: a stream whose acks
-// never advance (no beats to anchor eviction) cannot grow the arena past
-// its budget — the journal poisons itself, recycles, and reports inexact.
+// never advance (no beats to anchor eviction) cannot retain more than its
+// budget — the journal poisons itself, recycles, and reports inexact.
 func TestJournalOverflowPoisons(t *testing.T) {
-	j := newJournal(1 << 30)
+	j := newJournal(1<<30, nil)
 	body, _ := j.resetForAttempt()
 	raw := bytes.Repeat([]byte{2}, 8<<10)
 	buf := make([]byte, len(raw))
-	for total := 0; total <= 2*maxJournalArena; total += len(raw) {
+	for total := 0; total <= 2*maxJournalBytes; total += len(raw) {
 		if !j.append(raw, 256) {
 			t.Fatal("append refused")
 		}
 		if _, err := body.Read(buf); err != nil {
 			t.Fatalf("body read refused: %v", err)
 		}
+		if j.bytes > maxJournalBytes {
+			t.Fatalf("journal retains %d bytes, want <= %d", j.bytes, maxJournalBytes)
+		}
 	}
 	if j.exact() {
-		t.Fatal("journal still exact after overflowing its arena budget")
-	}
-	if len(j.arena) > 2*maxJournalArena {
-		t.Fatalf("arena grew to %d bytes, want <= %d", len(j.arena), 2*maxJournalArena)
+		t.Fatal("journal still exact after overflowing its budget")
 	}
 }
 
+// TestJournalReleasesHugeSlots: a slot recycles its buffer only up to
+// maxSlotKeep, so a stream of huge units holds the units retention needs,
+// not a ring's worth of them.
+func TestJournalReleasesHugeSlots(t *testing.T) {
+	j := newJournal(100, nil)
+	body, _ := j.resetForAttempt()
+	raw := make([]byte, 2*maxSlotKeep)
+	buf := make([]byte, len(raw))
+	var total int64
+	for i := 0; i < 200; i++ {
+		if !j.append(raw, 50) {
+			t.Fatal("append refused")
+		}
+		total += 50
+		if _, err := io.ReadFull(body, buf); err != nil {
+			t.Fatalf("body read refused: %v", err)
+		}
+		j.ack(total)
+	}
+	for i := j.count; i < len(j.ents); i++ {
+		if c := cap(j.ents[(j.head+i)%len(j.ents)].buf); c > maxSlotKeep {
+			t.Fatalf("free slot %d keeps a %d-byte buffer, want <= %d", i, c, maxSlotKeep)
+		}
+	}
+}
+
+// gatedClient is a client uplink the test feeds one read at a time:
+// entered signals that a Read is waiting for bytes, and closing data ends
+// the uplink.
+type gatedClient struct {
+	entered chan struct{}
+	data    chan []byte
+}
+
+func newGatedClient() *gatedClient {
+	return &gatedClient{entered: make(chan struct{}), data: make(chan []byte)}
+}
+
+func (c *gatedClient) Read(p []byte) (int, error) {
+	c.entered <- struct{}{}
+	b, ok := <-c.data
+	if !ok {
+		return 0, io.EOF
+	}
+	return copy(p, b), nil
+}
+
 // TestJournalBodyReads pins the attempt body's contract as the transport
-// sees it: a Read spans entries and splits them at any byte; it waits for
-// the uplink while there is nothing to send; it ends with io.EOF only once
-// the uplink has ended and every byte went out; and it fails once a
-// failover supersedes the attempt, the relay is torn down, or the body is
-// closed — each of which also releases a Read already waiting.
+// sees it: a Read spans entries and splits them at any byte; with every
+// entry sent it returns the client's next unit; it ends with io.EOF only
+// once the uplink has ended and every byte went out; and it fails once a
+// failover supersedes the attempt, the body is closed or the relay is torn
+// down.
 func TestJournalBodyReads(t *testing.T) {
-	j := newJournal(1 << 20)
+	client := newGatedClient()
+	j := newJournal(1<<20, wire.NewUplinkReader(client, false))
 	body, _ := j.resetForAttempt()
 	for _, unit := range []string{"abc", "defg", "h"} {
 		if !j.append([]byte(unit), 1) {
@@ -320,60 +398,100 @@ func TestJournalBodyReads(t *testing.T) {
 		t.Fatalf("body read %q, want the journaled bytes abcdefgh", got)
 	}
 
-	// blockedRead starts a Read on an empty cursor and returns its result.
-	blockedRead := func(b *journalBody) <-chan error {
-		done := make(chan error, 1)
-		go func() {
-			_, err := b.Read(make([]byte, 8))
-			done <- err
-		}()
-		return done
-	}
-	waitRead := func(what string, done <-chan error, want error) {
-		t.Helper()
-		select {
-		case err := <-done:
-			if err != want {
-				t.Fatalf("%s: Read returned %v, want %v", what, err, want)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: Read still blocked", what)
-		}
-	}
-
-	done := blockedRead(body)
-	j.append([]byte("ij"), 1)
-	select {
-	case err := <-done:
+	// Every entry is sent: the next Read pulls the client's next unit and
+	// sends it, split like any entry.
+	line := `{"samples":[4,5,6]}` + "\n"
+	read := make(chan []byte, 1)
+	go func() {
+		p, err := io.ReadAll(io.LimitReader(body, int64(len(line))))
 		if err != nil {
-			t.Fatalf("Read woken by an append returned %v", err)
+			t.Errorf("Read of the pulled unit: %v", err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("an append did not wake a waiting Read")
+		read <- p
+	}()
+	<-client.entered
+	client.data <- []byte(line)
+	if p := <-read; string(p) != line {
+		t.Fatalf("body read %q from the client, want %q", p, line)
+	}
+	if n := j.samples(); n != 3+3 {
+		t.Fatalf("journal counts %d samples, want 6", n)
 	}
 
-	done = blockedRead(body)
+	// The uplink ends: a replay sends every journaled byte, then io.EOF.
+	go func() {
+		<-client.entered
+		close(client.data)
+	}()
 	replay, _ := j.resetForAttempt()
-	waitRead("superseded", done, errAttemptSuperseded)
-
-	// The new attempt replays every journaled byte; drain them so the next
-	// Read waits and Close has a waiting Read to release.
-	if n, err := io.ReadFull(replay, make([]byte, len("abcdefghij"))); err != nil {
-		t.Fatalf("replay read %d bytes: %v", n, err)
-	}
-	done = blockedRead(replay)
-	replay.Close()
-	waitRead("closed", done, errAttemptSuperseded)
-
-	last, _ := j.resetForAttempt()
-	j.finish()
-	if all, err := io.ReadAll(last); err != nil || string(all) != "abcdefghij" {
+	if all, err := io.ReadAll(replay); err != nil || string(all) != "abcdefgh"+line {
 		t.Fatalf("replay after the uplink ended read %q, %v; want every journaled byte, then io.EOF", all, err)
 	}
 
-	live := newJournal(1 << 20)
-	torn, _ := live.resetForAttempt()
-	done = blockedRead(torn)
-	live.close()
-	waitRead("torn down", done, errAttemptSuperseded)
+	if _, err := body.Read(make([]byte, 8)); err != errAttemptSuperseded {
+		t.Fatalf("superseded body: Read returned %v, want %v", err, errAttemptSuperseded)
+	}
+	last, _ := j.resetForAttempt()
+	last.Close()
+	if _, err := last.Read(make([]byte, 8)); err != errAttemptSuperseded {
+		t.Fatalf("closed body: Read returned %v, want %v", err, errAttemptSuperseded)
+	}
+	torn, _ := j.resetForAttempt()
+	j.close()
+	if _, err := torn.Read(make([]byte, 8)); err != errAttemptSuperseded {
+		t.Fatalf("torn-down body: Read returned %v, want %v", err, errAttemptSuperseded)
+	}
+}
+
+// TestJournalSupersededPull covers the one interleaving the pull adds: a
+// Read blocked on the client when a failover supersedes its attempt
+// journals the unit it receives and fails, and the successor sends that
+// unit exactly once.
+func TestJournalSupersededPull(t *testing.T) {
+	client := newGatedClient()
+	j := newJournal(1<<20, wire.NewUplinkReader(client, false))
+	stale, _ := j.resetForAttempt()
+	staleErr := make(chan error, 1)
+	go func() {
+		_, err := stale.Read(make([]byte, 64))
+		staleErr <- err
+	}()
+	<-client.entered // the stale Read holds the pull lock, reading the client
+
+	next, base := j.resetForAttempt()
+	if base != 0 {
+		t.Fatalf("successor resumes from %d, want 0", base)
+	}
+	sent := make(chan []byte, 1)
+	go func() {
+		p := make([]byte, 64)
+		n, err := next.Read(p)
+		if err != nil {
+			t.Errorf("successor Read: %v", err)
+		}
+		sent <- p[:n]
+	}()
+	line := `{"samples":[1,2]}` + "\n"
+	client.data <- []byte(line)
+	if err := <-staleErr; err != errAttemptSuperseded {
+		t.Fatalf("superseded Read returned %v, want %v", err, errAttemptSuperseded)
+	}
+	select {
+	case p := <-sent:
+		if string(p) != line {
+			t.Fatalf("successor sent %q, want the stale Read's unit %q", p, line)
+		}
+	case <-client.entered:
+		t.Fatal("successor read the client before sending the journaled unit")
+	}
+	go func() {
+		<-client.entered
+		close(client.data)
+	}()
+	if rest, err := io.ReadAll(next); err != nil || len(rest) != 0 {
+		t.Fatalf("successor went on to send %q, %v; want the unit once, then io.EOF", rest, err)
+	}
+	if n := j.samples(); n != 2 {
+		t.Fatalf("journal counts %d samples, want 2", n)
+	}
 }

@@ -27,9 +27,6 @@ type Config struct {
 	// Required (at least one); trailing slashes are trimmed, duplicates
 	// rejected.
 	Backends []string
-	// Replicas is the virtual-node count per backend on the hash ring
-	// (<= 0 means DefaultReplicas).
-	Replicas int
 	// HealthInterval paces the background health/catalog probe loop.
 	// 0 means DefaultHealthInterval; negative disables the loop entirely
 	// (probes then run only through CheckNow — how tests drive the gateway
@@ -66,7 +63,6 @@ type backend struct {
 
 	fails     atomic.Int32 // consecutive transport failures
 	nextCheck atomic.Int64 // unix nanos of the next due probe (backoff)
-	probing   atomic.Bool  // a probe of this backend is in flight
 
 	inflight atomic.Int64
 	relayed  atomic.Int64 // responses relayed to completion
@@ -97,7 +93,6 @@ func (b *backend) noteStatus(status int) {
 // Gateway routes client requests onto the backend pool. See the package
 // comment for the invariants it keeps.
 type Gateway struct {
-	replicas   int
 	interval   time.Duration // always positive (backoff math); loop gated by runLoop
 	runLoop    bool
 	timeout    time.Duration
@@ -130,7 +125,7 @@ type Gateway struct {
 	shedNoBackend atomic.Int64  // requests refused because no backend was routable
 	failovers     atomic.Int64  // mid-stream failover hops performed
 
-	checkMu  sync.Mutex // one probe round at a time
+	checkMu  sync.Mutex // one probe round at a time, so one probe per backend
 	inflight sync.WaitGroup
 	loopWG   sync.WaitGroup
 	closed   chan struct{}
@@ -157,7 +152,6 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gate: at least one backend required")
 	}
 	g := &Gateway{
-		replicas:  cfg.Replicas,
 		interval:  cfg.HealthInterval,
 		runLoop:   cfg.HealthInterval >= 0,
 		timeout:   cfg.HealthTimeout,
@@ -198,7 +192,7 @@ func New(cfg Config) (*Gateway, error) {
 		g.members = append(g.members, b)
 		urls = append(urls, u)
 	}
-	g.ring = NewRing(urls, g.replicas)
+	g.ring = NewRing(urls)
 	g.bufs.New = func() any { b := make([]byte, relayBufBytes); return &b }
 	if g.runLoop {
 		g.loopWG.Add(1)
@@ -524,13 +518,9 @@ func (g *Gateway) checkRound(ctx context.Context, force bool) {
 		if !force && now < b.nextCheck.Load() {
 			continue // still backing off
 		}
-		if !b.probing.CompareAndSwap(false, true) {
-			continue // an earlier probe of this backend is still in flight
-		}
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			defer b.probing.Store(false)
 			results[i] = g.probe(ctx, b)
 		}(i, b)
 	}

@@ -92,10 +92,10 @@ func TestProxyByteIdentity(t *testing.T) {
 	copy(oversized, frames[:4])
 	oversized[4], oversized[5], oversized[6], oversized[7] = 0xff, 0xff, 0xff, 0x7f
 
-	// NDJSON uplinks the gateway pump must frame exactly as the backend
-	// does: a bad chunk line after good ones (the pump poisons its journal
-	// and passes the rest through raw), CRLF line ends among blank lines,
-	// and a final line without its newline.
+	// NDJSON uplinks the gateway's journal must frame exactly as the
+	// backend does: a bad chunk line after good ones (the journal poisons
+	// itself and passes the rest through raw), CRLF line ends among blank
+	// lines, and a final line without its newline.
 	half := len(lead) / 2
 	badLine := append(append(ndjsonChunks(lead[:half], 720), "{nope}\n"...), ndjsonChunks(lead[half:], 720)...)
 	crlf := append([]byte("\n\r\n"), bytes.ReplaceAll(ndjsonChunks(lead, 720), []byte("\n"), []byte("\r\n\n"))...)

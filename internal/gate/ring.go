@@ -20,8 +20,9 @@ package gate
 import "sort"
 
 // Ring is an immutable consistent-hash ring over a backend member set.
-// Every member contributes `replicas` virtual points; a key is owned by the
-// first point clockwise from the key's hash. Lookups are allocation-free.
+// Every member contributes DefaultReplicas virtual points; a key is owned by
+// the first point clockwise from the key's hash. Lookups are
+// allocation-free.
 //
 // The gateway builds one ring over its fixed pool in New and never mutates
 // it. Its minimal key movement matters across restarts: a gateway started
@@ -38,18 +39,14 @@ type ringPoint struct {
 	member int32
 }
 
-// DefaultReplicas is the virtual-node count per member when the caller does
-// not choose: enough that a 3-node pool balances within ~10–20%, cheap
-// enough that building the ring stays microseconds.
+// DefaultReplicas is the virtual-node count per member: enough that a
+// 3-node pool balances within ~10–20%, cheap enough that building the ring
+// stays microseconds.
 const DefaultReplicas = 64
 
 // NewRing builds a ring over the given members (deduplicated, order
-// ignored) with `replicas` virtual points each (<= 0 means
-// DefaultReplicas).
-func NewRing(members []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+// ignored) with DefaultReplicas virtual points each.
+func NewRing(members []string) *Ring {
 	uniq := make([]string, 0, len(members))
 	seen := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -61,11 +58,11 @@ func NewRing(members []string, replicas int) *Ring {
 	sort.Strings(uniq)
 	r := &Ring{
 		members: uniq,
-		points:  make([]ringPoint, 0, len(uniq)*replicas),
+		points:  make([]ringPoint, 0, len(uniq)*DefaultReplicas),
 	}
 	for i, m := range uniq {
 		h := hashKey(m)
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < DefaultReplicas; v++ {
 			// Per-replica positions: the member hash strided by the golden
 			// ratio and re-mixed, so each virtual point lands independently.
 			p := mix64(h + goldenGamma*uint64(v+1))

@@ -40,11 +40,11 @@ func owners(r *Ring, keys []string) map[string]string {
 func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 	keys := testKeys(1000)
 	members := testMembers(3)
-	a := NewRing(members, 0)
+	a := NewRing(members)
 	// Same members in a different insertion order must induce the same
 	// ownership: construction sorts, point hashes depend only on the
 	// member string.
-	b := NewRing([]string{members[2], members[0], members[1], members[0]}, 0)
+	b := NewRing([]string{members[2], members[0], members[1], members[0]})
 	oa, ob := owners(a, keys), owners(b, keys)
 	for k, m := range oa {
 		if ob[k] != m {
@@ -56,7 +56,7 @@ func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	const n = 4
 	keys := testKeys(20000)
-	r := NewRing(testMembers(n), 0)
+	r := NewRing(testMembers(n))
 	counts := map[string]int{}
 	for _, k := range keys {
 		m, _ := r.LookupFunc(k, nil)
@@ -79,9 +79,9 @@ func TestRingBalance(t *testing.T) {
 func TestRingMinimalMovementRemove(t *testing.T) {
 	keys := testKeys(10000)
 	members := testMembers(4)
-	before := owners(NewRing(members, 0), keys)
+	before := owners(NewRing(members), keys)
 	removed := members[2]
-	after := owners(NewRing(append(append([]string{}, members[:2]...), members[3]), 0), keys)
+	after := owners(NewRing(append(append([]string{}, members[:2]...), members[3])), keys)
 
 	moved := 0
 	for _, k := range keys {
@@ -109,8 +109,8 @@ func TestRingMinimalMovementAdd(t *testing.T) {
 	keys := testKeys(10000)
 	members := testMembers(3)
 	added := "http://10.0.0.99:8080"
-	before := owners(NewRing(members, 0), keys)
-	after := owners(NewRing(append(append([]string{}, members...), added), 0), keys)
+	before := owners(NewRing(members), keys)
+	after := owners(NewRing(append(append([]string{}, members...), added)), keys)
 
 	moved := 0
 	for _, k := range keys {
@@ -134,7 +134,7 @@ func TestRingMinimalMovementAdd(t *testing.T) {
 func TestRingLookupFuncSkips(t *testing.T) {
 	keys := testKeys(5000)
 	members := testMembers(3)
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	down := members[1]
 	usable := func(m string) bool { return m != down }
 	for _, k := range keys {
@@ -153,13 +153,13 @@ func TestRingLookupFuncSkips(t *testing.T) {
 	if _, ok := r.LookupFunc(keys[0], func(string) bool { return false }); ok {
 		t.Fatal("lookup with nothing usable reported ok")
 	}
-	if _, ok := NewRing(nil, 0).LookupFunc("x", nil); ok {
+	if _, ok := NewRing(nil).LookupFunc("x", nil); ok {
 		t.Fatal("empty ring reported ok")
 	}
 }
 
 func TestRingLookupZeroAlloc(t *testing.T) {
-	r := NewRing(testMembers(5), 0)
+	r := NewRing(testMembers(5))
 	keys := testKeys(64)
 	usable := func(m string) bool { return true }
 	testutil.AssertZeroAllocN(t, "ring lookup over 64 keys", 1000, func() {
@@ -172,7 +172,7 @@ func TestRingLookupZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkRingLookup(b *testing.B) {
-	r := NewRing(testMembers(16), 0)
+	r := NewRing(testMembers(16))
 	keys := testKeys(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -63,13 +63,14 @@ type extremum struct {
 }
 
 // Scratch holds the reusable working buffers of one detection run: the
-// wavelet decomposition, the per-scale and combined thresholds, and the
+// wavelet decomposition, the thresholds of the two scales the detection
+// signal combines, the signal and its threshold, and the
 // extremum/candidate/peak lists. A zero value is ready to use; buffers grow
 // to the largest record seen and are reused afterwards, so a warm scratch
 // makes DetectInto nearly allocation-free. Not safe for concurrent use.
 type Scratch struct {
 	dwt   sigdsp.DWT
-	thr   [][]float64
+	thr   [2][]float64 // windowed RMS of scales 2^2 and 2^3
 	z     []float64
 	thrZ  []float64
 	ext   []extremum
@@ -85,11 +86,8 @@ func growFloat(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// scales holds the decomposition, the per-scale adaptive thresholds and the
-// combined detection signal.
+// scales holds the combined detection signal and its adaptive threshold.
 type scales struct {
-	w   [][]float64
-	thr [][]float64
 	// z is the detection signal: the sum of scales 2^2 and 2^3 normalized by
 	// their local RMS. QRS complexes put energy into both scales (narrow
 	// ones into 2^2, wide LBBB/PVC ones into 2^3) while T waves and
@@ -100,43 +98,27 @@ type scales struct {
 }
 
 func decompose(sc *Scratch, x []float64, c Config) scales {
+	// Four levels, of which z reads the details at 2^2 and 2^3.
 	sigdsp.AtrousDWTInto(&sc.dwt, x, 4)
-	d := &sc.dwt
-	if cap(sc.thr) >= len(d.W) {
-		sc.thr = sc.thr[:len(d.W)]
-	} else {
-		thr := make([][]float64, len(d.W))
-		copy(thr, sc.thr)
-		sc.thr = thr
-	}
+	w := sc.dwt.W
 	n := len(x)
-	s := scales{w: d.W, thr: sc.thr}
 	win := int(windowSec * c.Fs)
-	for i := range d.W {
+	for i := range sc.thr {
 		sc.thr[i] = growFloat(sc.thr[i], n)
-		windowedRMSInto(sc.thr[i], d.W[i], win)
+		windowedRMSInto(sc.thr[i], w[i+1], win)
 	}
 	sc.z = growFloat(sc.z, n)
-	s.z = sc.z
 	for i := 0; i < n; i++ {
-		s.z[i] = d.W[1][i]/(s.thr[1][i]+1e-300) + d.W[2][i]/(s.thr[2][i]+1e-300)
+		sc.z[i] = w[1][i]/(sc.thr[0][i]+1e-300) + w[2][i]/(sc.thr[1][i]+1e-300)
 	}
 	sc.thrZ = growFloat(sc.thrZ, n)
-	s.thrZ = sc.thrZ
-	windowedRMSInto(s.thrZ, s.z, win)
-	return s
+	windowedRMSInto(sc.thrZ, sc.z, win)
+	return scales{z: sc.z, thrZ: sc.thrZ}
 }
 
 // slice restricts the scales to [lo, hi) (for search-back).
 func (s scales) slice(lo, hi int) scales {
-	out := scales{w: make([][]float64, len(s.w)), thr: make([][]float64, len(s.thr))}
-	for i := range s.w {
-		out.w[i] = s.w[i][lo:hi]
-		out.thr[i] = s.thr[i][lo:hi]
-	}
-	out.z = s.z[lo:hi]
-	out.thrZ = s.thrZ[lo:hi]
-	return out
+	return scales{z: s.z[lo:hi], thrZ: s.thrZ[lo:hi]}
 }
 
 // Detect returns the R-peak sample indices found in x (a single filtered

@@ -75,6 +75,8 @@ func New(capacity int, policy Policy) (*Store, error) {
 
 // Add records one beat. abnormal reports the classifier's verdict. It
 // returns false when the budget is exhausted and the beat was dropped.
+//
+//rpvet:allow deadcode -- reference: TestSimulationMatchesEnduranceModel fills the simulated store beat by beat
 func (s *Store) Add(abnormal bool) bool {
 	s.beats++
 	size := FullBeatBytes

@@ -227,7 +227,7 @@ func TestUplinkReaderUnits(t *testing.T) {
 
 // TestUplinkReaderZeroAlloc: reading a unit into warm buffers allocates
 // nothing, in either encoding — the per-chunk invariant of the stream
-// handler and of the gateway's journal pump.
+// handler and of the gateway's replay journal.
 func TestUplinkReaderZeroAlloc(t *testing.T) {
 	chunk := make([]int32, 360)
 	for i := range chunk {
