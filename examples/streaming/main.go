@@ -1,13 +1,15 @@
 // Streaming: the sample-by-sample front end a node actually runs.
 //
-// The batch API (sigdsp.FilterECG) processes whole buffers; a sensor node
-// sees one ADC sample every 1/360 s and has a few kilobytes of RAM, and a
-// server receives each patient's samples a chunk at a time. This example
-// drives the bounded-memory streaming filter (noise suppression plus
-// baseline removal) over a synthetic recording in one-second chunks, shows
-// its fixed group delay, and verifies that the stream output agrees with
-// the batch reference — bit for bit from the first sample, whatever the
-// chunking, as the library guarantees.
+// A sensor node sees one ADC sample every 1/360 s and has a few kilobytes
+// of RAM, and a server receives each patient's samples a chunk at a time.
+// This example drives the bounded-memory streaming filter (noise
+// suppression plus baseline removal) over a synthetic recording in
+// one-second chunks, shows its fixed group delay, flushes the record's
+// last Delay() samples at its end, and verifies the output against the
+// filter's definition, the morphological Open/Close composition over the
+// whole buffer: bit for bit from the first sample to the last, whatever
+// the chunking, as the library guarantees. (sigdsp.FilterECG is these same
+// kernels over a whole record, so it is no independent check.)
 //
 // Run with: go run ./examples/streaming
 package main
@@ -28,38 +30,40 @@ func main() {
 	raw := rec.LeadMillivolts(0)
 	cfg := sigdsp.DefaultBaselineConfig(rec.Fs)
 
-	// Reference: the batch filter over the whole buffer.
-	batch := sigdsp.FilterECG(raw, cfg)
+	// Reference: the Open/Close composition over the whole buffer.
+	ref := sigdsp.RemoveBaseline(sigdsp.SuppressNoise(raw, cfg), cfg)
 
-	// Stream: one PushChunk per second of ADC samples, bounded memory.
+	// Stream: one PushChunk per second of ADC samples, bounded memory,
+	// then one Flush at the record's end.
 	f := sigdsp.NewStreamECGFilter(cfg)
 	fmt.Printf("streaming front end: group delay %d samples (%.0f ms at %.0f Hz)\n",
 		f.Delay(), 1000*float64(f.Delay())/rec.Fs, rec.Fs)
 
-	out := make([]float64, 0, len(raw))
-	chunk := make([]float64, int(rec.Fs))
-	for off := 0; off < len(raw); off += len(chunk) {
-		c := chunk[:copy(chunk, raw[off:])]
-		out = append(out, c[:f.PushChunk(c, c)]...)
+	out := make([]float64, len(raw))
+	n := 0
+	for off := 0; off < len(raw); off += int(rec.Fs) {
+		n += f.PushChunk(out[n:], raw[off:min(off+int(rec.Fs), len(raw))])
 	}
-	fmt.Printf("pushed %d samples, emitted %d (the final %d need future input)\n",
-		len(raw), len(out), len(raw)-len(out))
+	pushed := n
+	n += f.Flush(out[n:])
+	fmt.Printf("pushed %d samples: %d out of PushChunk, %d out of Flush, %d in all\n",
+		len(raw), pushed, n-pushed, n)
 
-	// Agreement with the batch reference over every emitted sample.
+	// Agreement with the reference over every sample.
 	var maxErr float64
-	for i, y := range out {
-		if e := math.Abs(y - batch[i]); e > maxErr {
+	for i, y := range out[:n] {
+		if e := math.Abs(y - ref[i]); e > maxErr {
 			maxErr = e
 		}
 	}
-	fmt.Printf("max |stream - batch| over %d samples: %.3g mV (bit-exact)\n", len(out), maxErr)
+	fmt.Printf("max |stream - reference| over %d samples: %.3g mV (bit-exact)\n", n, maxErr)
 
 	// What the node gains: memory. The stream keeps two samples for each of
 	// its eight 3-sample noise stages, a power-of-two ring of value +
 	// position (12 B per slot) for each of its four baseline stages, and an
 	// 8 B/sample delay line across the baseline cascade (Delay() less the
-	// four one-sample noise stages); the batch version holds the input, the
-	// output and three full-record ping-pong buffers.
+	// four one-sample noise stages); a whole-record filter also holds the
+	// record and its output.
 	ring := func(n int) int {
 		p := 1
 		for p < n {
@@ -68,9 +72,8 @@ func main() {
 		return p
 	}
 	streamBytes := 8*2*8 + 12*2*(ring(cfg.OpenLen())+ring(cfg.CloseLen())) + 8*(f.Delay()-4)
-	batchBytes := len(raw) * 8 * 5
-	fmt.Printf("approx working memory: stream %d B vs batch %d B for this record\n",
-		streamBytes, batchBytes)
+	fmt.Printf("approx working memory: stream state %d B; a whole-record filter adds %d B of input and output\n",
+		streamBytes, len(raw)*8*2)
 
 	// Show a beat before/after filtering.
 	if len(rec.Ann) > 3 {

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"testing"
 
 	"rpbeat/internal/faultinject"
@@ -347,6 +348,70 @@ func TestJournalReleasesHugeSlots(t *testing.T) {
 			t.Fatalf("free slot %d keeps a %d-byte buffer, want <= %d", i, c, maxSlotKeep)
 		}
 	}
+}
+
+// TestJournalHeapBounded holds the journal's heap, read from
+// runtime.MemStats after two GCs, to its budget however the uplink is cut
+// into units. One-sample lines (16 B each) with no acks run until the
+// journal poisons, and the heap stays under 1.5x maxJournalBytes all the
+// way: the budget counts the entry ring's slots and each slot buffer's
+// capacity, not only the units' bytes. And once 200,000 unacked lines have
+// grown the ring, 60,000 acked 4 KiB units leave under 1 MiB: the ring
+// shrinks once mostly free, so the slots the stream cycles through do not
+// each keep a buffer.
+func TestJournalHeapBounded(t *testing.T) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	line := []byte(`{"samples":[0]}`)
+	unit := bytes.Repeat([]byte{4}, 4<<10)
+	buf := make([]byte, len(unit))
+	push := func(j *journal, body *journalBody, raw []byte, samples int) {
+		if !j.append(raw, samples) {
+			t.Fatal("append refused")
+		}
+		if n, err := body.Read(buf); err != nil || n != len(raw) {
+			t.Fatalf("body read %d bytes (%v), want %d", n, err, len(raw))
+		}
+	}
+	base := heap()
+
+	j := newJournal(360, nil)
+	body, _ := j.resetForAttempt()
+	lines, peak := 0, int64(0)
+	for j.exact() {
+		push(j, body, line, 1)
+		if lines++; lines%(1<<16) == 0 || !j.exact() {
+			peak = max(peak, heap()-base)
+			if peak > 3*maxJournalBytes/2 {
+				t.Fatalf("%d unacked one-sample lines hold %d B of heap, want <= 1.5 x %d", lines, peak, maxJournalBytes)
+			}
+		}
+	}
+	t.Logf("poisoned after %d one-sample lines, at most %d B of heap", lines, peak)
+
+	j = newJournal(360, nil)
+	body, _ = j.resetForAttempt()
+	for i := 0; i < 200_000; i++ {
+		push(j, body, line, 1)
+	}
+	for i := 0; i < 60_000; i++ {
+		push(j, body, unit, 360)
+		j.ack(j.samples())
+	}
+	h := heap() - base
+	t.Logf("after the acked units: %d live entries, a %d-slot ring, %d B of heap", j.count, len(j.ents), h)
+	if h > 1<<20 {
+		t.Fatalf("%d live entries in a %d-slot ring hold %d B of heap after the acked units, want <= 1 MiB", j.count, len(j.ents), h)
+	}
+	if !j.exact() {
+		t.Fatal("journal poisoned by acked units")
+	}
+	runtime.KeepAlive(j)
 }
 
 // gatedClient is a client uplink the test feeds one read at a time:

@@ -40,11 +40,13 @@ package gate
 import (
 	"io"
 	"sync"
+	"unsafe"
 
 	"rpbeat/internal/wire"
 )
 
-// maxJournalBytes caps the bytes the journal retains. A stream whose
+// maxJournalBytes caps the heap the journal holds: its entry ring's slots
+// and every slot buffer's capacity, live or kept for reuse. A stream whose
 // retention needs more than this (pathologically, a signal with no beats to
 // anchor eviction) trades failover for bounded memory via poison.
 const maxJournalBytes = 32 << 20
@@ -52,6 +54,13 @@ const maxJournalBytes = 32 << 20
 // maxSlotKeep bounds the buffer an evicted slot keeps for its next unit, so
 // a rare huge unit does not pin its bytes in the ring once it is evicted.
 const maxSlotKeep = 64 << 10
+
+// minJournalSlots is the entry ring's smallest size; slotBytes is what one
+// slot costs before its buffer.
+const (
+	minJournalSlots = 64
+	slotBytes       = int(unsafe.Sizeof(jentry{}))
+)
 
 // jentry is one journaled uplink unit: its verbatim bytes in the slot's own
 // buffer, its sample count, and the absolute index of its first sample.
@@ -71,7 +80,7 @@ type journal struct {
 	head    int      // ring index of the oldest live entry
 	count   int
 	headSeq int64 // sequence number of ents[head]
-	bytes   int   // bytes retained by the live entries
+	bytes   int   // heap held: the ring's slots and their buffers' capacity
 
 	total  int64 // samples journaled so far (the next entry's base)
 	acked  int64 // samples delivered: last forwarded beat's index + 1
@@ -94,8 +103,8 @@ func newJournal(window int, uplink *wire.UplinkReader) *journal {
 // append journals one uplink unit (raw bytes, verbatim) carrying `samples`
 // samples, after evicting every entry retention no longer needs. It
 // returns false once the journal is closed. Steady-state appends recycle
-// the slots' buffers and allocate nothing; growth lives in the unannotated
-// helper.
+// the slots' buffers and allocate nothing; resizing the ring lives in the
+// unannotated helper.
 //
 //rpbeat:allocfree
 func (j *journal) append(raw []byte, samples int) bool {
@@ -106,21 +115,26 @@ func (j *journal) append(raw []byte, samples int) bool {
 	}
 	for j.evictLocked() {
 	}
-	if !j.poisoned && j.bytes+len(raw) > maxJournalBytes {
+	need := len(raw) // an upper bound: the slot may reuse its buffer
+	if j.count == len(j.ents) {
+		need += max(len(j.ents), minJournalSlots) * slotBytes
+	}
+	if !j.poisoned && j.bytes+need > maxJournalBytes {
 		// Retention outgrew its budget: give up replay capability rather
 		// than memory, then recycle what the body has sent.
 		j.poisoned = true
 		for j.evictLocked() {
 		}
 	}
-	if j.count == len(j.ents) {
-		j.growEnts()
+	if j.count == len(j.ents) || (len(j.ents) > minJournalSlots && j.count < len(j.ents)/4) {
+		j.resizeEnts()
 	}
 	e := &j.ents[(j.head+j.count)%len(j.ents)]
+	kept := cap(e.buf)
 	e.buf = append(e.buf[:0], raw...)
 	e.samples, e.base = samples, j.total
 	j.count++
-	j.bytes += len(raw)
+	j.bytes += cap(e.buf) - kept
 	j.total += int64(samples)
 	return true
 }
@@ -137,8 +151,8 @@ func (j *journal) evictLocked() bool {
 		return false
 	}
 	e := &j.ents[j.head]
-	j.bytes -= len(e.buf)
 	if cap(e.buf) > maxSlotKeep {
+		j.bytes -= cap(e.buf)
 		e.buf = nil
 	}
 	j.head = (j.head + 1) % len(j.ents)
@@ -147,13 +161,30 @@ func (j *journal) evictLocked() bool {
 	return true
 }
 
-func (j *journal) growEnts() {
-	next := make([]jentry, max(2*len(j.ents), 64))
-	for i := range j.ents {
-		next[i] = j.ents[(j.head+i)%len(j.ents)]
+// resizeEnts doubles the entry ring when it is full and otherwise halves it
+// while under a quarter of it is live, down to minJournalSlots. The live
+// entries move to the front of the new ring with their buffers; the free
+// slots left behind take theirs along, so a ring that a burst of unacked
+// units grew does not keep a buffer in every slot the stream cycles through.
+func (j *journal) resizeEnts() {
+	size := max(2*len(j.ents), minJournalSlots)
+	if j.count < len(j.ents) {
+		size = len(j.ents)
+		for size > minJournalSlots && j.count < size/4 {
+			size /= 2
+		}
 	}
-	j.ents = next
-	j.head = 0
+	next := make([]jentry, size)
+	for i := range j.ents {
+		e := &j.ents[(j.head+i)%len(j.ents)]
+		if i < j.count {
+			next[i] = *e
+		} else {
+			j.bytes -= cap(e.buf)
+		}
+	}
+	j.bytes += (size - len(j.ents)) * slotBytes
+	j.ents, j.head = next, 0
 }
 
 // resetForAttempt rewinds the replay cursor for a new relay attempt and

@@ -303,12 +303,14 @@ func (p *Pipeline) classify(pk, at int) {
 	})
 }
 
-// BatchClassify is the whole-record reference path: the exact batch
-// operators (sigdsp.FilterECG, peak.Detect with search-back off,
-// sigdsp.WindowInt + DownsampleInt, core.Embedded.Classify) in the
-// configuration a Pipeline streams. The streaming results are bit-identical
-// to it away from the record tail; it also serves the /v1/classify endpoint,
-// where the whole record is available up front.
+// BatchClassify is the whole-record reference path: the batch operators
+// (sigdsp.FilterECG, peak.Detect with search-back off, sigdsp.WindowInt +
+// DownsampleInt, core.Embedded.Classify) in the configuration a Pipeline
+// streams. Its filter and wavelet transform are the stream's block kernels
+// taking the record in one PushChunk and a Flush, while its detector
+// thresholds see the whole record, so the streaming results are
+// bit-identical to it away from the record tail; it also serves the
+// /v1/classify endpoint, where the whole record is available up front.
 //
 // Each call allocates its own working buffers. Request loops should hold a
 // BatchScratch (e.g. in a sync.Pool, as internal/serve does) and call
@@ -323,8 +325,10 @@ func BatchClassify(ctx context.Context, emb *core.Embedded, lead []int32, cfg Co
 	return out, nil
 }
 
-// BatchScratch holds the reusable working buffers of one batch
-// classification: the millivolt conversion of the record, the per-beat
+// BatchScratch holds the reusable working set of one batch
+// classification: the record's millivolt conversion and its filtered copy,
+// the front end's stream filter (sigdsp.FilterScratch), the detector's
+// transform and record-length buffers (peak.Scratch), the per-beat
 // window/downsample/projection/grade scratch and the result slice. A zero
 // value is ready to use; buffers grow to the largest record seen and are
 // reused afterwards. Not safe for concurrent use.

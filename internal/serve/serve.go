@@ -114,13 +114,13 @@ type server struct {
 	eng     *pipeline.Engine
 	gate    *overload.Gate
 	limiter *overload.Limiter
-	// scratch pools the per-request working buffers of /v1/classify: the
+	// scratch pools the per-request working set of /v1/classify: the
 	// request body bytes, the decoded sample slice, the millivolt
-	// conversion, the morphological filter and wavelet-detector buffers,
-	// the per-beat classification scratch and the encoded response are all
-	// reused across requests instead of allocated per call, so a steady
-	// request rate holds a steady working set (the whole batch path is
-	// O(1) allocations on a warm scratch).
+	// conversion, the front end's stream filter and wavelet transform with
+	// the detector's record buffers, the per-beat classification scratch
+	// and the encoded response are all reused across requests instead of
+	// allocated per call, so a steady request rate holds a steady working
+	// set (the whole batch path is O(1) allocations on a warm scratch).
 	scratch sync.Pool
 }
 

@@ -2,19 +2,21 @@ package sigdsp
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"rpbeat/internal/ecgsyn"
 )
 
-// FuzzFrontEndChunks holds the block front end to its batch reference on
+// FuzzFrontEndChunks holds the block front end to its references on
 // arbitrary in-domain input split at arbitrary chunk boundaries: samples
 // are 11-bit ADC counts (two bytes each, mod ecgsyn.ADCMax+1) converted
 // with ecgsyn.ToMillivolts, and each byte of chunks is one chunk length,
 // 1 to 256 samples, cycled (no bytes: the whole record in one call). The
-// streaming filter must equal FilterECG from sample 0, and a StreamDWT fed
-// the filter's output chunks must equal AtrousDWT over that output, bit for
-// bit, over everything they emit.
+// streaming filter, flushed at the end, must equal the Open/Close
+// composition RemoveBaseline(SuppressNoise(x)) to the last sample, and a
+// StreamDWT fed the filter's output chunks, its flushed tail last, then
+// flushed itself, must equal AtrousDWT over that output, bit for bit.
 func FuzzFrontEndChunks(f *testing.F) {
 	const n = 1500
 	seed := func(sample func(i int) int32) []byte {
@@ -58,43 +60,56 @@ func FuzzFrontEndChunks(f *testing.F) {
 			return 1 + int(chunks[c%len(chunks)])
 		}
 
-		filter := NewStreamECGFilter(DefaultBaselineConfig(ecgsyn.Fs))
+		cfg := DefaultBaselineConfig(ecgsyn.Fs)
+		filter := NewStreamECGFilter(cfg)
 		dwt := NewStreamDWT(3)
-		var y []float64
-		w := make([][]float64, 3)
+		y := make([]float64, len(x))
 		var wd [3][]float64
+		view := make([][]float64, len(wd))
+		for j := range wd {
+			wd[j] = make([]float64, len(x))
+		}
+		// k samples filtered and m indices transformed so far; feed hands
+		// the DWT the filter's next n samples.
+		k, m := 0, 0
+		feed := func(n int) {
+			for j := range view {
+				view[j] = wd[j][m:]
+			}
+			m += dwt.PushChunk(view, y[k:k+n])
+			k += n
+		}
 		for off, c := 0, 0; off < len(x); c++ {
 			end := min(off+size(c), len(x))
-			dst := make([]float64, end-off)
-			k := filter.PushChunk(dst, x[off:end])
-			y = append(y, dst[:k]...)
-			for j := range w {
-				w[j] = make([]float64, k)
-			}
-			m := dwt.PushChunk(w, dst[:k])
-			for j := range wd {
-				wd[j] = append(wd[j], w[j][:m]...)
-			}
+			feed(filter.PushChunk(y[k:], x[off:end]))
 			off = end
 		}
-
-		if want := max(0, len(x)-filter.Delay()); len(y) != want {
-			t.Fatalf("filter emitted %d samples of %d, want %d", len(y), len(x), want)
+		if want := max(0, len(x)-filter.Delay()); k != want {
+			t.Fatalf("filter emitted %d samples of %d, want %d", k, len(x), want)
 		}
-		batch := FilterECG(x, DefaultBaselineConfig(ecgsyn.Fs))
+		if want := max(0, k-dwt.Delay()); m != want {
+			t.Fatalf("DWT emitted %d samples of %d, want %d", m, k, want)
+		}
+		feed(filter.Flush(y[k:]))
+		for j := range view {
+			view[j] = wd[j][m:]
+		}
+		m += dwt.Flush(view)
+		if k != len(x) || m != len(x) {
+			t.Fatalf("after Flush: filter %d samples, DWT %d, want %d each", k, m, len(x))
+		}
+
+		ref := RemoveBaseline(SuppressNoise(x, cfg), cfg)
 		for i, v := range y {
-			if v != batch[i] {
-				t.Fatalf("filtered sample %d: stream %v, FilterECG %v", i, v, batch[i])
+			if math.Float64bits(v) != math.Float64bits(ref[i]) {
+				t.Fatalf("filtered sample %d: stream %v, reference %v", i, v, ref[i])
 			}
 		}
-		if want := max(0, len(y)-dwt.Delay()); len(wd[0]) != want {
-			t.Fatalf("DWT emitted %d samples of %d, want %d", len(wd[0]), len(y), want)
-		}
-		ref := AtrousDWT(y, 3)
+		refW := AtrousDWT(ref, 3)
 		for j := range wd {
 			for i, v := range wd[j] {
-				if v != ref.W[j][i] {
-					t.Fatalf("W[%d][%d]: stream %v, AtrousDWT %v", j, i, v, ref.W[j][i])
+				if math.Float64bits(v) != math.Float64bits(refW.W[j][i]) {
+					t.Fatalf("W[%d][%d]: stream %v, AtrousDWT %v", j, i, v, refW.W[j][i])
 				}
 			}
 		}

@@ -28,22 +28,8 @@ func Dilate(x []float64, length int) []float64 {
 // window of the given length using monotonic-deque streaming: amortized O(1)
 // per sample regardless of window length.
 func slideExtremum(x []float64, length int, wantMax bool) []float64 {
-	out := make([]float64, len(x))
-	slideExtremumInto(out, x, length, wantMax, nil)
-	return out
-}
-
-// slideExtremumInto is slideExtremum into a caller-provided slice (len(out)
-// must equal len(x); out must not alias x). deque is an optional reusable
-// index buffer; the possibly-grown buffer is returned for the caller to keep
-// for the next call, so repeated invocations allocate nothing.
-//
-//rpbeat:allocfree
-func slideExtremumInto(out, x []float64, length int, wantMax bool, deque []int) []int {
 	n := len(x)
-	if n == 0 {
-		return deque
-	}
+	out := make([]float64, n)
 	if length < 1 {
 		length = 1
 	}
@@ -55,7 +41,7 @@ func slideExtremumInto(out, x []float64, length int, wantMax bool, deque []int) 
 	right := length - 1 - left
 
 	// Monotonic deque of indices into x: front holds the window extremum.
-	deque = deque[:0]
+	var deque []int
 	head := 0 // logical front of the deque within the slice
 	next := 0 // next sample index to enter the deque
 	for i := 0; i < n; i++ {
@@ -82,7 +68,7 @@ func slideExtremumInto(out, x []float64, length int, wantMax bool, deque []int) 
 		}
 		out[i] = x[deque[head]]
 	}
-	return deque
+	return out
 }
 
 // Open computes morphological opening: erosion followed by dilation.
@@ -143,9 +129,9 @@ func Baseline(x []float64, cfg BaselineConfig) []float64 {
 }
 
 // RemoveBaseline returns x minus its estimated baseline. This is the first
-// filtering stage of the WBSN front end.
-//
-//rpvet:allow deadcode -- reference: TestFilterECGIntoMatchesFilterECG composes the front end from it
+// filtering stage of the WBSN front end. Composed with SuppressNoise over
+// whole-record buffers, it defines the filter the block kernels behind
+// FilterECG and StreamECGFilter are tested against.
 func RemoveBaseline(x []float64, cfg BaselineConfig) []float64 {
 	b := Baseline(x, cfg)
 	out := make([]float64, len(x))
@@ -159,8 +145,6 @@ func RemoveBaseline(x []float64, cfg BaselineConfig) []float64 {
 // opening-closing and closing-opening of x with the NoiseElem-sample
 // structuring element (the "MF pair" smoother used in morphological ECG
 // filtering), which does not depend on the sampling frequency.
-//
-//rpvet:allow deadcode -- reference: TestFilterECGIntoMatchesFilterECG composes the front end from it
 func SuppressNoise(x []float64, _ BaselineConfig) []float64 {
 	oc := Close(Open(x, NoiseElem), NoiseElem)
 	co := Open(Close(x, NoiseElem), NoiseElem)
@@ -172,23 +156,22 @@ func SuppressNoise(x []float64, _ BaselineConfig) []float64 {
 }
 
 // FilterECG applies the complete morphological front end: noise suppression
-// followed by baseline removal. It is the software equivalent of the
-// "filtering" stage of sub-system (1) in the paper.
+// followed by baseline removal, RemoveBaseline(SuppressNoise(x, cfg), cfg)
+// bit for bit. It is the software equivalent of the "filtering" stage of
+// sub-system (1) in the paper.
 //
-// Each call allocates fresh output and working buffers; request loops should
-// hold a FilterScratch and call FilterECGInto instead.
+// Each call builds its own filter and output; request loops should hold a
+// FilterScratch and call FilterECGInto instead.
 func FilterECG(x []float64, cfg BaselineConfig) []float64 {
 	return FilterECGInto(nil, x, cfg, new(FilterScratch))
 }
 
-// FilterScratch holds the working buffers of FilterECGInto: three
-// signal-length ping-pong buffers for the morphological cascades and the
-// shared monotonic-deque index buffer. A zero value is ready to use; buffers
-// grow to the largest signal seen and are reused afterwards. Not safe for
-// concurrent use.
+// FilterScratch holds the StreamECGFilter that FilterECGInto runs, built on
+// first use for its BaselineConfig and reset for every record after. A zero
+// value is ready to use. Not safe for concurrent use.
 type FilterScratch struct {
-	a, b, c []float64
-	deque   []int
+	f   *StreamECGFilter
+	cfg BaselineConfig
 }
 
 func growFloatBuf(buf []float64, n int) []float64 {
@@ -198,46 +181,22 @@ func growFloatBuf(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// FilterECGInto is FilterECG running through the caller's scratch buffers:
-// the thirteen sliding-extremum passes of the front end ping-pong between
-// three reused buffers instead of each allocating their own, so a warm
-// scratch makes the whole filter allocation-free. dst is grown as needed and
-// returned (it must not alias x); the result is bit-identical to
-// FilterECG(x, cfg).
+// FilterECGInto is FilterECG through the caller's scratch: the scratch's
+// stream filter takes the whole of x in one PushChunk into dst, and Flush
+// writes the record's last Delay() samples after them, so a warm scratch
+// filters without allocating. dst is grown as needed and returned (it must
+// not alias x).
 //
 //rpbeat:allocfree
 func FilterECGInto(dst, x []float64, cfg BaselineConfig, s *FilterScratch) []float64 {
-	n := len(x)
-	dst = growFloatBuf(dst, n)
-	s.a = growFloatBuf(s.a, n)
-	s.b = growFloatBuf(s.b, n)
-	s.c = growFloatBuf(s.c, n)
-
-	// SuppressNoise: oc = Close(Open(x,k),k), co = Open(Close(x,k),k),
-	// averaged. Same operator order (and therefore the same floats) as the
-	// allocating composition.
-	const k = NoiseElem
-	s.deque = slideExtremumInto(s.a, x, k, false, s.deque) // erode
-	s.deque = slideExtremumInto(s.b, s.a, k, true, s.deque)
-	s.deque = slideExtremumInto(s.a, s.b, k, true, s.deque)
-	s.deque = slideExtremumInto(s.b, s.a, k, false, s.deque) // oc in b
-	s.deque = slideExtremumInto(s.a, x, k, true, s.deque)    // dilate
-	s.deque = slideExtremumInto(s.c, s.a, k, false, s.deque)
-	s.deque = slideExtremumInto(s.a, s.c, k, false, s.deque)
-	s.deque = slideExtremumInto(s.c, s.a, k, true, s.deque) // co in c
-	for i := range s.a {
-		s.a[i] = 0.5 * (s.b[i] + s.c[i]) // suppressed signal in a
+	dst = growFloatBuf(dst, len(x))
+	if s.f == nil || s.cfg != cfg {
+		s.f, s.cfg = NewStreamECGFilter(cfg), cfg
+	} else {
+		s.f.Reset()
 	}
-
-	// RemoveBaseline: baseline = Close(Open(sup, openLen), closeLen).
-	ol, cl := cfg.OpenLen(), cfg.CloseLen()
-	s.deque = slideExtremumInto(s.b, s.a, ol, false, s.deque)
-	s.deque = slideExtremumInto(s.c, s.b, ol, true, s.deque)
-	s.deque = slideExtremumInto(s.b, s.c, cl, true, s.deque)
-	s.deque = slideExtremumInto(s.c, s.b, cl, false, s.deque) // baseline in c
-	for i := range dst {
-		dst[i] = s.a[i] - s.c[i]
-	}
+	k := s.f.PushChunk(dst, x)
+	s.f.Flush(dst[k:])
 	return dst
 }
 

@@ -23,7 +23,7 @@ const Block = 64
 // input by one sample. It carries its two newest inputs between blocks, and
 // its first input stands in for input -1, which reproduces the batch
 // operator's border-shrunk window. Ties keep the newest sample, as
-// slideExtremumInto's monotonic deque does, so equal values of opposite
+// slideExtremum's monotonic deque does, so equal values of opposite
 // sign (±0) come out bit-identical too.
 type tap3 struct {
 	older, newer   float64
@@ -71,6 +71,25 @@ func (s *tap3) pass(x []float64) int {
 	}
 	s.older, s.newer = a, b
 	return len(in)
+}
+
+// flush passes the upstream tail x[:k] through the stage, then appends the
+// output it still owes for its last input: the batch operator's window
+// clipped there, the extremum of the two newest inputs (ties to the newer).
+// x needs room for k+1 samples; flush returns how many it holds.
+//
+//rpbeat:allocfree
+func (s *tap3) flush(x []float64, k int) int {
+	k = s.pass(x[:k])
+	if !s.primed {
+		return k
+	}
+	m := s.newer
+	if (s.dilate && s.older > m) || (!s.dilate && s.older < m) {
+		m = s.older
+	}
+	x[k] = m
+	return k + 1
 }
 
 // wedge is one long erosion or dilation stage of a stream: Lemire's
@@ -146,4 +165,34 @@ func (w *wedge) pass(x []float64) int {
 	}
 	w.head, w.tail, w.n = head, tail, n
 	return k
+}
+
+// flush passes the upstream tail x[:k] through the stage, then appends the
+// outputs it still owes, one for each of its last min(n, right) inputs: the
+// batch operator's windows clipped at the last input, each the wedge front
+// once the entries left of its window have expired. x needs room for
+// k+min(n, right) samples; flush returns how many it holds.
+//
+//rpbeat:allocfree
+func (w *wedge) flush(x []float64, k int) int {
+	k = w.pass(x[:k])
+	mask, left := len(w.val)-1, w.length-1-w.right
+	for i := max(0, w.n-w.right); i < w.n; i++ {
+		// An entry n-pos inputs back is in output i's window [i-left, n)
+		// while n-pos <= n-i+left. The newest entry always is.
+		for int(uint32(w.n)-w.pos[w.head&mask]) > w.n-i+left {
+			w.head++
+		}
+		x[k] = w.val[w.head&mask]
+		k++
+	}
+	return k
+}
+
+// reset empties the stage for a new input.
+//
+//rpbeat:allocfree
+func (w *wedge) reset() {
+	w.head, w.tail, w.n = 0, 0, 0
+	w.pos[0] = 0 // the empty wedge's front reads as input 0 (see pass)
 }

@@ -71,31 +71,40 @@ func TestStreamExtremumMatchesTrailingWindow(t *testing.T) {
 // morphStage is the streaming form of Erode (dilate false) or Dilate with
 // a flat element of the given length, as StreamECGFilter builds it: the
 // fused 3-tap stage for the noise element, a wedge otherwise.
-func morphStage(length int, dilate bool) (pass func([]float64) int, delay int) {
+func morphStage(length int, dilate bool) (pass func([]float64) int, flush func([]float64, int) int, delay int) {
 	if length == NoiseElem {
 		s := &tap3{dilate: dilate}
-		return s.pass, 1
+		return s.pass, s.flush, 1
 	}
 	w := newWedge(length, dilate)
-	return w.pass, w.right
+	return w.pass, w.flush, w.right
 }
 
 // The centered stages equal the batch operators bitwise from sample 0 (the
 // trailing window over the first samples covers exactly the batch
-// operator's shrunken window) and emit all but their last Delay() outputs.
+// operator's shrunken window) and emit all but their last Delay() outputs,
+// which flush emits, to the last sample (ties, ±0 included, to the newest).
 func TestStreamMorphMatchesBatchAfterWarmup(t *testing.T) {
 	r := rng.New(2)
 	for _, length := range []int{3, 5, 9, 31, 73, 109} {
-		for name, x := range map[string][]float64{"random": randomSignal(r, 400), "ties": tieSignal(r, 400)} {
+		zeros := tieSignal(r, 400) // ±0 only: every window is a tie
+		for i, v := range zeros {
+			zeros[i] = math.Copysign(0, v)
+		}
+		for name, x := range map[string][]float64{"random": randomSignal(r, 400), "ties": tieSignal(r, 400), "zeros": zeros} {
 			for _, dilate := range []bool{false, true} {
 				want := Erode(x, length)
 				if dilate {
 					want = Dilate(x, length)
 				}
-				pass, delay := morphStage(length, dilate)
+				pass, flush, delay := morphStage(length, dilate)
 				got := runStage(pass, x, 1, 2, 63, 64, 65)
 				if len(got) != len(x)-delay {
 					t.Fatalf("len %d: emitted %d samples, want %d", length, len(got), len(x)-delay)
+				}
+				tail := make([]float64, delay)
+				if got = append(got, tail[:flush(tail, 0)]...); len(got) != len(x) {
+					t.Fatalf("len %d: %d samples after flush, want %d", length, len(got), len(x))
 				}
 				for i, v := range got {
 					if math.Float64bits(v) != math.Float64bits(want[i]) {
@@ -114,7 +123,7 @@ func TestStreamMorphPropertyEquivalence(t *testing.T) {
 		length := 3 + r.Intn(20)
 		x := randomSignal(r, 100+r.Intn(100))
 		batch := Erode(x, length)
-		pass, _ := morphStage(length, false)
+		pass, _, _ := morphStage(length, false)
 		got := runStage(pass, x, 1+r.Intn(70), 1+r.Intn(70))
 		for i := range got {
 			if got[i] != batch[i] {

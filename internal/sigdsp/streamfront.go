@@ -7,21 +7,23 @@ package sigdsp
 // runnable a block of ADC samples at a time with bounded memory — the
 // substrate of internal/pipeline.
 //
-// Bit-identity contract: every operator here reproduces its batch
-// counterpart exactly — including the left signal border, where the batch
-// operators shrink their windows (a trailing window over the first samples
-// covers exactly the same clipped range) or replicate the edge sample
-// (StreamDWT prefills each level's history with its first sample) — and
-// its output does not depend on how the input is split into chunks. The
-// only divergence is the right border: a stream cannot see future samples,
-// so the final Delay() outputs of a record are never emitted and must be
-// handled by the caller's flush policy.
+// Bit-identity contract: every operator here reproduces its reference
+// exactly (Open/Close composed as SuppressNoise and RemoveBaseline for the
+// filter, AtrousDWT for the transform), and its output does not depend on
+// how the input is split into chunks. At the left border the references
+// shrink their windows (a trailing window over the first samples covers
+// exactly the same clipped range) or replicate the edge sample (StreamDWT
+// prefills each level's history with its first sample). A stream cannot
+// see past its newest sample, so PushChunk holds back the last Delay()
+// outputs; Flush writes them at the record's end with the references'
+// right border, and Reset readies the operator for the next record. The
+// batch FilterECGInto and AtrousDWTInto are PushChunk plus Flush.
 
-// StreamECGFilter is the streaming form of FilterECG: morphological noise
-// suppression (the averaged open-close / close-open pair) followed by
+// StreamECGFilter is the front-end filter a block at a time: morphological
+// noise suppression (the averaged open-close / close-open pair) followed by
 // baseline-wander removal, with the delay line that aligns the final
 // subtraction. Output sample i is emitted with input sample i + Delay() and
-// is bit-identical to FilterECG(x, cfg)[i].
+// is bit-identical to RemoveBaseline(SuppressNoise(x, cfg), cfg)[i].
 type StreamECGFilter struct {
 	// Noise suppression: two parallel chains of four 3-sample stages over
 	// the same input. oc = Close(Open(x,k),k) = Erode,Dilate,Dilate,Erode;
@@ -112,6 +114,61 @@ func (f *StreamECGFilter) PushChunk(dst, src []float64) int {
 	return out
 }
 
+// Flush writes the outputs the end of the input still owes to the front of
+// dst and returns how many: the last Delay() samples of the record, or all
+// of a shorter one, as many as PushChunk held back. Each stage computes
+// them with the batch operators' right border, its window clipped at its
+// last input, and passes them down the cascade before adding its own. dst
+// needs room for them. The filter must be Reset before its next record.
+//
+//rpbeat:allocfree
+func (f *StreamECGFilter) Flush(dst []float64) int {
+	// Noise suppression: each chain stage owes one sample, so the tails
+	// hold at most one sample per stage.
+	var a, b [len(f.oc)]float64
+	k := 0
+	for i := range f.oc {
+		f.co[i].flush(b[:], k)
+		k = f.oc[i].flush(a[:], k)
+	}
+	for i := range a[:k] {
+		a[i] = 0.5 * (a[i] + b[i])
+	}
+	// The baseline cascade's tail builds up in dst. Its m samples belong to
+	// the last m suppressed samples: the delay line's, oldest first, then
+	// the k that never entered it.
+	copy(dst, a[:k])
+	m := k
+	for i := range f.base {
+		m = f.base[i].flush(dst, m)
+	}
+	ring := f.sup
+	at := (f.base[0].n - m) % len(ring)
+	for i := range dst[:m-k] {
+		dst[i] = ring[at] - dst[i]
+		if at++; at == len(ring) {
+			at = 0
+		}
+	}
+	for i, y := range a[:k] {
+		dst[m-k+i] = y - dst[m-k+i]
+	}
+	return m
+}
+
+// Reset readies the filter for a new record, as NewStreamECGFilter built it.
+//
+//rpbeat:allocfree
+func (f *StreamECGFilter) Reset() {
+	for i := range f.oc {
+		f.oc[i].primed, f.co[i].primed = false, false
+	}
+	for i := range f.base {
+		f.base[i].reset()
+	}
+	f.supAt = 0
+}
+
 // Push consumes one raw sample and, once the cascade is primed, emits one
 // filtered sample (aligned to input index n - Delay()). It is PushChunk
 // over a one-sample chunk.
@@ -126,7 +183,8 @@ func (f *StreamECGFilter) Push(x float64) (float64, bool) {
 // StreamDWT is the streaming à trous transform: after Delay() inputs of
 // warm-up, each input sample completes the detail samples W[0..levels-1][i]
 // of one more index i, bit-identical to AtrousDWT(x, levels').W[j][i] for
-// any levels' >= levels (deeper levels do not affect shallower ones).
+// any levels' >= levels (deeper levels do not affect shallower ones), and
+// Flush completes the rest.
 //
 // Each level keeps a power-of-two ring of its own input (the previous
 // level's approximation), sized so that a block's aligned detail samples
@@ -168,11 +226,13 @@ func NewStreamDWT(levels int) *StreamDWT {
 	// the block's first aligned detail sample is read: its newest input is
 	// the deeper levels' delays plus one block ahead of that sample. It
 	// must also keep the first-sample prefill standing in for the inputs
-	// before 0 until the level's first outputs have read them.
+	// before 0 until the level's first outputs have read them, and at Flush
+	// every input from the first owed index's reads to the last input, less
+	// than Delay() plus one gap back.
 	ahead := d.delay
 	for j := range d.levels {
 		l := &d.levels[j]
-		l.ring = make([]float64, nextPow2(max(ahead-l.half+Block, 4*l.gap+1)))
+		l.ring = make([]float64, nextPow2(max(ahead-l.half+Block, 4*l.gap+1, d.delay+l.gap+1)))
 		ahead -= l.delay
 	}
 	return d
@@ -252,6 +312,59 @@ func (d *StreamDWT) PushChunk(dst [][]float64, x []float64) int {
 		done += k
 	}
 	return done
+}
+
+// Flush writes the detail samples the end of the input still owes, the
+// c-th owed index to dst[j][c] for every level j (a nil dst[j] skips level
+// j), and returns how many: the last Delay() indices of the record, or all
+// of a shorter one, as many as PushChunk held back. Level by level, each
+// computes its owed outputs with AtrousDWT's right border, the centre index
+// and every read clamped to the level's last input, and its owed
+// approximation completes the next level's input. The transform must be
+// Reset before its next record.
+//
+//rpbeat:allocfree
+func (d *StreamDWT) Flush(dst [][]float64) int {
+	n, last := d.n, len(d.levels)-1
+	from := max(0, d.levels[0].n-d.levels[0].delay) // first owed output
+	for j := range d.levels[:last] {
+		l, next := &d.levels[j], &d.levels[j+1]
+		nextFrom := max(0, next.n-next.delay)
+		mask := len(next.ring) - 1
+		for i := from; i < n; i++ {
+			c := min(i+l.half, n-1)
+			next.ring[next.n&mask] = (l.at(c-l.gap, n) + 3*l.at(c, n) +
+				3*l.at(c+l.gap, n) + l.at(c+2*l.gap, n)) / 8
+			next.n++
+		}
+		from = nextFrom
+	}
+	for j, w := range dst {
+		if w == nil {
+			continue
+		}
+		l := &d.levels[j]
+		for i := from; i < n; i++ {
+			c := min(i+l.half, n-1)
+			w[i-from] = 2 * (l.at(c+l.gap, n) - l.at(c, n))
+		}
+	}
+	return n - from
+}
+
+// at reads the level's input i of n, clamped to the first and last.
+func (l *dwtLevel) at(i, n int) float64 {
+	return l.ring[min(max(i, 0), n-1)&(len(l.ring)-1)]
+}
+
+// Reset readies the transform for a new record, as NewStreamDWT built it.
+//
+//rpbeat:allocfree
+func (d *StreamDWT) Reset() {
+	d.n = 0
+	for j := range d.levels {
+		d.levels[j].n = 0
+	}
 }
 
 // Push consumes one input sample. Once all levels have produced detail

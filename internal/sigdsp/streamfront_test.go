@@ -3,6 +3,8 @@ package sigdsp
 import (
 	"math"
 	"testing"
+
+	"rpbeat/internal/rng"
 )
 
 // noisyECGLike builds a deterministic test signal with ECG-like structure:
@@ -42,30 +44,37 @@ func chunks(x []float64, size int) [][]float64 {
 	return out
 }
 
+// TestStreamECGFilterMatchesFilterECG holds the block filter to the
+// Open/Close composition FilterECG is defined as (FilterECG itself runs
+// the block filter): PushChunk emits all but the last Delay() samples, and
+// Flush those, bit for bit to the last sample, at every chunking.
 func TestStreamECGFilterMatchesFilterECG(t *testing.T) {
 	x := noisyECGLike(4000)
 	cfg := DefaultBaselineConfig(360)
-	batch := FilterECG(x, cfg)
+	ref := RemoveBaseline(SuppressNoise(x, cfg), cfg)
 
 	for _, size := range chunkSizes {
 		f := NewStreamECGFilter(cfg)
 		if f.Delay() <= 0 {
 			t.Fatal("no group delay reported")
 		}
-		var out []float64
+		out := make([]float64, len(x))
+		k := 0
 		for _, c := range chunks(x, size) {
-			dst := make([]float64, len(c))
-			out = append(out, dst[:f.PushChunk(dst, c)]...)
+			k += f.PushChunk(out[k:], c)
 		}
-		if len(out) != len(x)-f.Delay() {
-			t.Fatalf("chunk %d: emitted %d samples, want n-delay = %d", size, len(out), len(x)-f.Delay())
+		if k != len(x)-f.Delay() {
+			t.Fatalf("chunk %d: emitted %d samples, want n-delay = %d", size, k, len(x)-f.Delay())
 		}
-		// The stream is bit-identical from sample 0: the trailing windows
-		// over the first samples cover exactly the batch operators' shrunken
-		// windows.
+		if m := f.Flush(out[k:]); k+m != len(x) {
+			t.Fatalf("chunk %d: flushed %d samples after %d, want %d in all", size, m, k, len(x))
+		}
+		// The stream is bit-identical from sample 0 (the trailing windows
+		// over the first samples cover exactly the reference's shrunken
+		// windows) to the last (Flush clips them at the last input).
 		for i, y := range out {
-			if y != batch[i] {
-				t.Fatalf("chunk %d: sample %d: stream %g != batch %g", size, i, y, batch[i])
+			if math.Float64bits(y) != math.Float64bits(ref[i]) {
+				t.Fatalf("chunk %d: sample %d: stream %g != reference %g", size, i, y, ref[i])
 			}
 		}
 	}
@@ -96,6 +105,89 @@ func TestStreamDWTMatchesAtrousDWT(t *testing.T) {
 			}
 			if emitted != len(x)-d.Delay() {
 				t.Fatalf("levels=%d chunk %d: emitted %d, want n-delay = %d", levels, size, emitted, len(x)-d.Delay())
+			}
+		}
+	}
+}
+
+// flushLengths crosses every stage's delay: the 3-sample noise stages (1
+// each, 4 in a chain), the baseline wedges (36, 36, 54 and 54, so 36, 72,
+// 126 and 180 cumulative), the filter (184), the transform at 1-5 levels (2,
+// 7, 17, 37 and 77) and the block (64), each from below and above, and
+// records of a few thousand samples. A long record comes first, so the
+// operators' first reuse is a shorter record after a longer one.
+var flushLengths = []int{
+	4001, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 18, 36, 37, 54, 55, 63, 64, 65,
+	72, 73, 76, 77, 78, 109, 126, 127, 179, 180, 181, 182, 183, 184, 185, 186,
+	255, 256, 2999,
+}
+
+// TestFrontEndFlushMatchesReferences holds PushChunk plus Flush to the
+// references, bit for bit to the last sample: the filter to the Open/Close
+// composition and the transform at 1-5 levels to AtrousDWT, at every
+// flushLengths entry and every chunking. One filter and one transform per
+// depth take every record, each Reset before it.
+func TestFrontEndFlushMatchesReferences(t *testing.T) {
+	cfg := DefaultBaselineConfig(360)
+	r := rng.New(21)
+	filter := NewStreamECGFilter(cfg)
+	var dwts [5]*StreamDWT
+	for l := range dwts {
+		dwts[l] = NewStreamDWT(l + 1)
+	}
+	for _, n := range flushLengths {
+		x := randomSignal(r, n)
+		if n%2 == 1 {
+			x = tieSignal(r, n)
+		}
+		ref := RemoveBaseline(SuppressNoise(x, cfg), cfg)
+		var refW [len(dwts)]DWT
+		for l := range refW {
+			refW[l] = AtrousDWT(x, l+1)
+		}
+		for _, size := range chunkSizes {
+			filter.Reset()
+			got := make([]float64, n)
+			k := 0
+			for _, c := range chunks(x, size) {
+				k += filter.PushChunk(got[k:], c)
+			}
+			if m := filter.Flush(got[k:]); k+m != n {
+				t.Fatalf("filter n=%d chunk %d: %d samples after Flush, want %d", n, size, k+m, n)
+			}
+			for i := range ref {
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("filter n=%d chunk %d: sample %d = %v, reference %v", n, size, i, got[i], ref[i])
+				}
+			}
+			for l, d := range dwts {
+				levels, want := l+1, refW[l]
+				d.Reset()
+				w, view := make([][]float64, levels), make([][]float64, levels)
+				for j := range w {
+					w[j] = make([]float64, n)
+				}
+				k := 0
+				for _, c := range chunks(x, size) {
+					for j := range view {
+						view[j] = w[j][k:]
+					}
+					k += d.PushChunk(view, c)
+				}
+				for j := range view {
+					view[j] = w[j][k:]
+				}
+				if m := d.Flush(view); k+m != n {
+					t.Fatalf("DWT levels=%d n=%d chunk %d: %d indices after Flush, want %d", levels, n, size, k+m, n)
+				}
+				for j := range want.W {
+					for i, v := range want.W[j] {
+						if math.Float64bits(w[j][i]) != math.Float64bits(v) {
+							t.Fatalf("DWT levels=%d n=%d chunk %d: W[%d][%d] = %v, reference %v",
+								levels, n, size, j, i, w[j][i], v)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -21,67 +21,30 @@ package sigdsp
 type DWT struct {
 	// W[j] is the detail signal at scale 2^(j+1); len(W) == levels.
 	W [][]float64
-	// A is the final approximation (lowpass residue).
-	A []float64
 
-	// prev is the level-recursion ping-pong buffer, kept so AtrousDWTInto
-	// can recompute the transform without reallocating it.
-	prev []float64
+	// s is the transform AtrousDWTInto runs, kept with the views tail of W
+	// that its Flush fills, so a recomputation allocates nothing.
+	s    *StreamDWT
+	tail [][]float64
 }
 
-// filter delay compensation: the causal convolution with the centered
-// quadratic-spline filters introduces a known group delay per scale; the
-// implementation below uses symmetric (centered) indexing so that wavelet
-// extrema align with the generating signal features.
-
-// AtrousDWT computes `levels` detail scales of x. Border samples are handled
-// by edge replication. Typical use for 360 Hz ECG is levels = 4.
+// AtrousDWT computes `levels` detail scales of x by the transform's index
+// formulas over whole-record buffers, with edge replication at both
+// borders. It is the reference the block kernels behind AtrousDWTInto and
+// StreamDWT are tested against.
 //
-//rpvet:allow deadcode -- reference: TestStreamDWTMatchesAtrousDWT and FuzzFrontEndChunks compare the streaming transform against it
+//rpvet:allow deadcode -- reference: TestStreamDWTMatchesAtrousDWT, TestFrontEndFlushMatchesReferences and FuzzFrontEndChunks compare the block transform against it
 func AtrousDWT(x []float64, levels int) DWT {
-	var d DWT
-	AtrousDWTInto(&d, x, levels)
-	return d
-}
-
-// AtrousDWTInto recomputes the transform into d, reusing d's detail,
-// approximation and recursion buffers when they are large enough — repeated
-// transforms over same-length signals allocate nothing. The result is
-// bit-identical to AtrousDWT(x, levels).
-func AtrousDWTInto(d *DWT, x []float64, levels int) {
 	n := len(x)
-	if cap(d.W) >= levels {
-		d.W = d.W[:levels]
-	} else {
-		w := make([][]float64, levels)
-		copy(w, d.W)
-		d.W = w
-	}
-	for j := range d.W {
-		d.W[j] = growFloatBuf(d.W[j], n)
-	}
-	d.A = growFloatBuf(d.A, n)
-	d.prev = growFloatBuf(d.prev, n)
-
+	d := DWT{W: make([][]float64, levels)}
 	at := func(s []float64, i int) float64 {
-		if i < 0 {
-			return s[0]
-		}
-		if i >= n {
-			return s[n-1]
-		}
-		return s[i]
+		return s[min(max(i, 0), n-1)]
 	}
-
-	// The recursion ping-pongs between d.prev and d.A; after `levels`
-	// iterations the final approximation lands in one of the two and is
-	// copied into d.A if needed.
-	approx, next := d.prev, d.A
-	copy(approx, x)
-	for j := 0; j < levels; j++ {
+	approx, next := append([]float64(nil), x...), make([]float64, n)
+	for j := range d.W {
 		gap := 1 << j // hole spacing at this level
 		half := gap / 2
-		w := d.W[j]
+		w := make([]float64, n)
 		for i := 0; i < n; i++ {
 			// The filters are evaluated at the recentered index directly
 			// (the separate shift pass of the textbook formulation, fused):
@@ -95,23 +58,46 @@ func AtrousDWTInto(d *DWT, x []float64, levels int) {
 			// the same recentering keeps the drift from compounding across
 			// levels (coarse-scale detections would shift by tens of
 			// samples otherwise).
-			c := minInt(i+half, n-1)
+			c := min(i+half, n-1)
 			w[i] = 2 * (at(approx, c+gap) - at(approx, c))
 			next[i] = (at(approx, c-gap) + 3*at(approx, c) +
 				3*at(approx, c+gap) + at(approx, c+2*gap)) / 8
 		}
+		d.W[j] = w
 		approx, next = next, approx
 	}
-	if levels%2 == 0 { // final approximation ended up in d.prev
-		copy(d.A, d.prev)
-	}
+	return d
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
+// AtrousDWTInto recomputes the transform into d, bit-identical to
+// AtrousDWT(x, levels): a StreamDWT kept in d takes the whole of x in one
+// PushChunk and Flush completes the record's last Delay() indices. Detail
+// buffers and the transform are reused when large enough, so repeated
+// transforms over same-length signals at one depth allocate nothing.
+//
+//rpbeat:allocfree
+func AtrousDWTInto(d *DWT, x []float64, levels int) {
+	d.resize(len(x), levels)
+	k := d.s.PushChunk(d.W, x)
+	for j, w := range d.W {
+		d.tail[j] = w[k:]
 	}
-	return b
+	d.s.Flush(d.tail)
+}
+
+// resize sizes d's detail buffers for n samples and levels scales and
+// readies its transform for them.
+func (d *DWT) resize(n, levels int) {
+	if d.s == nil || len(d.W) != levels {
+		w := make([][]float64, levels)
+		copy(w, d.W)
+		d.W, d.s, d.tail = w, NewStreamDWT(levels), make([][]float64, levels)
+	} else {
+		d.s.Reset()
+	}
+	for j := range d.W {
+		d.W[j] = growFloatBuf(d.W[j], n)
+	}
 }
 
 // DownsampleInt returns every factor-th sample of x starting at offset 0:

@@ -18,9 +18,6 @@ func TestAtrousDWTShape(t *testing.T) {
 			t.Fatalf("scale %d has %d samples, want %d (à trous = undecimated)", j, len(w), len(x))
 		}
 	}
-	if len(d.A) != len(x) {
-		t.Fatalf("approximation has %d samples, want %d", len(d.A), len(x))
-	}
 }
 
 func TestAtrousDWTZeroOnConstant(t *testing.T) {
@@ -34,11 +31,6 @@ func TestAtrousDWTZeroOnConstant(t *testing.T) {
 			if math.Abs(v) > 1e-12 {
 				t.Fatalf("scale %d sample %d = %v on constant input", j, i, v)
 			}
-		}
-	}
-	for i, v := range d.A {
-		if math.Abs(v-3.7) > 1e-9 {
-			t.Fatalf("approximation sample %d = %v, want 3.7", i, v)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package rpbeat
 
-// The streaming front-end contract, enforced: a stream fed the serving
-// chunk (180 samples, 0.5 s at 360 Hz) must cost at most 1.3x per sample
-// what the batch path costs over the whole record. Both run the same
-// filter, wavelet, detector and classifier; the stream does it a block at a
-// time with bounded state, the batch path over full-record buffers.
-// BenchmarkKernel_PipelinePushChunk180 and BenchmarkKernel_BatchClassify30s
-// time the same pair; this test is the CI floor under them.
+// The front-end parity contract, enforced both ways: a stream fed the
+// serving chunk (180 samples, 0.5 s at 360 Hz) and the batch path over the
+// whole record must each cost at most 1.3x per sample what the other
+// costs. Both run the same block filter and wavelet kernels, detector and
+// classifier; the stream keeps bounded state between chunks, the batch
+// path takes the record in one PushChunk and a Flush and detects over
+// full-record buffers. BenchmarkKernel_PipelinePushChunk180 and
+// BenchmarkKernel_BatchClassify30s time the same pair; this test is the CI
+// floor under them.
 
 import (
 	"context"
@@ -71,5 +73,8 @@ func TestFrontendBatchParity(t *testing.T) {
 		streamNs/chunk, batchNs/float64(len(lead)), perSample)
 	if perSample > 1.3 {
 		t.Fatalf("PushChunk costs %.2fx BatchClassifyInto per sample (median pair), want <= 1.3x", perSample)
+	}
+	if 1/perSample > 1.3 {
+		t.Fatalf("BatchClassifyInto costs %.2fx PushChunk per sample (median pair), want <= 1.3x", 1/perSample)
 	}
 }
