@@ -270,15 +270,19 @@ func BenchmarkKernel_PipelinePushChunk180(b *testing.B) {
 }
 
 // BenchmarkKernel_BatchClassify30s is the /v1/classify serving shape: one
-// whole record through the batch reference path with pooled scratch.
+// whole record through a pooled pipeline (Pipeline.Classify).
 func BenchmarkKernel_BatchClassify30s(b *testing.B) {
 	_, _, emb, _ := benchSetup(b)
 	rec := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "batch", Seconds: 30, Seed: 7, PVCRate: 0.1})
 	lead := rec.Leads[0]
-	var scratch pipeline.BatchScratch
+	pipe, err := pipeline.New(emb, pipeline.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.BatchClassifyInto(context.Background(), emb, lead, pipeline.Config{}, &scratch); err != nil {
+		if _, err := pipe.Classify(context.Background(), emb, lead); err != nil {
 			b.Fatal(err)
 		}
 	}

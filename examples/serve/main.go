@@ -188,12 +188,10 @@ func main() {
 	fmt.Printf("\nfirst beat arrived %v after the stream opened — classification\n", firstBeat.Round(time.Millisecond))
 	fmt.Println("overlaps acquisition; the batch path had to wait for the whole record.")
 
-	// The two paths agree beat-for-beat away from the record tail (the
+	// The two paths agree beat for beat, to the record's last sample (the
 	// pipeline's bit-identity guarantee; see internal/pipeline).
-	if streamed == batch.Total {
-		fmt.Printf("both paths classified the same %d beats.\n", streamed)
-	} else {
-		fmt.Printf("streaming classified %d of %d beats: the batch detector also sees\n", streamed, batch.Total)
-		fmt.Println("the record tail, which a live stream cannot (see internal/pipeline).")
+	if streamed != batch.Total {
+		log.Fatalf("streaming classified %d beats, the whole-record request %d", streamed, batch.Total)
 	}
+	fmt.Printf("both paths classified the same %d beats.\n", streamed)
 }

@@ -232,30 +232,20 @@ func (f *fleet) record(i int) *ecgsyn.Record {
 	return f.records[slot]
 }
 
-// ExpectedBeats is the beat-continuity oracle: it runs the serving
-// pipeline's model-independent front half — millivolt conversion, the
-// streaming ECG filter and the peak detector, all at their serving
-// defaults — over one lead and returns the beat sample indices a lossless
-// stream of that lead must deliver, in order. Classification plays no part
-// in which beats exist, so the oracle needs no model and matches whatever
-// model the server applies.
+// ExpectedBeats is the beat-continuity oracle: it runs the batch
+// reference's model-independent front half — millivolt conversion,
+// sigdsp.FilterECG and peak.Detect, at the serving pipeline's settings —
+// over one lead and returns the beat sample indices a lossless stream of
+// that lead must deliver, in order, to its last sample. Classification
+// plays no part in which beats exist, so the oracle needs no model and
+// matches whatever model the server applies.
 func ExpectedBeats(lead []int32) []int {
-	filter := sigdsp.NewStreamECGFilter(sigdsp.DefaultBaselineConfig(ecgsyn.Fs))
-	det, err := peak.NewStreamDetector(peak.Config{Fs: ecgsyn.Fs, SearchBackOff: true})
-	if err != nil {
-		panic("load: ExpectedBeats: " + err.Error())
-	}
 	mv := make([]float64, len(lead))
 	for i, v := range lead {
 		mv[i] = ecgsyn.ToMillivolts(v)
 	}
-	var out []int
-	for y := mv[:filter.PushChunk(mv, mv)]; len(y) > 0; {
-		used, peaks := det.PushChunk(y)
-		y = y[used:]
-		out = append(out, peaks...)
-	}
-	return append(out, det.Flush()...)
+	filtered := sigdsp.FilterECG(mv, sigdsp.DefaultBaselineConfig(ecgsyn.Fs))
+	return peak.Detect(filtered, peak.Config{Fs: ecgsyn.Fs, SearchBackOff: true})
 }
 
 // expectedBeats returns (computing on first use) the shared oracle for

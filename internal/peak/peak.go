@@ -1,7 +1,7 @@
 // Package peak implements the wavelet-based QRS detector used by the WBSN
 // front end (first proposed for embedded nodes in Rincon et al., IEEE TITB
 // 2011, following the Mallat/Li modulus-maxima approach): the signal is
-// decomposed into four dyadic scales with the à trous transform; QRS
+// decomposed into three dyadic scales with the à trous transform; QRS
 // complexes appear as pairs of modulus maxima with opposite signs across
 // adjacent scales, and the R peak is the zero crossing between the pair on
 // the first scale.
@@ -21,6 +21,9 @@ const (
 	windowSec       = 2    // adaptive-threshold window: 720 samples at 360 Hz
 	pairSec         = 0.16 // maximum modulus-maxima pair spacing (wide enough for LBBB/PVC complexes)
 	refractorySec   = 0.22 // suppresses detections after an accepted peak
+
+	minLen    = 16 // samples; shorter records have no peaks
+	dwtLevels = 3  // à trous levels computed; z reads scales 2^2 and 2^3 (levels 1 and 2)
 )
 
 // Config sets the detector's sampling frequency and mode.
@@ -98,8 +101,7 @@ type scales struct {
 }
 
 func decompose(sc *Scratch, x []float64, c Config) scales {
-	// Four levels, of which z reads the details at 2^2 and 2^3.
-	sigdsp.AtrousDWTInto(&sc.dwt, x, 4)
+	sigdsp.AtrousDWTInto(&sc.dwt, x, dwtLevels)
 	w := sc.dwt.W
 	n := len(x)
 	win := int(windowSec * c.Fs)
@@ -124,8 +126,7 @@ func (s scales) slice(lo, hi int) scales {
 // Detect returns the R-peak sample indices found in x (a single filtered
 // lead), sorted ascending.
 //
-// Each call allocates its own working buffers. Request loops should hold a
-// Scratch (as pipeline.BatchScratch does) and call DetectInto instead.
+// Each call allocates its own working buffers; DetectInto reuses a Scratch.
 func Detect(x []float64, cfg Config) []int {
 	return DetectInto(x, cfg, new(Scratch))
 }
@@ -139,7 +140,7 @@ func Detect(x []float64, cfg Config) []int {
 //rpbeat:allocfree
 func DetectInto(x []float64, cfg Config, s *Scratch) []int {
 	c := cfg.withDefaults()
-	if len(x) < 16 {
+	if len(x) < minLen {
 		return nil
 	}
 	sc := decompose(s, x, c)

@@ -5,12 +5,11 @@ package peak
 // StreamDetector reproduces Detect exactly — same à trous scales, same
 // windowed-RMS adaptive thresholds, same modulus-maxima pairing, zero
 // crossing localization and refractory arbitration — but consumes the
-// filtered lead a chunk at a time. The batch function is the reference:
-// on any signal, the peaks a StreamDetector emits are identical to
-// Detect(x, cfg) up to the right signal border (the final thresholds of a
-// batch run use the last, partial RMS window of the whole record, which a
-// stream only sees at Flush; peaks earlier than roughly Delay() samples
-// before the end are unaffected).
+// filtered lead a chunk at a time. The batch function is the reference: on
+// any signal and any chunking, PushChunk followed by Flush emits exactly
+// the peaks of Detect(x, cfg), to the last sample. Flush completes the
+// wavelet transform's right border and the final, partial RMS window, as
+// the batch run does over the record's end.
 //
 // The one batch feature with no causal equivalent is search-back: it
 // re-scans long RR gaps against the *record-wide* median RR, a global
@@ -25,10 +24,6 @@ import (
 	"rpbeat/internal/sigdsp"
 )
 
-// streamDWTLevels is how many à trous detail levels the detector consumes:
-// the detection signal z uses scales 2^2 and 2^3 (levels 1 and 2).
-const streamDWTLevels = 3
-
 // StreamDetector is the online QRS detector. Feed it filtered samples with
 // PushChunk (or Push, one sample at a time); peak indices come back
 // (possibly several per call, usually none) once they are final, i.e. once
@@ -36,11 +31,12 @@ const streamDWTLevels = 3
 type StreamDetector struct {
 	dwt                *sigdsp.StreamDWT
 	win, pair, refract int
-	// nextWin is how many detection-scale samples complete the window being
-	// buffered right now: win - (StartSample mod win) for the first window of
-	// a resumed stream (so later boundaries align with an uninterrupted
-	// run's), win for every window after it.
-	nextWin int
+	// first is the length of a record's first window: win - (StartSample
+	// mod win) for a resumed stream (so later boundaries align with an
+	// uninterrupted run's), win otherwise. nextWin is how many
+	// detection-scale samples complete the window being buffered right now:
+	// first, then win for every window after it.
+	first, nextWin int
 
 	// Current adaptive-threshold window of the two detection scales.
 	wbase int // absolute index of the window's first sample
@@ -80,33 +76,44 @@ func NewStreamDetector(cfg Config) (*StreamDetector, error) {
 	if !c.SearchBackOff {
 		return nil, errors.New("peak: streaming detection requires Config.SearchBackOff (search-back needs the record-wide median RR)")
 	}
-	win := int(windowSec * c.Fs)
-	if win < 8 {
-		win = 8 // windowedRMS applies the same floor
-	}
+	win := max(int(windowSec*c.Fs), 8) // windowedRMS applies the same floor
 	d := &StreamDetector{
-		dwt:     sigdsp.NewStreamDWT(streamDWTLevels),
+		dwt:     sigdsp.NewStreamDWT(dwtLevels),
 		win:     win,
+		first:   win,
 		pair:    int(pairSec * c.Fs),
 		refract: int(refractorySec * c.Fs),
-		scan:    1, // the batch extremum scan starts at index 1
 	}
-	d.nextWin = win
-	if c.StartSample > 0 {
-		// Resuming at absolute sample S: shorten the first threshold window
-		// to win - (S mod win) samples, so this detector's later window
-		// boundaries fall on the same absolute indices as those of a detector
-		// that started at sample zero. Only S mod win matters — the wavelet
-		// warm-up offsets are the same for both runs and cancel.
-		if phase := c.StartSample % win; phase != 0 {
-			d.nextWin = win - phase
-		}
+	// Resuming at absolute sample S: shorten the first threshold window to
+	// win - (S mod win) samples, so this detector's later window boundaries
+	// fall on the same absolute indices as those of a detector that started
+	// at sample zero. Only S mod win matters — the wavelet warm-up offsets
+	// are the same for both runs and cancel.
+	if phase := c.StartSample % win; c.StartSample > 0 && phase != 0 {
+		d.first = win - phase
 	}
 	d.ring = d.win + d.pair + 16
 	d.z = make([]float64, d.ring)
 	d.wbuf[0] = make([]float64, 0, d.win)
 	d.wbuf[1] = make([]float64, 0, d.win)
+	d.Reset()
 	return d, nil
+}
+
+// Reset readies the detector for a new record, as NewStreamDetector built
+// it, keeping its buffers.
+//
+//rpbeat:allocfree
+func (d *StreamDetector) Reset() {
+	d.dwt.Reset()
+	*d = StreamDetector{
+		dwt: d.dwt, win: d.win, pair: d.pair, refract: d.refract,
+		first: d.first, nextWin: d.first,
+		wbuf: [2][]float64{d.wbuf[0][:0], d.wbuf[1][:0]},
+		z:    d.z, ring: d.ring,
+		scan: 1, // the batch extremum scan starts at index 1
+		emit: d.emit[:0],
+	}
 }
 
 // Delay returns the worst-case number of input samples between a peak's
@@ -139,9 +146,18 @@ func (d *StreamDetector) PushChunk(x []float64) (used int, peaks []int) {
 	used = min(len(x), d.dwt.InputsFor(d.nextWin-f))
 	// The detector reads scales 2^2 and 2^3 (levels 1 and 2); level 0 is
 	// only the first approximation step.
-	dst := [streamDWTLevels][]float64{1: w1[f:d.nextWin], 2: w2[f:d.nextWin]}
-	m := d.dwt.PushChunk(dst[:], x[:used])
-	w1, w2 = w1[:f+m], w2[:f+m]
+	dst := [dwtLevels][]float64{1: w1[f:d.nextWin], 2: w2[f:d.nextWin]}
+	d.fill(d.dwt.PushChunk(dst[:], x[:used]))
+	return used, d.emit
+}
+
+// fill takes the m detail samples written just past the end of the
+// window buffers into the window, completing it if they fill it.
+//
+//rpbeat:allocfree
+func (d *StreamDetector) fill(m int) {
+	f := len(d.wbuf[0])
+	w1, w2 := d.wbuf[0][:f+m], d.wbuf[1][:f+m]
 	s1, s2 := d.sumsq[0], d.sumsq[1]
 	for i := f; i < f+m; i++ {
 		s1 += w1[i] * w1[i]
@@ -152,7 +168,6 @@ func (d *StreamDetector) PushChunk(x []float64) (used int, peaks []int) {
 	if len(w1) == d.nextWin {
 		d.completeWindow()
 	}
-	return used, d.emit
 }
 
 // Push consumes one sample of the filtered lead and returns the R peaks
@@ -165,15 +180,32 @@ func (d *StreamDetector) Push(x float64) []int {
 	return peaks
 }
 
-// Flush finishes the stream: the final partial threshold window is processed
-// (as the batch windowed RMS does for the record tail) and the pending
-// candidate, which no longer has future rivals, is emitted.
+// Flush finishes the record and returns the peaks left: the wavelet
+// transform's flushed tail goes into the windows as PushChunk's samples do,
+// then the final partial window is processed (as the batch windowed RMS
+// does for the record tail) and the pending candidate, which no longer has
+// future rivals, is emitted. Reset readies the detector for another record.
+//
+//rpbeat:allocfree
 func (d *StreamDetector) Flush() []int {
 	d.emit = d.emit[:0]
 	if d.flushed {
 		return nil
 	}
 	d.flushed = true
+	var tail [2][sigdsp.Block]float64 // the transform owes its Delay(), 17 indices
+	dst := [dwtLevels][]float64{1: tail[0][:], 2: tail[1][:]}
+	for i, k := 0, d.dwt.Flush(dst[:]); i < k; {
+		f := len(d.wbuf[0])
+		m := min(k-i, d.nextWin-f)
+		copy(d.wbuf[0][f:f+m], tail[0][i:])
+		copy(d.wbuf[1][f:f+m], tail[1][i:])
+		d.fill(m)
+		i += m
+	}
+	if d.wbase+len(d.wbuf[0]) < minLen { // as Detect, no peaks
+		return nil
+	}
 	d.completeWindow()
 	if d.hasPending {
 		d.emit = append(d.emit, d.pending.pos)

@@ -1,6 +1,7 @@
 package peak
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -49,15 +50,25 @@ func boundaryLead() []float64 {
 }
 
 func TestStreamDetectorMatchesBatch(t *testing.T) {
-	for _, tc := range []struct {
+	type record struct {
 		name string
 		x    []float64
-	}{
+	}
+	cases := []record{
 		{"seed 1", filteredRecord(180, 1, 0)},
 		{"seed 2", filteredRecord(180, 2, 0.15)},
 		{"seed 7", filteredRecord(180, 7, 0.3)},
 		{"window boundary", boundaryLead()},
-	} {
+	}
+	// Records that end at every phase of the beat and window cycles: some
+	// of these end just after a beat the stream only finalizes at Flush.
+	for n := 20000; n < 22000; n += 37 {
+		cases = append(cases, record{fmt.Sprintf("seed 2 cut at %d", n), cases[1].x[:n]})
+	}
+	// Under Detect's 16-sample minimum a record has no peaks, though the
+	// threshold window of this one holds a significant extremum pair.
+	cases = append(cases, record{"15 samples", []float64{1, 0, 0, -1, 1, -1, -1, 0, -1, 0, 1, 0, 0, -1, 0}})
+	for _, tc := range cases {
 		x := tc.x
 		cfg := Config{Fs: 360, SearchBackOff: true}
 		batch := Detect(x, cfg)
@@ -78,32 +89,14 @@ func TestStreamDetectorMatchesBatch(t *testing.T) {
 				}
 			}
 			stream = append(stream, d.Flush()...)
-
-			// Batch thresholds near the record end come from windows the
-			// stream only completes at Flush with fewer samples (the wavelet
-			// tail is never produced), so parity is asserted away from the
-			// right border.
-			tail := len(x) - d.Delay()
-			want := keepBefore(batch, tail)
-			got := keepBefore(stream, tail)
-			if len(want) == 0 {
-				t.Fatalf("%s: batch found no peaks before the tail margin", tc.name)
+			if len(batch) == 0 && len(x) > 1000 {
+				t.Fatalf("%s: batch found no peaks", tc.name)
 			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s chunk %d: stream peaks %v, batch %v", tc.name, size, got, want)
+			if !slices.Equal(stream, batch) {
+				t.Fatalf("%s chunk %d: stream peaks %v, batch %v", tc.name, size, stream, batch)
 			}
 		}
 	}
-}
-
-func keepBefore(peaks []int, limit int) []int {
-	out := peaks[:0:0]
-	for _, p := range peaks {
-		if p < limit {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func TestStreamDetectorPeaksAreOrderedAndFinal(t *testing.T) {

@@ -2,10 +2,13 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"rpbeat/internal/apierr"
+	"rpbeat/internal/core"
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/testutil"
 )
@@ -199,43 +202,134 @@ func TestRejectedSendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchClassifyIntoMatchesBatchClassify checks the scratch-reusing batch
-// path against the allocating reference, across repeated reuse of one
-// scratch (including a shorter record after a longer one, so stale buffer
-// tails would surface).
-func TestBatchClassifyIntoMatchesBatchClassify(t *testing.T) {
-	emb := testModel(t)
-	var scratch BatchScratch
-	for _, spec := range []ecgsyn.RecordSpec{
-		{Name: "b1", Seconds: 60, Seed: 3, PVCRate: 0.2},
-		{Name: "b2", Seconds: 30, Seed: 9, PVCRate: 0.05},
-		{Name: "b3", Seconds: 45, Seed: 12},
+// TestPipelineClassifyMatchesBatchClassify reuses one pipeline across
+// records and heads, the way /v1/classify pools them: a shorter record
+// after a longer one, and fuzzy, bitemb, fuzzy again, so a re-arm that
+// left stale state from the last record or model would show here. Every
+// record's beats equal BatchClassify's in position and class, and a warm
+// pipeline classifies a record without allocating.
+func TestPipelineClassifyMatchesBatchClassify(t *testing.T) {
+	fuzzy, bitemb := testModel(t), testBitembModel(t)
+	var p *Pipeline
+	for _, tc := range []struct {
+		spec ecgsyn.RecordSpec
+		emb  *core.Embedded
+	}{
+		{ecgsyn.RecordSpec{Name: "b1", Seconds: 60, Seed: 3, PVCRate: 0.2}, fuzzy},
+		{ecgsyn.RecordSpec{Name: "b2", Seconds: 30, Seed: 9, PVCRate: 0.05}, bitemb},
+		{ecgsyn.RecordSpec{Name: "b3", Seconds: 45, Seed: 12}, fuzzy},
+		{ecgsyn.RecordSpec{Name: "b4", Seconds: 20, Seed: 14, PVCRate: 0.3}, bitemb},
 	} {
-		lead := ecgsyn.Synthesize(spec).Leads[0]
-		want, err := BatchClassify(context.Background(), emb, lead, Config{})
+		lead := ecgsyn.Synthesize(tc.spec).Leads[0]
+		want, err := BatchClassify(context.Background(), tc.emb, lead, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := BatchClassifyInto(context.Background(), emb, lead, Config{}, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d beats via scratch, %d via reference", spec.Name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: beat %d = %+v, want %+v", spec.Name, i, got[i], want[i])
+		if p == nil {
+			if p, err = New(tc.emb, Config{}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		// The allocation floor of the /v1/classify compute path: on a warm
-		// scratch, only the three small allocations of sort.Slice in peak's
-		// candidate arbitration remain; every signal- or beat-sized buffer
-		// is reused.
-		testutil.AssertAllocsAtMost(t, spec.Name+": warm BatchClassifyInto per record", 3, 10, func() {
-			if _, err := BatchClassifyInto(context.Background(), emb, lead, Config{}, &scratch); err != nil {
+		got, err := p.Classify(context.Background(), tc.emb, lead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := sameBeats(got, want); msg != "" {
+			t.Fatalf("%s (%v head): %s", tc.spec.Name, tc.emb.Kind, msg)
+		}
+		// The allocation floor of the /v1/classify compute path: every
+		// buffer is the stream's own, sized at New or by an earlier record.
+		testutil.AssertZeroAlloc(t, tc.spec.Name+": warm Classify per record", func() {
+			if _, err := p.Classify(context.Background(), tc.emb, lead); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestClassifyHeapBoundedByBeats holds what a warm classify pipeline
+// retains to the stream footprint plus its beats: after a 10-minute record
+// it retains no more than after a 60 s one, apart from its beat slice,
+// grown to the longer record's beats, and a small constant. Record-length
+// buffers would add about 80 B per sample, some 15 MB here.
+func TestClassifyHeapBoundedByBeats(t *testing.T) {
+	emb := testModel(t)
+	short := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "h1", Seconds: 60, Seed: 5, PVCRate: 0.1}).Leads[0]
+	long := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "h2", Seconds: 600, Seed: 6, PVCRate: 0.1}).Leads[0]
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	ctx := context.Background()
+	p, err := New(emb, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Classify(ctx, emb, short); err != nil {
+		t.Fatal(err)
+	}
+	afterShort := heap()
+	beats, err := p.Classify(ctx, emb, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterLong := heap()
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(short) // both records are live in both measurements
+	runtime.KeepAlive(long)
+	beatBytes := int64(cap(beats)) * int64(unsafe.Sizeof(BeatResult{}))
+	const slack = 16 << 10
+	t.Logf("heap grew %d B from a 60 s to a 600 s record; %d beats hold %d B", afterLong-afterShort, len(beats), beatBytes)
+	if grew := afterLong - afterShort; grew > beatBytes+slack {
+		t.Fatalf("a warm classify pipeline retains %d B more after 600 s than after 60 s, want <= %d B (beats) + %d B",
+			grew, beatBytes, slack)
+	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled from its
+// k-th call on.
+type cancelAfter struct {
+	context.Context
+	calls, k int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.calls++; c.calls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestClassifyHonorsContext: a context already done stops Classify before
+// its first sample, and one that ends mid-record stops it at the next
+// stride, long before the record's end; both return the context's error
+// and no beats.
+func TestClassifyHonorsContext(t *testing.T) {
+	emb := testModel(t)
+	lead := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "cx", Seconds: 300, Seed: 8, PVCRate: 0.1}).Leads[0]
+	p, err := New(emb, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		samples int // consumed when Classify stops
+	}{
+		{"done before the call", done, 0},
+		{"done at the third check", &cancelAfter{Context: context.Background(), k: 3}, 2 * classifyStride},
+	} {
+		beats, err := p.Classify(tc.ctx, emb, lead)
+		if !errors.Is(err, context.Canceled) || beats != nil {
+			t.Fatalf("%s: Classify returned %d beats, error %v; want none and context.Canceled", tc.name, len(beats), err)
+		}
+		if p.n != tc.samples {
+			t.Fatalf("%s: Classify consumed %d of %d samples, want %d", tc.name, p.n, len(lead), tc.samples)
+		}
 	}
 }

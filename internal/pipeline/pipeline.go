@@ -22,11 +22,11 @@
 // the sample that completed its window: the completing detection index
 // plus the DWT and filter delays, the same for any chunking. The raw ring
 // covers Delay() + beatset.Before + one block of samples (1,943 in 2,048
-// entries). Each stage reports its group delay, and the whole pipeline is
-// bit-identical to the batch reference (BatchClassify) except within
-// Delay() samples of the record end, where batch thresholds use future
-// samples a stream cannot see. TestPipelineMatchesBatch holds the two paths
-// to beat-for-beat equality.
+// entries). Flush drains every stage's tail, so PushChunk plus Flush is
+// bit-identical to the batch reference (BatchClassify) in every beat's
+// position and class, to the record's last sample, for any chunking
+// (TestPipelineMatchesBatch, FuzzPipelineMatchesBatch). Classify runs a
+// whole record this way, which is how /v1/classify serves.
 package pipeline
 
 import (
@@ -79,9 +79,16 @@ func detectorConfig(base int) peak.Config {
 	return peak.Config{Fs: ecgsyn.Fs, SearchBackOff: true, StartSample: base}
 }
 
-// checkGeometry rejects a model whose input dimension does not follow from
-// the beat window at its downsampling factor.
-func checkGeometry(emb *core.Embedded) error {
+// checkModel rejects a missing or invalid model, and one whose input
+// dimension does not follow from the beat window at its downsampling
+// factor.
+func checkModel(emb *core.Embedded) error {
+	if emb == nil {
+		return errors.New("pipeline: nil classifier")
+	}
+	if err := emb.Validate(); err != nil {
+		return err
+	}
 	if want := dimAfter(windowLen, emb.Downsample); want != emb.D {
 		return fmt.Errorf("pipeline: window %d+%d at downsample %d gives dimension %d, model wants %d",
 			beatset.Before, beatset.After, emb.Downsample, want, emb.D)
@@ -121,13 +128,7 @@ type Pipeline struct {
 
 // New builds a pipeline around a validated embedded classifier.
 func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
-	if emb == nil {
-		return nil, errors.New("pipeline: nil classifier")
-	}
-	if err := emb.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkGeometry(emb); err != nil {
+	if err := checkModel(emb); err != nil {
 		return nil, err
 	}
 	base := max(cfg.BaseSample, 0)
@@ -136,14 +137,12 @@ func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{
-		emb:    emb,
 		base:   base,
 		filter: sigdsp.NewStreamECGFilter(baseline),
 		det:    det,
 		window: make([]int32, windowLen),
-		ds:     make([]int32, emb.D),
 	}
-	p.scr.Grow(emb)
+	p.bind(emb)
 	// The ring must still hold sample max(0, peak-Before) when a peak
 	// finalizes, at worst Delay() samples after the peak position, while
 	// PushChunk has written up to a block of raw samples past that one:
@@ -151,6 +150,17 @@ func New(emb *core.Embedded, cfg Config) (*Pipeline, error) {
 	p.raw = make([]int32, nextPow2(p.Delay()+beatset.Before+sigdsp.Block))
 	p.rawMask = len(p.raw) - 1
 	return p, nil
+}
+
+// bind points the pipeline at emb, growing the downsampled window and the
+// classifier scratch to the model's size.
+func (p *Pipeline) bind(emb *core.Embedded) {
+	p.emb = emb
+	if cap(p.ds) < emb.D {
+		p.ds = make([]int32, emb.D)
+	}
+	p.ds = p.ds[:emb.D]
+	p.scr.Grow(emb)
 }
 
 func dimAfter(n, downsample int) int {
@@ -232,6 +242,17 @@ func (p *Pipeline) Push(sample int32) []BeatResult {
 //rpbeat:allocfree
 func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {
 	p.out = p.out[:0]
+	p.push(samples)
+	if len(p.out) > 0 && emit != nil {
+		emit(p.out)
+	}
+}
+
+// push runs samples through the stages a block at a time and appends the
+// beats they finalize to p.out.
+//
+//rpbeat:allocfree
+func (p *Pipeline) push(samples []int32) {
 	raw, mask := p.raw, p.rawMask
 	for len(samples) > 0 {
 		m := min(len(samples), sigdsp.Block)
@@ -256,23 +277,74 @@ func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {
 			}
 		}
 	}
-	if len(p.out) > 0 && emit != nil {
-		emit(p.out)
-	}
 }
 
-// Flush ends the stream, draining the detector's final threshold window and
-// pending candidate. Push must not be called afterwards.
+// Flush ends the stream and returns the beats PushChunk had not emitted,
+// each with the last sample as its DetectedAt: the record's end finalized
+// them. PushChunk must not be called afterwards. The returned slice is
+// reused by the next call; copy it to retain.
+//
+//rpbeat:allocfree
 func (p *Pipeline) Flush() []BeatResult {
 	p.out = p.out[:0]
+	p.flush()
+	return p.out
+}
+
+// filterTail is room for the filter's flushed tail, its Delay(): 184
+// samples at the fixed front end (TestFrontEndGeometry).
+const filterTail = 184
+
+// flush appends the record's remaining beats to p.out, once: the filter's
+// tail goes through the detector as PushChunk's samples do, then the
+// detector's Flush drains its own.
+//
+//rpbeat:allocfree
+func (p *Pipeline) flush() {
 	if p.flushed {
-		return nil
+		return
 	}
 	p.flushed = true
+	var tail [filterTail]float64
+	for f := tail[:p.filter.Flush(tail[:])]; len(f) > 0; {
+		used, peaks := p.det.PushChunk(f)
+		f = f[used:]
+		for _, pk := range peaks {
+			p.classify(pk, p.n-1)
+		}
+	}
 	for _, pk := range p.det.Flush() {
 		p.classify(pk, p.n-1)
 	}
-	return p.out
+}
+
+// classifyStride is how many samples Classify pushes per context check.
+const classifyStride = 1 << 14
+
+// Classify classifies a whole record with emb, the /v1/classify path: the
+// pipeline is re-armed for emb as New builds it (its Config kept), fed the
+// record and flushed, so its beats equal BatchClassify's in position and
+// class, and its heap is the stream's plus the beats, whatever the record's
+// length. Once ctx is done Classify returns ctx.Err(), checked before every
+// classifyStride samples. The returned slice is reused by the next call.
+//
+//rpbeat:allocfree
+func (p *Pipeline) Classify(ctx context.Context, emb *core.Embedded, lead []int32) ([]BeatResult, error) {
+	if err := checkModel(emb); err != nil {
+		return nil, err
+	}
+	p.bind(emb)
+	p.filter.Reset()
+	p.det.Reset()
+	p.n, p.flushed, p.out = 0, false, p.out[:0]
+	for off := 0; off < len(lead); off += classifyStride {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		p.push(lead[off:min(off+classifyStride, len(lead))])
+	}
+	p.flush()
+	return p.out, nil
 }
 
 // classify cuts the beat window of the peak at pk out of the raw ring (with
@@ -303,126 +375,28 @@ func (p *Pipeline) classify(pk, at int) {
 	})
 }
 
-// BatchClassify is the whole-record reference path: the batch operators
-// (sigdsp.FilterECG, peak.Detect with search-back off, sigdsp.WindowInt +
-// DownsampleInt, core.Embedded.Classify) in the configuration a Pipeline
-// streams. Its filter and wavelet transform are the stream's block kernels
-// taking the record in one PushChunk and a Flush, while its detector
-// thresholds see the whole record, so the streaming results are
-// bit-identical to it away from the record tail; it also serves the
-// /v1/classify endpoint, where the whole record is available up front.
-//
-// Each call allocates its own working buffers. Request loops should hold a
-// BatchScratch (e.g. in a sync.Pool, as internal/serve does) and call
-// BatchClassifyInto instead.
-func BatchClassify(ctx context.Context, emb *core.Embedded, lead []int32, cfg Config) ([]BeatResult, error) {
-	beats, err := BatchClassifyInto(ctx, emb, lead, cfg, new(BatchScratch))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BeatResult, len(beats))
-	copy(out, beats)
-	return out, nil
-}
-
-// BatchScratch holds the reusable working set of one batch
-// classification: the record's millivolt conversion and its filtered copy,
-// the front end's stream filter (sigdsp.FilterScratch), the detector's
-// transform and record-length buffers (peak.Scratch), the per-beat
-// window/downsample/projection/grade scratch and the result slice. A zero
-// value is ready to use; buffers grow to the largest record seen and are
-// reused afterwards. Not safe for concurrent use.
-type BatchScratch struct {
-	// Samples is the request-scoped raw-sample buffer: callers that decode
-	// a wire payload (internal/serve) append the decoded lead into
-	// Samples[:0] and pass the result back in as lead, so request bodies
-	// reuse one buffer across requests just like the classification
-	// scratch below. BatchClassifyInto itself never touches it — it is
-	// carried here so one pooled object holds a request's entire working
-	// set.
-	Samples []int32
-
-	mv       []float64
-	filtered []float64
-	filt     sigdsp.FilterScratch
-	det      peak.Scratch
-	window   []int32
-	ds       []int32
-	cls      core.Scratch
-	beats    []BeatResult
-}
-
-// BatchClassifyInto is BatchClassify running through the caller's scratch
-// buffers: the front-end filter and wavelet decomposition, the detector's
-// threshold/candidate lists and all O(beats) buffers are reused across
-// calls, so a warm scratch classifies a record with O(1) allocations. The
-// returned slice aliases s and is valid until the next call with the same
-// scratch; copy it to retain.
-//
-// The context is honored at the record granularity a request cares about:
-// checked on entry, after the front-end (filter + detector, the bulk of the
-// work) and every classifyCtxStride beats, so an abandoned request stops
-// burning the worker quickly without putting a check in the per-beat hot
-// loop. Cancellation returns ctx.Err() (typed by the serving layer).
-func BatchClassifyInto(ctx context.Context, emb *core.Embedded, lead []int32, _ Config, s *BatchScratch) ([]BeatResult, error) {
-	if emb == nil {
-		return nil, errors.New("pipeline: nil classifier")
-	}
-	if s == nil {
-		return nil, errors.New("pipeline: nil scratch")
-	}
+// BatchClassify is the whole-record reference path that the tests and the
+// benchmark hold the served paths to: the batch operators (sigdsp.FilterECG,
+// peak.Detect with search-back off, sigdsp.WindowInt + DownsampleInt,
+// core.Embedded.Classify) in the configuration a Pipeline streams, over
+// record-length buffers. Every beat's DetectedAt is the record's last
+// sample. cfg is ignored; ctx is checked once, on entry.
+func BatchClassify(ctx context.Context, emb *core.Embedded, lead []int32, _ Config) ([]BeatResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := emb.Validate(); err != nil {
+	if err := checkModel(emb); err != nil {
 		return nil, err
 	}
-	if err := checkGeometry(emb); err != nil {
-		return nil, err
-	}
-	s.mv = growFloat(s.mv, len(lead))
-	mv := s.mv[:len(lead)]
+	mv := make([]float64, len(lead))
 	for i, v := range lead {
 		mv[i] = ecgsyn.ToMillivolts(v)
 	}
-	s.filtered = sigdsp.FilterECGInto(s.filtered, mv, baseline, &s.filt)
-	peaks := peak.DetectInto(s.filtered, detectorConfig(0), &s.det)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	s.window = growInt32(s.window, windowLen)[:windowLen]
-	s.ds = growInt32(s.ds, emb.D)[:emb.D]
-	s.cls.Grow(emb)
-	s.beats = s.beats[:0]
+	peaks := peak.Detect(sigdsp.FilterECG(mv, baseline), detectorConfig(0))
+	out := make([]BeatResult, len(peaks))
 	for i, pk := range peaks {
-		if i%classifyCtxStride == classifyCtxStride-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		sigdsp.WindowIntInto(s.window, lead, pk, beatset.Before)
-		sigdsp.DownsampleIntInto(s.ds, s.window, emb.Downsample)
-		d := emb.ClassifyInto(s.ds, &s.cls)
-		s.beats = append(s.beats, BeatResult{Peak: pk, Decision: d, DetectedAt: len(lead) - 1})
+		w := sigdsp.DownsampleInt(sigdsp.WindowInt(lead, pk, beatset.Before, beatset.After), emb.Downsample)
+		out[i] = BeatResult{Peak: pk, Decision: emb.Classify(w), DetectedAt: len(lead) - 1}
 	}
-	return s.beats, nil
-}
-
-// classifyCtxStride is how many beats the batch loop classifies between
-// context checks (~64 beats ≈ one minute of signal per check).
-const classifyCtxStride = 64
-
-func growFloat(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
+	return out, nil
 }

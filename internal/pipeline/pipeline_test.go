@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"rpbeat/internal/core"
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/fixp"
+	"rpbeat/internal/rng"
 	"rpbeat/internal/sigdsp"
 )
 
@@ -94,64 +97,125 @@ func testFloatModel(t testing.TB) *core.Model {
 	return modelFloat
 }
 
+// streamRecord feeds lead to a fresh pipeline in chunks of the given sizes,
+// cycled, flushes it and returns every beat, checking each one's
+// DetectedAt on the way: at or after its Peak, never before an earlier
+// beat's, within Delay() of its Peak for the beats emitted before Flush,
+// and the record's last sample for the beats Flush emits.
+func streamRecord(t testing.TB, emb *core.Embedded, lead []int32, sizes ...int) []BeatResult {
+	t.Helper()
+	p, err := New(emb, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []BeatResult
+	for off, c := 0, 0; off < len(lead); c++ {
+		end := min(off+sizes[c%len(sizes)], len(lead))
+		p.PushChunk(lead[off:end], func(beats []BeatResult) {
+			for _, b := range beats {
+				if lat := b.DetectedAt - b.Peak; lat > p.Delay() {
+					t.Fatalf("beat %d finalized %d samples late (> Delay %d)", b.Peak, lat, p.Delay())
+				}
+			}
+			out = append(out, beats...)
+		})
+		off = end
+	}
+	for _, b := range p.Flush() {
+		if b.DetectedAt != len(lead)-1 {
+			t.Fatalf("Flush emitted beat %d with DetectedAt %d, want the last sample, %d", b.Peak, b.DetectedAt, len(lead)-1)
+		}
+		out = append(out, b)
+	}
+	for i, b := range out {
+		if b.DetectedAt < b.Peak || i > 0 && b.DetectedAt < out[i-1].DetectedAt {
+			t.Fatalf("beat %d = %+v: DetectedAt before its Peak or before beat %d's", i, b, i-1)
+		}
+	}
+	return out
+}
+
+// sameBeats reports the first beat at which got and want differ in
+// position or class, or "" when they agree beat for beat.
+func sameBeats(got, want []BeatResult) string {
+	for i := range min(len(got), len(want)) {
+		if got[i].Peak != want[i].Peak || got[i].Decision != want[i].Decision {
+			return fmt.Sprintf("beat %d: stream (%d,%v), batch (%d,%v)",
+				i, got[i].Peak, got[i].Decision, want[i].Peak, want[i].Decision)
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("stream emitted %d beats, batch %d", len(got), len(want))
+	}
+	return ""
+}
+
+// short15 is a 15-sample lead, under Detect's minimum record length, on
+// which the stream detector would report a beat if it did not apply the
+// same minimum.
+var short15 = []int32{1024, 1024, 1224, 824, 1124, 1224, 924, 1224, 1024, 1024, 824, 1224, 1224, 1024, 1124}
+
+// hostileLeads are 11-bit leads no heart produces, n samples each: a flat
+// line, a rail-to-rail square wave and uniform noise.
+func hostileLeads(n int) map[string][]int32 {
+	flat, square, noise := make([]int32, n), make([]int32, n), make([]int32, n)
+	r := rng.New(3)
+	for i := range n {
+		flat[i] = ecgsyn.Baseline
+		square[i] = ecgsyn.ADCMax * int32(i/90%2)
+		noise[i] = int32(r.Intn(ecgsyn.ADCMax + 1))
+	}
+	return map[string][]int32{"flat": flat, "square": square, "noise": noise}
+}
+
+// TestPipelineMatchesBatch holds a stream fed any chunking and flushed to
+// BatchClassify, beat for beat in position and class, to the record's last
+// sample: on ECG records, on hostile leads and on every record length up
+// to 400 samples, where every beat is one Flush finalizes.
 func TestPipelineMatchesBatch(t *testing.T) {
 	emb := testModel(t)
+	records := hostileLeads(20 * 360)
 	for _, tc := range []struct {
 		seed uint64
 		pvc  float64
 	}{{5, 0.2}, {11, 0.05}} {
 		rec := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "p", Seconds: 120, Seed: tc.seed, PVCRate: tc.pvc})
-		lead := rec.Leads[0]
-
+		records[fmt.Sprintf("seed %d", tc.seed)] = rec.Leads[0]
+	}
+	// A record under Detect's 16-sample minimum, so without a beat, whose
+	// lone threshold window would otherwise yield one at sample 3.
+	records["15 samples"] = short15
+	// Records that end at other phases of the beat and window cycles.
+	for n := 30000; n < 38000; n += 997 {
+		records[fmt.Sprintf("seed 11 cut at %d", n)] = records["seed 11"][:n]
+	}
+	for name, lead := range records {
 		batch, err := BatchClassify(context.Background(), emb, lead, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if strings.HasPrefix(name, "seed") && len(batch) < 50 {
+			t.Fatalf("%s: only %d batch beats", name, len(batch))
+		}
+		for _, size := range []int{1, 180, 7919, len(lead)} {
+			if msg := sameBeats(streamRecord(t, emb, lead, size), batch); msg != "" {
+				t.Fatalf("%s, chunk %d: %s", name, size, msg)
+			}
+		}
+	}
 
-		pipe, err := New(emb, Config{})
+	lead := records["seed 5"]
+	for n := 0; n <= 400; n++ {
+		batch, err := BatchClassify(context.Background(), emb, lead[:n], Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stream []BeatResult
-		for _, v := range lead {
-			for _, b := range pipe.Push(v) {
-				if lat := b.DetectedAt - b.Peak; lat > pipe.Delay() {
-					t.Fatalf("seed %d: beat %d finalized %d samples late (> Delay %d)",
-						tc.seed, b.Peak, lat, pipe.Delay())
-				}
-				stream = append(stream, b)
-			}
-		}
-		stream = append(stream, pipe.Flush()...)
-
-		// Beat-for-beat equality away from the record tail: batch thresholds
-		// there use windows the stream only sees truncated at Flush.
-		limit := len(lead) - pipe.Delay()
-		want := keepBefore(batch, limit)
-		got := keepBefore(stream, limit)
-		if len(want) < 50 {
-			t.Fatalf("seed %d: only %d batch beats before the tail margin", tc.seed, len(want))
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: stream emitted %d beats, batch %d", tc.seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Peak != want[i].Peak || got[i].Decision != want[i].Decision {
-				t.Fatalf("seed %d: beat %d: stream (%d,%v) != batch (%d,%v)",
-					tc.seed, i, got[i].Peak, got[i].Decision, want[i].Peak, want[i].Decision)
+		for _, size := range []int{1, 180, max(n, 1)} {
+			if msg := sameBeats(streamRecord(t, emb, lead[:n], size), batch); msg != "" {
+				t.Fatalf("%d samples, chunk %d: %s", n, size, msg)
 			}
 		}
 	}
-}
-
-func keepBefore(beats []BeatResult, limit int) []BeatResult {
-	out := beats[:0:0]
-	for _, b := range beats {
-		if b.Peak < limit {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // TestPipelineBoundedMemory holds a stream's memory flat over its length:
@@ -221,6 +285,7 @@ func TestFrontEndGeometry(t *testing.T) {
 		{"baseline opening element", baseline.OpenLen(), 73},
 		{"baseline closing element", baseline.CloseLen(), 109},
 		{"filter delay", p.filter.Delay(), 184},
+		{"Flush's room for the filter's tail", filterTail, p.filter.Delay()},
 		{"detector window", p.det.Window(), 720},
 		{"beat window", windowLen, 200},
 		{"Pipeline.Delay", p.Delay(), 1779},
@@ -242,6 +307,13 @@ func TestPipelineRejectsMismatchedGeometry(t *testing.T) {
 		t.Fatal("expected a window/model dimension mismatch error")
 	}
 	if _, err := BatchClassify(context.Background(), &emb, make([]int32, 100), Config{}); err == nil {
+		t.Fatal("expected a window/model dimension mismatch error")
+	}
+	p, err := New(testModel(t), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Classify(context.Background(), &emb, make([]int32, 100)); err == nil {
 		t.Fatal("expected a window/model dimension mismatch error")
 	}
 	if _, err := New(nil, Config{}); err == nil {

@@ -1,9 +1,9 @@
 // Package serve is the HTTP surface of the classification service, shared
 // by cmd/rpserve and examples/serve. Two data paths:
 //
-//   - POST /v1/classify — whole-record batch classification (the exact batch
-//     reference path, pipeline.BatchClassify): one request in, one JSON
-//     response out.
+//   - POST /v1/classify — whole-record classification through a pooled
+//     pipeline (Pipeline.Classify, equal to the batch reference
+//     pipeline.BatchClassify): one request in, one JSON response out.
 //   - POST /v1/stream — online classification: the client sends chunks of
 //     samples as they are acquired; the server answers with one NDJSON line
 //     per finalized beat, flushed as soon as the streaming pipeline emits it
@@ -115,12 +115,10 @@ type server struct {
 	gate    *overload.Gate
 	limiter *overload.Limiter
 	// scratch pools the per-request working set of /v1/classify: the
-	// request body bytes, the decoded sample slice, the millivolt
-	// conversion, the front end's stream filter and wavelet transform with
-	// the detector's record buffers, the per-beat classification scratch
-	// and the encoded response are all reused across requests instead of
-	// allocated per call, so a steady request rate holds a steady working
-	// set (the whole batch path is O(1) allocations on a warm scratch).
+	// request body bytes, the decoded sample slice, the pipeline and the
+	// encoded response are reused across requests instead of allocated per
+	// call, so a steady request rate holds a steady working set (a warm
+	// pipeline classifies a record without allocating).
 	scratch sync.Pool
 }
 
@@ -184,13 +182,11 @@ func (a affinityHeaders) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.next.ServeHTTP(w, r)
 }
 
-// classifyScratch is one request's reusable buffer set. The decoded sample
-// slice lives in batch.Samples (pipeline.BatchScratch carries the whole
-// request working set).
 type classifyScratch struct {
-	body  []byte // raw request body bytes
-	batch pipeline.BatchScratch
-	resp  []byte // encoded response
+	body    []byte             // raw request body bytes
+	samples []int32            // the decoded lead
+	pipe    *pipeline.Pipeline // built for the first request, re-armed by each
+	resp    []byte             // encoded response
 }
 
 // ErrorResponse is the uniform JSON error body of every endpoint.
@@ -462,7 +458,7 @@ func readBody(buf []byte, r io.Reader) ([]byte, error) {
 
 // decodeClassifyRequest reads and decodes a /v1/classify body per the
 // negotiated content type into the request scratch, returning the model
-// reference and the decoded lead (aliasing sc.batch.Samples).
+// reference and the decoded lead (aliasing sc.samples).
 func (s *server) decodeClassifyRequest(sc *classifyScratch, r *http.Request, body io.Reader) (string, []int32, error) {
 	var err error
 	sc.body, err = readBody(sc.body, body)
@@ -481,20 +477,20 @@ func (s *server) decodeClassifyRequest(sc *classifyScratch, r *http.Request, bod
 	model := ""
 	switch {
 	case wire.IsSampleContentType(r.Header.Get("Content-Type")):
-		sc.batch.Samples = sc.batch.Samples[:0]
+		sc.samples = sc.samples[:0]
 		data := sc.body
 		for len(data) > 0 {
-			sc.batch.Samples, data, err = wire.DecodeFrame(sc.batch.Samples, data)
+			sc.samples, data, err = wire.DecodeFrame(sc.samples, data)
 			if err != nil {
 				return "", nil, wireErr(err)
 			}
-			if len(sc.batch.Samples) > maxClassifySamples {
+			if len(sc.samples) > maxClassifySamples {
 				return "", nil, apierr.New(apierr.CodePayloadTooLarge,
 					"record exceeds %d samples", maxClassifySamples)
 			}
 		}
 	default:
-		model, sc.batch.Samples, err = wire.ParseClassify(sc.batch.Samples, sc.body)
+		model, sc.samples, err = wire.ParseClassify(sc.samples, sc.body)
 		if err != nil {
 			return "", nil, wireErr(err)
 		}
@@ -504,7 +500,7 @@ func (s *server) decodeClassifyRequest(sc *classifyScratch, r *http.Request, bod
 		// query reference works for every content type.
 		model = r.URL.Query().Get("model")
 	}
-	return model, sc.batch.Samples, nil
+	return model, sc.samples, nil
 }
 
 func (s *server) classify(w http.ResponseWriter, r *http.Request) {
@@ -535,7 +531,13 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	beats, err := pipeline.BatchClassifyInto(r.Context(), entry.Emb, samples, pipeline.Config{}, &sc.batch)
+	if sc.pipe == nil {
+		if sc.pipe, err = pipeline.New(entry.Emb, pipeline.Config{}); err != nil {
+			writeErr(w, err)
+			return
+		}
+	}
+	beats, err := sc.pipe.Classify(r.Context(), entry.Emb, samples)
 	if err != nil {
 		writeErr(w, err)
 		return
