@@ -60,10 +60,11 @@ func main() {
 
 	// What the node gains: memory. The stream keeps two samples for each of
 	// its eight 3-sample noise stages, a power-of-two ring of value +
-	// position (12 B per slot) for each of its four baseline stages, and an
-	// 8 B/sample delay line across the baseline cascade (Delay() less the
-	// four one-sample noise stages); a whole-record filter also holds the
-	// record and its output.
+	// position (12 B per slot) for each of its three baseline stages (the
+	// opening's erosion, one dilation standing for the opening's and the
+	// closing's, and the closing's erosion), and an 8 B/sample delay line
+	// across the baseline cascade (Delay() less the four one-sample noise
+	// stages); a whole-record filter also holds the record and its output.
 	ring := func(n int) int {
 		p := 1
 		for p < n {
@@ -71,7 +72,8 @@ func main() {
 		}
 		return p
 	}
-	streamBytes := 8*2*8 + 12*2*(ring(cfg.OpenLen())+ring(cfg.CloseLen())) + 8*(f.Delay()-4)
+	ol, cl := cfg.OpenLen(), cfg.CloseLen()
+	streamBytes := 8*2*8 + 12*(ring(ol)+ring(ol+cl-1)+ring(cl)) + 8*(f.Delay()-4)
 	fmt.Printf("approx working memory: stream state %d B; a whole-record filter adds %d B of input and output\n",
 		streamBytes, len(raw)*8*2)
 

@@ -86,6 +86,20 @@ const maxClassifyBytes = 64 << 20
 // bound or a 64 MiB body could expand to a quarter-gigabyte lead.
 const maxClassifySamples = 4 << 20
 
+// A pooled classifyScratch keeps each of its buffers for the next request
+// only up to these capacities, so one huge request does not pin its bytes
+// in the pool, as the gateway journal's maxSlotKeep does for its slots.
+// Each bound sits above what a 10-minute record needs with room for
+// append's growth (216,000 samples: about 1.1 MB of JSON body, 864 KB
+// decoded, a few thousand beats of about 30 response bytes each), so
+// records of ordinary length, the benchmark's 60 s requests among them,
+// reuse their buffers and never reallocate.
+const (
+	keepClassifyBody    = 2 << 20   // bytes
+	keepClassifySamples = 512 << 10 // samples, 2 MiB
+	keepClassifyResp    = 256 << 10 // bytes
+)
+
 // HandlerConfig tunes the handler; the zero value is the serving default.
 type HandlerConfig struct {
 	// MaxStreams bounds concurrently open /v1/stream requests. At the
@@ -516,7 +530,18 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.ReleaseBatch()
 	sc := s.scratch.Get().(*classifyScratch)
-	defer s.scratch.Put(sc)
+	defer func() {
+		if cap(sc.body) > keepClassifyBody {
+			sc.body = nil
+		}
+		if cap(sc.samples) > keepClassifySamples {
+			sc.samples = nil
+		}
+		if cap(sc.resp) > keepClassifyResp {
+			sc.resp = nil
+		}
+		s.scratch.Put(sc)
+	}()
 	model, samples, err := s.decodeClassifyRequest(sc, r, http.MaxBytesReader(w, r.Body, maxClassifyBytes))
 	if err != nil {
 		writeErr(w, err)

@@ -180,6 +180,64 @@ func TestStreamBinaryBadFrame(t *testing.T) {
 	wantAPIError(t, resp, http.StatusRequestEntityTooLarge, apierr.CodePayloadTooLarge)
 }
 
+// TestClassifyPoolDropsHugeBuffers sends one maximal binary /v1/classify
+// request (maxClassifySamples samples, a 60 s ecgsyn lead over and over)
+// and then five 60 s ones through one handler. What the handler keeps live
+// afterwards must stay within 1 MiB of what five 60 s requests alone leave:
+// the pooled scratch drops any buffer above its keep bound before it goes
+// back to the pool, so the huge request's body, decoded lead and response
+// do not outlive it. The heap is read after one GC, which moves the pool's
+// entries to its victim cache but keeps them live.
+func TestClassifyPoolDropsHugeBuffers(t *testing.T) {
+	m, _ := testTrainedModel(t)
+	cat := catalog.New()
+	if _, err := cat.Put("default", m, nil); err != nil {
+		t.Fatal(err)
+	}
+	minute := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "keep", Seconds: 60, Seed: 8, PVCRate: 0.1}).Leads[0]
+	small := wire.AppendFrames(nil, minute, 0)
+	huge := func() []byte {
+		lead := make([]int32, maxClassifySamples)
+		for off := 0; off < len(lead); off += copy(lead[off:], minute) {
+		}
+		return wire.AppendFrames(nil, lead, 0)
+	}()
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// kept serves the bodies in order through a new handler and returns
+	// the live heap it grew by; the test holds the bodies throughout.
+	kept := func(bodies ...[]byte) int64 {
+		eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: 1})
+		defer eng.Close()
+		h := NewHandler(eng, HandlerConfig{})
+		before := liveHeap()
+		for _, body := range bodies {
+			req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+			req.Header.Set("Content-Type", wire.ContentTypeSamples)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%d-byte request: %d: %s", len(body), rec.Code, rec.Body.Bytes())
+			}
+		}
+		grew := liveHeap() - before
+		runtime.KeepAlive(h)
+		runtime.KeepAlive(bodies)
+		return grew
+	}
+	alone := kept(small, small, small, small, small)
+	after := kept(huge, small, small, small, small, small)
+	t.Logf("live heap kept: %d B after five 60 s requests, %d B after a %d-byte request and five 60 s ones",
+		alone, after, len(huge))
+	if after-alone > 1<<20 {
+		t.Fatalf("a maximal request leaves %d B more live heap than five 60 s requests alone, want <= 1 MiB", after-alone)
+	}
+}
+
 // TestStreamEarlyErrorThenFollowUp ends /v1/stream requests with a typed
 // error while most of their upload is still unread, once before any beat
 // and once after beats have streamed, and follows each with a request from

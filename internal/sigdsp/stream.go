@@ -11,6 +11,8 @@ package sigdsp
 // operator is tested to produce bit-identical output against its batch
 // counterpart, from sample 0, for any split of the input into chunks.
 
+import "math"
+
 // Block is the most samples a stream operator processes in one pass. Its
 // scratch buffers are stack arrays of Block samples, so a longer chunk runs
 // as consecutive blocks; a caller that keeps raw-input history for the
@@ -25,6 +27,15 @@ const Block = 64
 // operator's border-shrunk window. Ties keep the newest sample, as
 // slideExtremum's monotonic deque does, so equal values of opposite
 // sign (±0) come out bit-identical too.
+//
+// The selects move bits: each output makes a branching extremum's two
+// comparisons (the middle input against the newest, then the oldest
+// against the winner), but with the Float64bits casts above the ifs each
+// if compiles to a conditional move, so noisy neighbours, whose order a
+// branch predictor guesses wrong about half the time, cost what a flat
+// lead does (TestNoiseStagesDataIndependent). A cast inside an if keeps
+// the jump, and the builtin float min and max, though branch-free, order
+// -0 below +0 and would break the newest-wins ties.
 type tap3 struct {
 	older, newer   float64
 	dilate, primed bool
@@ -46,26 +57,26 @@ func (s *tap3) pass(x []float64) int {
 	a, b := s.older, s.newer
 	if s.dilate {
 		for i, c := range in {
-			m := c
-			if b > m {
-				m = b
+			ab, bb, m := math.Float64bits(a), math.Float64bits(b), math.Float64bits(c)
+			if b > c {
+				m = bb
 			}
-			if a > m {
-				m = a
+			if a > math.Float64frombits(m) {
+				m = ab
 			}
-			x[i] = m
+			x[i] = math.Float64frombits(m)
 			a, b = b, c
 		}
 	} else {
 		for i, c := range in {
-			m := c
-			if b < m {
-				m = b
+			ab, bb, m := math.Float64bits(a), math.Float64bits(b), math.Float64bits(c)
+			if b < c {
+				m = bb
 			}
-			if a < m {
-				m = a
+			if a < math.Float64frombits(m) {
+				m = ab
 			}
-			x[i] = m
+			x[i] = math.Float64frombits(m)
 			a, b = b, c
 		}
 	}

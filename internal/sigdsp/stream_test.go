@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"rpbeat/internal/rng"
+	"rpbeat/internal/testutil"
 )
 
 // runStage feeds x through an in-place stage pass in chunks of the given
@@ -29,6 +30,16 @@ func tieSignal(r *rng.Rand, n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = levels[r.Intn(len(levels))]
+	}
+	return x
+}
+
+// zerosSignal holds only ±0, so every window is a tie of values whose bits
+// differ.
+func zerosSignal(r *rng.Rand, n int) []float64 {
+	x := tieSignal(r, n)
+	for i, v := range x {
+		x[i] = math.Copysign(0, v)
 	}
 	return x
 }
@@ -86,11 +97,8 @@ func morphStage(length int, dilate bool) (pass func([]float64) int, flush func([
 // which flush emits, to the last sample (ties, ±0 included, to the newest).
 func TestStreamMorphMatchesBatchAfterWarmup(t *testing.T) {
 	r := rng.New(2)
-	for _, length := range []int{3, 5, 9, 31, 73, 109} {
-		zeros := tieSignal(r, 400) // ±0 only: every window is a tie
-		for i, v := range zeros {
-			zeros[i] = math.Copysign(0, v)
-		}
+	for _, length := range []int{3, 5, 9, 31, 73, 109, 181} {
+		zeros := zerosSignal(r, 400)
 		for name, x := range map[string][]float64{"random": randomSignal(r, 400), "ties": tieSignal(r, 400), "zeros": zeros} {
 			for _, dilate := range []bool{false, true} {
 				want := Erode(x, length)
@@ -114,6 +122,77 @@ func TestStreamMorphMatchesBatchAfterWarmup(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// StreamECGFilter runs the baseline's two adjacent dilations, by OpenLen
+// and by CloseLen, as one of OpenLen+CloseLen-1. That holds bit for bit
+// because the centred windows of flat odd elements compose to their union,
+// clipped at both borders alike, and two newest-wins stages pick the union's
+// newest extremal sample. The lengths clip the windows at one border, both
+// or neither.
+func TestMorphCompositionIsOneElement(t *testing.T) {
+	r := rng.New(3)
+	for _, ab := range [][2]int{{3, 3}, {73, 109}, {109, 73}} {
+		a, b := ab[0], ab[1]
+		for _, n := range []int{1, 2, 36, 90, 91, 180, 181, 400} {
+			zeros := zerosSignal(r, n)
+			for name, x := range map[string][]float64{"random": randomSignal(r, n), "ties": tieSignal(r, n), "zeros": zeros} {
+				for _, dilate := range []bool{false, true} {
+					op := Erode
+					if dilate {
+						op = Dilate
+					}
+					want, got := op(op(x, a), b), op(x, a+b-1)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("(%d, %d) n=%d %s dilate %v sample %d: one element %v, composition %v",
+								a, b, n, name, dilate, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNoiseStagesDataIndependent holds the noise stages to conditional-move
+// selects: four tap3 stages in the oc order cost the same per block over
+// white noise as over a flat lead. A select compiled to a jump shows as
+// about 3x, since the predictor loses about half the comparisons between
+// noisy neighbours and none on a flat lead. The noise lead is 2^16 samples,
+// a cycle too long for a predictor to learn, where one 64-sample block
+// repeated would be learned and hide the jumps.
+func TestNoiseStagesDataIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the timing ratio; CI runs this un-instrumented")
+	}
+	noise := randomSignal(rng.New(4), 1<<16)
+	stages := func(lead []float64) func(n int) {
+		s := [4]tap3{{}, {dilate: true}, {dilate: true}, {}}
+		var buf [Block]float64
+		off := 0
+		return func(n int) {
+			for range n {
+				if off == len(lead) {
+					off = 0
+				}
+				copy(buf[:], lead[off:off+Block])
+				off += Block
+				k := Block
+				for i := range s {
+					k = s[i].pass(buf[:k])
+				}
+			}
+		}
+	}
+	ratio, noiseNs, flatNs := testutil.MedianRatio(21, stages(noise), stages(make([]float64, len(noise))))
+	t.Logf("noise %.0f ns/block, flat %.0f ns/block: median pair ratio %.2fx", noiseNs, flatNs, ratio)
+	if ratio > 1.25 {
+		t.Fatalf("four noise stages cost %.2fx over noise what they cost over a flat lead (median pair), want <= 1.25x", ratio)
 	}
 }
 

@@ -31,8 +31,13 @@ type StreamECGFilter struct {
 	oc, co [4]tap3
 	// Baseline estimation over the suppressed signal:
 	// Close(Open(y,OpenLen),CloseLen) = Erode,Dilate (open) then
-	// Dilate,Erode (close).
-	base [4]wedge
+	// Dilate,Erode (close), run as Erode OpenLen, Dilate
+	// OpenLen+CloseLen-1, Erode CloseLen. Flat centred windows of odd
+	// lengths (both are) compose to their union, clipped at both borders
+	// alike, and the union's newest maximal sample is the one two
+	// newest-wins dilations pick, so the one wedge equals the pair bit for
+	// bit, with the pair's delay.
+	base [3]wedge
 	// sup delays the suppressed signal by the baseline cascade's delay so
 	// the subtraction y - baseline is index-aligned: a ring of exactly that
 	// many samples, whose slot at supAt holds the sample that far back.
@@ -47,7 +52,7 @@ func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
 	f := &StreamECGFilter{
 		oc:   [4]tap3{{}, {dilate: true}, {dilate: true}, {}},
 		co:   [4]tap3{{dilate: true}, {}, {}, {dilate: true}},
-		base: [4]wedge{newWedge(ol, false), newWedge(ol, true), newWedge(cl, true), newWedge(cl, false)},
+		base: [3]wedge{newWedge(ol, false), newWedge(ol+cl-1, true), newWedge(cl, false)},
 	}
 	for _, w := range f.base {
 		f.total += w.right

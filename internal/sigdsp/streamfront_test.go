@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/rng"
 )
 
@@ -111,11 +112,11 @@ func TestStreamDWTMatchesAtrousDWT(t *testing.T) {
 }
 
 // flushLengths crosses every stage's delay: the 3-sample noise stages (1
-// each, 4 in a chain), the baseline wedges (36, 36, 54 and 54, so 36, 72,
-// 126 and 180 cumulative), the filter (184), the transform at 1-5 levels (2,
-// 7, 17, 37 and 77) and the block (64), each from below and above, and
-// records of a few thousand samples. A long record comes first, so the
-// operators' first reuse is a shorter record after a longer one.
+// each, 4 in a chain), the baseline wedges (36, 90 and 54, so 36, 126 and
+// 180 cumulative), the filter (184), the transform at 1-5 levels (2, 7,
+// 17, 37 and 77) and the block (64), each from below and above, and records
+// of a few thousand samples. A long record comes first, so the operators'
+// first reuse is a shorter record after a longer one.
 var flushLengths = []int{
 	4001, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 18, 36, 37, 54, 55, 63, 64, 65,
 	72, 73, 76, 77, 78, 109, 126, 127, 179, 180, 181, 182, 183, 184, 185, 186,
@@ -228,6 +229,14 @@ func BenchmarkStreamECGFilterPush(b *testing.B) {
 	}
 }
 
+// servedLead is what the served front end filters: 60 s of an ecgsyn lead
+// in millivolts, 10% PVCs. Its noise does not repeat the way noisyECGLike's
+// sum of sines does, so a stage that branches on the data pays here for
+// the predictor's misses as it does in service.
+func servedLead() []float64 {
+	return ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "bench", Seconds: 60, Seed: 9, PVCRate: 0.1}).LeadMillivolts(0)
+}
+
 // chunk180 runs op over consecutive 180-sample chunks of x (the serving
 // chunk: 0.5 s at 360 Hz) and reports the cost per sample.
 func chunk180(b *testing.B, x []float64, op func(chunk []float64)) {
@@ -245,14 +254,14 @@ func chunk180(b *testing.B, x []float64, op func(chunk []float64)) {
 }
 
 func BenchmarkKernel_StreamECGFilterChunk180(b *testing.B) {
-	x := noisyECGLike(4096)
+	x := servedLead()
 	f := NewStreamECGFilter(DefaultBaselineConfig(360))
 	var dst [180]float64
 	chunk180(b, x, func(c []float64) { f.PushChunk(dst[:], c) })
 }
 
 func BenchmarkKernel_StreamDWTChunk180(b *testing.B) {
-	x := noisyECGLike(4096)
+	x := servedLead()
 	d := NewStreamDWT(3)
 	var w [3][180]float64
 	dst := [][]float64{w[0][:], w[1][:], w[2][:]}
