@@ -54,7 +54,7 @@ func benchSetup(b *testing.B) (*experiments.Runner, *core.Model, *core.Embedded,
 		if err != nil {
 			return
 		}
-		benchModel, _, err = benchRunner.Model(8, 4)
+		benchModel, _, err = benchRunner.Model(core.KindFuzzy, 8, 4)
 		if err != nil {
 			return
 		}
@@ -302,7 +302,7 @@ func BenchmarkKernel_IntegerClassifierPerBeat(b *testing.B) {
 // reused across beats (the pipeline's calling convention).
 func BenchmarkKernel_BitembClassifierPerBeat(b *testing.B) {
 	r, _, _, ds := benchSetup(b)
-	bm, _, err := r.BitembModel(8, 4)
+	bm, _, err := r.Model(core.KindBitemb, 8, 4)
 	if err != nil {
 		b.Fatal(err)
 	}

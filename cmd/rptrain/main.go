@@ -74,16 +74,15 @@ func main() {
 		MinARR:      *minARR,
 		Seed:        *seed,
 	}
-	var m *core.Model
-	var stats core.TrainStats
 	switch *head {
 	case "fuzzy":
-		m, stats, err = core.Train(ds, cfg)
+		cfg.Kind = core.KindFuzzy
 	case "bitemb":
-		m, stats, err = core.TrainBitemb(ds, cfg)
+		cfg.Kind = core.KindBitemb
 	default:
 		log.Fatalf("unknown head %q (fuzzy|bitemb)", *head)
 	}
+	m, stats, err := core.Train(ds, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

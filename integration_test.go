@@ -6,6 +6,8 @@ package rpbeat
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"runtime"
 	"testing"
 
 	"rpbeat/internal/beatset"
@@ -214,6 +216,45 @@ func TestIntegration_GatedDelineationTargetsAbnormalBeats(t *testing.T) {
 	for i, f := range fids {
 		if f.QRSOn < 0 || f.QRSOff < 0 {
 			t.Fatalf("flagged beat %d missing QRS boundaries", i)
+		}
+	}
+}
+
+// TestIntegration_BenchmarkModelsReproduce retrains both of the benchmark's
+// served models with the rptrain settings benchmark/WORKLOADS.md documents
+// and encodes them as rptrain does: the bytes must equal the committed
+// benchmark/models files, which this test only reads. It holds the trained
+// models identical across changes to the training code, which comparing two
+// runs inside one binary cannot.
+func TestIntegration_BenchmarkModelsReproduce(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the models were trained on amd64; other architectures may fuse float multiply-adds, which changes the SCG training")
+	}
+	ds, err := beatset.Build(beatset.Config{Seed: 20130, Scale: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []core.Kind{core.KindFuzzy, core.KindBitemb} {
+		m, _, err := core.Train(ds, core.Config{
+			Kind: kind, Coeffs: 8, Downsample: 4, PopSize: 10, Generations: 6,
+			MinARR: 0.9, Seed: 20130,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		var got bytes.Buffer
+		enc := json.NewEncoder(&got)
+		enc.SetIndent("", " ")
+		if err := enc.Encode(m); err != nil {
+			t.Fatal(err)
+		}
+		path := "benchmark/models/" + kind.String() + ".json"
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%v: the retrained model (%d B) differs from %s (%d B)", kind, got.Len(), path, len(want))
 		}
 	}
 }

@@ -211,51 +211,47 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
-// TestFitAndTrain exercises the derivation end to end on a tiny dataset:
-// thresholds are medians, prototypes classify their own class's training
-// beats well, the radius gate never fires on training beats, and Train
-// reaches the ARR constraint with a usable α.
-func TestFitAndTrain(t *testing.T) {
+// TestFit derives the head for one fixed very sparse projection of a tiny
+// dataset: every training beat sits inside its own class radius (the
+// calibration contract Fit documents), and at the smallest α reaching the
+// ARR target on training set 2 the held-out test NDR is not degenerate.
+func TestFit(t *testing.T) {
 	if testing.Short() {
-		t.Skip("trains on a synthesized dataset")
+		t.Skip("fits on a synthesized dataset")
 	}
 	ds, err := beatset.Build(beatset.Config{Seed: 42, Scale: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	P, par, stats, err := Train(ds, Config{
-		Coeffs: 8, Downsample: 4, PopSize: 6, Generations: 4, Seed: 9,
-	})
+	const k, down = 8, 4
+	P := rp.NewVerySparse(rng.New(9), k, ds.Dim(down))
+	project := func(idx []int) [][]int32 {
+		out := make([][]int32, len(idx))
+		for i, b := range idx {
+			out[i] = P.ProjectInt(ds.IntWindow(b, down))
+		}
+		return out
+	}
+	train1, labels1 := project(ds.Train1), ds.Labels(ds.Train1)
+	par, err := Fit(train1, labels1, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if stats.AlphaTrain < 0 || stats.AlphaTrain > 1 {
-		t.Fatalf("alpha out of range: %v", stats.AlphaTrain)
-	}
-	if stats.Train2Point.ARR < 0.97 {
-		t.Fatalf("training did not reach the ARR constraint: %+v", stats.Train2Point)
-	}
-	// Non-degenerate separation on the held-out test split.
-	proj := projectAll(P, intWindows(ds, ds.Test, 4))
-	evals := par.Evals(proj, ds.Labels(ds.Test))
-	pt, _ := metrics.Evaluate(evals, stats.AlphaTrain)
-	if pt.NDR <= 0.3 {
-		t.Fatalf("degenerate test NDR %.3f", pt.NDR)
-	}
-	// Radius slack: training beats of each class must sit inside their own
-	// class radius (the calibration contract Fit documents).
-	trainProj := projectAll(P, intWindows(ds, ds.Train1, 4))
-	labels := ds.Labels(ds.Train1)
-	code := make([]uint64, Words(par.K))
-	for i, u := range trainProj {
+	code := make([]uint64, Words(k))
+	for i, u := range train1 {
 		par.PackInto(u, code)
 		f := par.Similarity(code)
-		if d := par.K - int(f[labels[i]]); d > int(par.Radii[labels[i]]) {
-			t.Fatalf("training beat %d outside its class radius (%d > %d)", i, d, par.Radii[labels[i]])
+		if d := k - int(f[labels1[i]]); d > int(par.Radii[labels1[i]]) {
+			t.Fatalf("training beat %d outside its class radius (%d > %d)", i, d, par.Radii[labels1[i]])
 		}
+	}
+	alpha, achieved, err := metrics.MinAlphaForARR(par.Evals(project(ds.Train2), ds.Labels(ds.Train2)), 0.97)
+	if err != nil || !achieved {
+		t.Fatalf("training set 2 cannot reach ARR 0.97 (achieved %v, err %v)", achieved, err)
+	}
+	pt, _ := metrics.Evaluate(par.Evals(project(ds.Test), ds.Labels(ds.Test)), alpha)
+	if pt.NDR <= 0.3 {
+		t.Fatalf("degenerate test NDR %.3f", pt.NDR)
 	}
 }
 

@@ -5,18 +5,24 @@
 //
 // The two-step training of Sec. III-A runs off-line in floating point:
 //
-//  1. an initial population of Achlioptas projection matrices is drawn;
-//  2. for each candidate matrix, the NFC membership functions are trained
-//     with scaled conjugate gradient on *training set 1* (projected beats);
-//  3. the candidate's fitness is the score of that NFC on *training set 2*:
-//     the NDR at the smallest defuzzification coefficient α that achieves a
-//     minimum ARR (97% in the paper);
+//  1. an initial population of random projection matrices is drawn;
+//  2. for each candidate matrix, the classifier head is fitted on *training
+//     set 1* (projected beats);
+//  3. the candidate's fitness is the score of that head on *training set
+//     2*: the NDR at the smallest defuzzification coefficient α that
+//     achieves a minimum ARR (97% in the paper);
 //  4. a genetic algorithm (population 20, 30 generations) evolves the
 //     matrices by crossover and mutation toward higher-performance
 //     projections.
 //
-// The trained (P, MF, α_train) triple is the Model. Quantize converts it to
-// the embedded form of Sec. III-B (packed matrix, linearized integer MFs,
+// Config.Kind picks the head. The paper's neuro-fuzzy classifier (KindFuzzy)
+// searches Achlioptas matrices and trains its membership functions with
+// scaled conjugate gradient; the binary embedding head (KindBitemb) searches
+// very sparse matrices and derives its thresholds, prototypes and radii in
+// closed form (bitemb.Fit). The loop around them is the same.
+//
+// The trained (P, head, α_train) triple is the Model. Quantize converts it
+// to the embedded form of Sec. III-B (packed matrix, linearized integer MFs,
 // Q15 α) that internal/fixp executes with integer arithmetic only.
 package core
 
@@ -38,6 +44,9 @@ import (
 // Config parameterizes the training methodology. Zero values select the
 // paper's settings where it states them.
 type Config struct {
+	// Kind is the classifier head to train; the zero value is the paper's
+	// neuro-fuzzy head.
+	Kind Kind
 	// Coeffs is k, the number of projected coefficients; default 8.
 	Coeffs int
 	// Downsample reduces the beat window rate before projection: 1 for the
@@ -52,11 +61,12 @@ type Config struct {
 	// MinARR is the abnormal-recognition constraint used to pick α_train;
 	// default 0.97 (paper).
 	MinARR float64
-	// SCGIters bounds membership-function training; default 120.
+	// SCGIters bounds membership-function training; default 120. The
+	// fuzzy head only: the binary head is fitted in closed form.
 	SCGIters int
 	// AbnormalWeight is the loss weight of classes L and V during MF
 	// training, implementing the paper's unbalancing toward abnormal
-	// recall; default 3.
+	// recall; default 3. The fuzzy head only.
 	AbnormalWeight float64
 	// Seed drives matrix generation and the GA.
 	Seed uint64
@@ -163,26 +173,24 @@ type TrainStats struct {
 	Train2Point  metrics.Point // operating point of the final model on training set 2
 }
 
-// Train runs the full methodology on the dataset's standard splits.
+// Train runs the full methodology on the dataset's standard splits, for
+// the head cfg.Kind selects.
 func Train(ds *beatset.Dataset, cfg Config) (*Model, TrainStats, error) {
 	c := cfg.withDefaults()
 	var stats TrainStats
-
-	d := ds.Dim(c.Downsample)
-	train1U := windows(ds, ds.Train1, c.Downsample)
-	train1L := ds.Labels(ds.Train1)
-	train2U := windows(ds, ds.Train2, c.Downsample)
-	train2L := ds.Labels(ds.Train2)
-	if len(train1U) == 0 || len(train2U) == 0 {
+	if len(ds.Train1) == 0 || len(ds.Train2) == 0 {
 		return nil, stats, errors.New("core: empty training split")
+	}
+	h, err := newHead(ds, c)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	fitness := func(P *rp.Matrix) float64 {
-		params, err := fitNFC(P, train1U, train1L, c)
+		evals, err := h.fit(&Model{P: P})
 		if err != nil {
 			return -2
 		}
-		evals := evalParams(P, params, train2U, train2L)
 		alpha, achieved, err := metrics.MinAlphaForARR(evals, c.MinARR)
 		if err != nil {
 			return -2
@@ -196,10 +204,11 @@ func Train(ds *beatset.Dataset, cfg Config) (*Model, TrainStats, error) {
 		return p.NDR
 	}
 
+	d := ds.Dim(c.Downsample)
 	seedRng := rng.New(c.Seed)
 	initial := make([]*rp.Matrix, c.PopSize)
 	for i := range initial {
-		initial[i] = rp.NewRandom(seedRng.Split(), c.Coeffs, d)
+		initial[i] = h.newMatrix(seedRng.Split(), c.Coeffs, d)
 	}
 
 	gaRes, err := ga.Run(initial, ga.Config[*rp.Matrix]{
@@ -207,9 +216,11 @@ func Train(ds *beatset.Dataset, cfg Config) (*Model, TrainStats, error) {
 		MutationRate: c.MutationRate,
 		Fitness:      fitness,
 		Crossover:    crossoverMatrices,
-		Mutate:       mutateMatrix,
-		Parallel:     c.Parallel,
-		Seed:         seedRng.Uint64(),
+		Mutate: func(r *rng.Rand, m *rp.Matrix, rate float64) *rp.Matrix {
+			return mutateMatrix(r, m, rate, h.element)
+		},
+		Parallel: c.Parallel,
+		Seed:     seedRng.Uint64(),
 	})
 	if err != nil {
 		return nil, stats, err
@@ -218,14 +229,20 @@ func Train(ds *beatset.Dataset, cfg Config) (*Model, TrainStats, error) {
 	stats.History = gaRes.History
 	stats.FitnessEvals = gaRes.Evaluations
 
-	// Final model: retrain the NFC for the winning projection and fix
+	// Final model: refit the head for the winning projection and fix
 	// α_train on training set 2.
-	best := gaRes.Best
-	params, err := fitNFC(best, train1U, train1L, c)
+	m := &Model{
+		Kind:       c.Kind,
+		K:          c.Coeffs,
+		D:          d,
+		Downsample: c.Downsample,
+		P:          gaRes.Best,
+		MinARR:     c.MinARR,
+	}
+	evals, err := h.fit(m)
 	if err != nil {
 		return nil, stats, err
 	}
-	evals := evalParams(best, params, train2U, train2L)
 	alpha, achieved, err := metrics.MinAlphaForARR(evals, c.MinARR)
 	if err != nil {
 		return nil, stats, err
@@ -235,17 +252,57 @@ func Train(ds *beatset.Dataset, cfg Config) (*Model, TrainStats, error) {
 	}
 	stats.AlphaTrain = alpha
 	stats.Train2Point, _ = metrics.Evaluate(evals, alpha)
-
-	m := &Model{
-		K:          c.Coeffs,
-		D:          d,
-		Downsample: c.Downsample,
-		P:          best,
-		MF:         params,
-		AlphaTrain: alpha,
-		MinARR:     c.MinARR,
-	}
+	m.AlphaTrain = alpha
 	return m, stats, m.Validate()
+}
+
+// head is what the two-step training needs of one classifier kind: the
+// projection family the GA draws matrices and mutated elements from, and
+// fit, which fits the head for m.P on training set 1 into m and returns the
+// head's evaluations on training set 2.
+type head struct {
+	newMatrix func(r *rng.Rand, k, d int) *rp.Matrix
+	element   func(r *rng.Rand, d int) int8
+	fit       func(m *Model) ([]metrics.Eval, error)
+}
+
+// newHead builds the head of kind c.Kind over the dataset's training
+// splits. The fuzzy head trains its NFC by SCG on float windows; the binary
+// head fits on integer projections, the domain the node executes in, so its
+// thresholds carry no float/integer calibration gap.
+func newHead(ds *beatset.Dataset, c Config) (head, error) {
+	labels1, labels2 := ds.Labels(ds.Train1), ds.Labels(ds.Train2)
+	switch c.Kind {
+	case KindFuzzy:
+		u1, u2 := windows(ds, ds.Train1, c.Downsample), windows(ds, ds.Train2, c.Downsample)
+		return head{
+			newMatrix: rp.NewRandom,
+			element:   trit,
+			fit: func(m *Model) ([]metrics.Eval, error) {
+				mf, err := fitNFC(m.P, u1, labels1, c)
+				if err != nil {
+					return nil, err
+				}
+				m.MF = mf
+				return evalParams(m.P, mf, u2, labels2), nil
+			},
+		}, nil
+	case KindBitemb:
+		v1, v2 := intWindows(ds, ds.Train1, c.Downsample), intWindows(ds, ds.Train2, c.Downsample)
+		return head{
+			newMatrix: rp.NewVerySparse,
+			element:   (*rng.Rand).LogSparseTrit,
+			fit: func(m *Model) ([]metrics.Eval, error) {
+				bit, err := bitemb.Fit(projectInt(m.P, v1), labels1, m.P.K)
+				if err != nil {
+					return nil, err
+				}
+				m.Bit = bit
+				return bit.Evals(projectInt(m.P, v2), labels2), nil
+			},
+		}, nil
+	}
+	return head{}, fmt.Errorf("core: unknown model kind %d", c.Kind)
 }
 
 // windows extracts the float windows of the indexed beats.
@@ -253,6 +310,24 @@ func windows(ds *beatset.Dataset, idx []int, downsample int) [][]float64 {
 	out := make([][]float64, len(idx))
 	for i, b := range idx {
 		out[i] = ds.FloatWindow(b, downsample)
+	}
+	return out
+}
+
+// intWindows extracts the integer windows of the indexed beats.
+func intWindows(ds *beatset.Dataset, idx []int, downsample int) [][]int32 {
+	out := make([][]int32, len(idx))
+	for i, b := range idx {
+		out[i] = ds.IntWindow(b, downsample)
+	}
+	return out
+}
+
+// projectInt projects every integer window through P.
+func projectInt(P *rp.Matrix, wins [][]int32) [][]int32 {
+	out := make([][]int32, len(wins))
+	for i, w := range wins {
+		out[i] = P.ProjectInt(w)
 	}
 	return out
 }
@@ -327,13 +402,17 @@ func crossoverMatrices(r *rng.Rand, a, b *rp.Matrix) *rp.Matrix {
 	return child
 }
 
+// trit draws one Achlioptas element, whatever the matrix width.
+func trit(r *rng.Rand, _ int) int8 { return r.Trit() }
+
 // mutateMatrix resamples each element with the configured probability from
-// the Achlioptas distribution, keeping the matrix in the valid family.
-func mutateMatrix(r *rng.Rand, m *rp.Matrix, rate float64) *rp.Matrix {
+// element, the head's element distribution, keeping the matrix in its
+// family.
+func mutateMatrix(r *rng.Rand, m *rp.Matrix, rate float64, element func(r *rng.Rand, d int) int8) *rp.Matrix {
 	out := m.Clone()
 	for i := range out.El {
 		if r.Float64() < rate {
-			out.El[i] = r.Trit()
+			out.El[i] = element(r, out.D)
 		}
 	}
 	return out

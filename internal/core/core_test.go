@@ -49,22 +49,32 @@ func trainQuick(t testing.TB) (*Model, TrainStats) {
 	return m, stats
 }
 
+// TestTrainProducesValidModel runs the loop once per head: each yields a
+// valid model of its kind whose α_train meets the ARR target on training
+// set 2.
 func TestTrainProducesValidModel(t *testing.T) {
-	m, stats := trainQuick(t)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.K != 8 || m.D != 200 || m.Downsample != 1 {
-		t.Fatalf("model dims K=%d D=%d down=%d", m.K, m.D, m.Downsample)
-	}
-	if stats.BestFitness <= 0.5 {
-		t.Fatalf("best fitness (NDR at ARR>=0.95) = %v, want > 0.5", stats.BestFitness)
-	}
-	if stats.Train2Point.ARR < 0.95 {
-		t.Fatalf("train2 ARR %v below constraint", stats.Train2Point.ARR)
-	}
-	if len(stats.History) != 4 {
-		t.Fatalf("history length %d", len(stats.History))
+	for _, kind := range []Kind{KindFuzzy, KindBitemb} {
+		cfg := quickConfig()
+		cfg.Kind = kind
+		m, stats, err := Train(smallDataset(t), cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if m.Kind != kind || m.K != 8 || m.D != 200 || m.Downsample != 1 {
+			t.Fatalf("%v: model kind %v dims K=%d D=%d down=%d", kind, m.Kind, m.K, m.D, m.Downsample)
+		}
+		if stats.BestFitness <= 0.5 {
+			t.Fatalf("%v: best fitness (NDR at ARR>=0.95) = %v, want > 0.5", kind, stats.BestFitness)
+		}
+		if stats.Train2Point.ARR < 0.95 {
+			t.Fatalf("%v: train2 ARR %v below constraint", kind, stats.Train2Point.ARR)
+		}
+		if len(stats.History) != 4 {
+			t.Fatalf("%v: history length %d", kind, len(stats.History))
+		}
 	}
 }
 

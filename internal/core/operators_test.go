@@ -61,7 +61,7 @@ func TestMutateKeepsMatrixValid(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		m := rp.NewRandom(r, 8, 50)
-		out := mutateMatrix(r, m, 0.1)
+		out := mutateMatrix(r, m, 0.1, trit)
 		return out.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -73,7 +73,7 @@ func TestMutateRateControlsChanges(t *testing.T) {
 	r := rng.New(3)
 	m := rp.NewRandom(r, 8, 200)
 	count := func(rate float64) int {
-		out := mutateMatrix(rng.New(9), m, rate)
+		out := mutateMatrix(rng.New(9), m, rate, trit)
 		diff := 0
 		for i := range m.El {
 			if m.El[i] != out.El[i] {
@@ -102,7 +102,7 @@ func TestMutateDoesNotAliasInput(t *testing.T) {
 	r := rng.New(4)
 	m := rp.NewRandom(r, 4, 30)
 	copyBefore := m.Clone()
-	_ = mutateMatrix(r, m, 0.9)
+	_ = mutateMatrix(r, m, 0.9, trit)
 	for i := range m.El {
 		if m.El[i] != copyBefore.El[i] {
 			t.Fatal("mutate modified its input")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rpbeat/internal/core"
 	"rpbeat/internal/fixp"
 	"rpbeat/internal/metrics"
 )
@@ -24,7 +25,7 @@ type GAAblationResult struct {
 // random Achlioptas matrices (Sec. I: "even a rather simple optimization
 // ... can find a proper projection").
 func (r *Runner) GAAblation() (GAAblationResult, error) {
-	_, stats, err := r.Model(8, 4)
+	_, stats, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		return GAAblationResult{}, err
 	}
@@ -69,7 +70,7 @@ func (r *Runner) DownsampleSweep(factors []int) ([]DownsampleResult, error) {
 	}
 	var out []DownsampleResult
 	for _, f := range factors {
-		m, _, err := r.Model(8, f)
+		m, _, err := r.Model(core.KindFuzzy, 8, f)
 		if err != nil {
 			return nil, fmt.Errorf("downsample %d: %w", f, err)
 		}
@@ -111,7 +112,7 @@ func (r *Runner) AlphaSensitivity() ([]metrics.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := r.Model(8, 4)
+	m, _, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -60,8 +60,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func (o Options) coreConfig(k, downsample int) core.Config {
+func (o Options) coreConfig(kind core.Kind, k, downsample int) core.Config {
 	return core.Config{
+		Kind:        kind,
 		Coeffs:      k,
 		Downsample:  downsample,
 		PopSize:     o.PopSize,
@@ -78,23 +79,25 @@ func (o Options) coreConfig(k, downsample int) core.Config {
 type Runner struct {
 	Opts Options
 
-	mu        sync.Mutex
-	ds        *beatset.Dataset
-	models    map[[2]int]*core.Model // key: {k, downsample}
-	stats     map[[2]int]core.TrainStats
-	bitModels map[[2]int]*core.Model // bitemb head, same keying
-	bitStats  map[[2]int]core.TrainStats
+	mu     sync.Mutex
+	ds     *beatset.Dataset
+	models map[modelKey]trained
+}
+
+// modelKey is the geometry a cached model was trained for.
+type modelKey struct {
+	kind          core.Kind
+	k, downsample int
+}
+
+type trained struct {
+	m     *core.Model
+	stats core.TrainStats
 }
 
 // NewRunner builds a runner with the given options.
 func NewRunner(opts Options) *Runner {
-	return &Runner{
-		Opts:      opts.withDefaults(),
-		models:    map[[2]int]*core.Model{},
-		stats:     map[[2]int]core.TrainStats{},
-		bitModels: map[[2]int]*core.Model{},
-		bitStats:  map[[2]int]core.TrainStats{},
-	}
+	return &Runner{Opts: opts.withDefaults(), models: map[modelKey]trained{}}
 }
 
 // Dataset returns the (lazily built, cached) dataset.
@@ -116,27 +119,26 @@ func (r *Runner) Dataset() (*beatset.Dataset, error) {
 	return ds, nil
 }
 
-// Model trains (or returns the cached) model for the given geometry.
-func (r *Runner) Model(k, downsample int) (*core.Model, core.TrainStats, error) {
-	key := [2]int{k, downsample}
+// Model trains (or returns the cached) model of the given head and
+// geometry.
+func (r *Runner) Model(kind core.Kind, k, downsample int) (*core.Model, core.TrainStats, error) {
+	key := modelKey{kind, k, downsample}
 	r.mu.Lock()
-	if m, ok := r.models[key]; ok {
-		s := r.stats[key]
+	if t, ok := r.models[key]; ok {
 		r.mu.Unlock()
-		return m, s, nil
+		return t.m, t.stats, nil
 	}
 	r.mu.Unlock()
 	ds, err := r.Dataset()
 	if err != nil {
 		return nil, core.TrainStats{}, err
 	}
-	m, stats, err := core.Train(ds, r.Opts.coreConfig(k, downsample))
+	m, stats, err := core.Train(ds, r.Opts.coreConfig(kind, k, downsample))
 	if err != nil {
 		return nil, stats, err
 	}
 	r.mu.Lock()
-	r.models[key] = m
-	r.stats[key] = stats
+	r.models[key] = trained{m, stats}
 	r.mu.Unlock()
 	return m, stats, nil
 }
@@ -200,7 +202,7 @@ func (r *Runner) TableII(coeffs []int) (TableIIResult, error) {
 	res := TableIIResult{Coeffs: coeffs}
 	for _, k := range coeffs {
 		// Row 1: RP + float NFC on full-rate windows.
-		m, _, err := r.Model(k, 1)
+		m, _, err := r.Model(core.KindFuzzy, k, 1)
 		if err != nil {
 			return res, fmt.Errorf("table2 k=%d float: %w", k, err)
 		}
@@ -213,7 +215,7 @@ func (r *Runner) TableII(coeffs []int) (TableIIResult, error) {
 
 		// Row 2: embedded pipeline (90 Hz windows, packed matrix, linear
 		// MFs, integer arithmetic).
-		mw, _, err := r.Model(k, 4)
+		mw, _, err := r.Model(core.KindFuzzy, k, 4)
 		if err != nil {
 			return res, fmt.Errorf("table2 k=%d wbsn: %w", k, err)
 		}

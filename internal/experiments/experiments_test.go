@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rpbeat/internal/core"
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/metrics"
 )
@@ -257,11 +258,11 @@ func TestAlphaSensitivity(t *testing.T) {
 
 func TestRunnerCachesModels(t *testing.T) {
 	r := testRunner(t)
-	a, _, err := r.Model(8, 4)
+	a, _, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := r.Model(8, 4)
+	b, _, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rpbeat/internal/core"
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/energy"
 	"rpbeat/internal/fixp"
@@ -75,7 +76,7 @@ func (r *Runner) Figure5() (Figure5Result, error) {
 	if err != nil {
 		return res, err
 	}
-	m, _, err := r.Model(8, 4)
+	m, _, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		return res, err
 	}
@@ -98,7 +99,7 @@ func (r *Runner) Figure5() (Figure5Result, error) {
 		return res, err
 	}
 	// The bitemb front: same geometry, packed 1-bit head.
-	bm, _, err := r.BitembModel(8, 4)
+	bm, _, err := r.Model(core.KindBitemb, 8, 4)
 	if err != nil {
 		return res, err
 	}
@@ -183,7 +184,7 @@ func (r *Runner) TableIII() (TableIIIResult, error) {
 	if err != nil {
 		return res, err
 	}
-	m, _, err := r.Model(8, 4)
+	m, _, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		return res, err
 	}
@@ -250,7 +251,7 @@ func (r *Runner) Energy() (EnergyResult, error) {
 	if err != nil {
 		return res, err
 	}
-	m, _, err := r.Model(8, 4)
+	m, _, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		return res, err
 	}

@@ -11,33 +11,6 @@ import (
 	"rpbeat/internal/wbsn"
 )
 
-// BitembModel trains (or returns the cached) binary-embedding model for the
-// given geometry — the A/B counterpart of Model for the head-comparison
-// drivers.
-func (r *Runner) BitembModel(k, downsample int) (*core.Model, core.TrainStats, error) {
-	key := [2]int{k, downsample}
-	r.mu.Lock()
-	if m, ok := r.bitModels[key]; ok {
-		s := r.bitStats[key]
-		r.mu.Unlock()
-		return m, s, nil
-	}
-	r.mu.Unlock()
-	ds, err := r.Dataset()
-	if err != nil {
-		return nil, core.TrainStats{}, err
-	}
-	m, stats, err := core.TrainBitemb(ds, r.Opts.coreConfig(k, downsample))
-	if err != nil {
-		return nil, stats, err
-	}
-	r.mu.Lock()
-	r.bitModels[key] = m
-	r.bitStats[key] = stats
-	r.mu.Unlock()
-	return m, stats, nil
-}
-
 // --- shared record-level scoring ---
 
 // headScore accumulates the record-level counts for one classifier head over
@@ -207,11 +180,11 @@ func (r *Runner) HeadComparison(coeffs []int, records int, secondsEach float64) 
 	var res HeadComparisonResult
 	specs := r.recordSpecs(records, secondsEach)
 	for _, k := range coeffs {
-		fm, _, err := r.Model(k, 4)
+		fm, _, err := r.Model(core.KindFuzzy, k, 4)
 		if err != nil {
 			return res, fmt.Errorf("heads k=%d fuzzy: %w", k, err)
 		}
-		bm, _, err := r.BitembModel(k, 4)
+		bm, _, err := r.Model(core.KindBitemb, k, 4)
 		if err != nil {
 			return res, fmt.Errorf("heads k=%d bitemb: %w", k, err)
 		}

@@ -45,7 +45,7 @@ func (r *Runner) RecordLevel(records int, secondsEach float64) (RecordLevelResul
 	if secondsEach <= 0 {
 		secondsEach = 300
 	}
-	m, _, err := r.Model(8, 4)
+	m, _, err := r.Model(core.KindFuzzy, 8, 4)
 	if err != nil {
 		return res, err
 	}

@@ -47,9 +47,9 @@ func testBitembFloatModel(t testing.TB) *core.Model {
 			bitembErr = err
 			return
 		}
-		m, _, err := core.TrainBitemb(ds, core.Config{
-			Coeffs: 8, Downsample: 4, PopSize: 4, Generations: 2,
-			MinARR: 0.9, Seed: 31,
+		m, _, err := core.Train(ds, core.Config{
+			Kind: core.KindBitemb, Coeffs: 8, Downsample: 4, PopSize: 4,
+			Generations: 2, MinARR: 0.9, Seed: 31,
 		})
 		if err != nil {
 			bitembErr = err

@@ -56,14 +56,6 @@ func (m *Matrix) Clone() *Matrix {
 	return &Matrix{K: m.K, D: m.D, El: el}
 }
 
-// Set assigns element (row, col); v must be in {-1, 0, +1}.
-func (m *Matrix) Set(row, col int, v int8) {
-	if v < -1 || v > 1 {
-		panic(fmt.Sprintf("rp: element %d outside {-1,0,1}", v))
-	}
-	m.El[row*m.D+col] = v
-}
-
 // Validate checks structural invariants.
 func (m *Matrix) Validate() error {
 	if m.K <= 0 || m.D <= 0 {

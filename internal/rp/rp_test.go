@@ -80,21 +80,6 @@ func TestProjectPanicsOnBadLength(t *testing.T) {
 	m.Project(make([]float64, 11))
 }
 
-func TestSetValidation(t *testing.T) {
-	m := NewRandom(rng.New(6), 2, 2)
-	m.Set(0, 0, -1)
-	m.Set(1, 1, 1)
-	if m.El[0] != -1 || m.El[3] != 1 {
-		t.Fatal("Set wrote the wrong element")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Set(2) should panic")
-		}
-	}()
-	m.Set(0, 0, 2)
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	m := NewRandom(rng.New(7), 3, 3)
 	c := m.Clone()

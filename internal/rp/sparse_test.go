@@ -106,11 +106,11 @@ func TestSparseAllZeroMatrix(t *testing.T) {
 
 func TestSparseEmptyRow(t *testing.T) {
 	// Row 1 is all zeros; rows 0 and 2 are not.
-	m := &Matrix{K: 3, D: 5, El: make([]int8, 15)}
-	m.Set(0, 1, 1)
-	m.Set(0, 4, -1)
-	m.Set(2, 0, -1)
-	m.Set(2, 3, 1)
+	m := &Matrix{K: 3, D: 5, El: []int8{
+		0, 1, 0, 0, -1,
+		0, 0, 0, 0, 0,
+		-1, 0, 0, 1, 0,
+	}}
 	s := NewSparse(m)
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)

@@ -34,9 +34,9 @@ func testTrainedBitembModel(t *testing.T) (*core.Model, *core.Embedded) {
 			bitembErr = err
 			return
 		}
-		m, _, err := core.TrainBitemb(ds, core.Config{
-			Coeffs: 8, Downsample: 4, PopSize: 4, Generations: 2,
-			MinARR: 0.9, Seed: 31,
+		m, _, err := core.Train(ds, core.Config{
+			Kind: core.KindBitemb, Coeffs: 8, Downsample: 4, PopSize: 4,
+			Generations: 2, MinARR: 0.9, Seed: 31,
 		})
 		if err != nil {
 			bitembErr = err

@@ -91,13 +91,17 @@ const maxClassifySamples = 4 << 20
 // in the pool, as the gateway journal's maxSlotKeep does for its slots.
 // Each bound sits above what a 10-minute record needs with room for
 // append's growth (216,000 samples: about 1.1 MB of JSON body, 864 KB
-// decoded, a few thousand beats of about 30 response bytes each), so
-// records of ordinary length, the benchmark's 60 s requests among them,
-// reuse their buffers and never reallocate.
+// decoded, at most about 1,500 beats at 150 bpm of about 30 response bytes
+// each), so records of ordinary length, the benchmark's 60 s requests
+// among them, reuse their buffers and never reallocate. The pipeline keeps
+// the beats buffer of the largest result it returned, so a request that
+// returned more than keepClassifyBeats beats drops the whole pipeline; the
+// next request builds a new one.
 const (
 	keepClassifyBody    = 2 << 20   // bytes
 	keepClassifySamples = 512 << 10 // samples, 2 MiB
 	keepClassifyResp    = 256 << 10 // bytes
+	keepClassifyBeats   = 4096      // beats
 )
 
 // HandlerConfig tunes the handler; the zero value is the serving default.
@@ -570,6 +574,9 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 	// The response is encoded before the deferred Put, so the pooled
 	// buffers are never aliased by a live request.
 	sc.resp = wire.AppendClassifyResponse(sc.resp[:0], entry.Manifest.Ref(), beats)
+	if len(beats) > keepClassifyBeats {
+		sc.pipe = nil
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.resp)
