@@ -293,10 +293,27 @@ func Quantize(mv float64) int32 {
 	return v
 }
 
-// ToMillivolts converts an ADC count back to millivolts.
+// ToMillivolts converts an ADC count back to millivolts. It is strictly
+// increasing over all of int32 (the difference from Baseline is taken in
+// float64, where it cannot wrap) and never returns −0, so an extremum of
+// counts maps to the extremum of their millivolts, ties included. 11-bit
+// counts read mvTable, which holds the same expression's bits.
 func ToMillivolts(adc int32) float64 {
-	return float64(adc-Baseline) / Gain
+	if u := uint32(adc); u <= ADCMax {
+		return mvTable[u]
+	}
+	return toMillivolts(adc)
 }
+
+func toMillivolts(adc int32) float64 { return (float64(adc) - Baseline) / Gain }
+
+// mvTable holds ToMillivolts of every 11-bit count.
+var mvTable = func() (t [ADCMax + 1]float64) {
+	for i := range t {
+		t[i] = toMillivolts(int32(i))
+	}
+	return t
+}()
 
 // Beat synthesizes one windowed, single-lead heartbeat of the given class:
 // `before` samples preceding the peak and `after` samples following it, at

@@ -2,6 +2,7 @@ package ecgsyn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rpbeat/internal/rng"
@@ -22,6 +23,46 @@ func TestQuantizeRoundTrip(t *testing.T) {
 		back := ToMillivolts(adc)
 		if math.Abs(back-mv) > 1.0/Gain {
 			t.Fatalf("mv %v -> adc %d -> %v: error too large", mv, adc, back)
+		}
+	}
+}
+
+// TestToMillivoltsMonotone holds the count→millivolt map to what an
+// extremum taken on counts rests on: it rises strictly over all of int32,
+// across the wrap an int32 difference from Baseline had below
+// MinInt32+1024, and it maps Baseline to +0, never −0. Wherever that
+// difference did not wrap, the bits are the ones it gave.
+func TestToMillivoltsMonotone(t *testing.T) {
+	counts := []int32{math.MinInt32, math.MinInt32 + 1023, math.MinInt32 + 1024, -1, 0, 1024, 2047, math.MaxInt32}
+	r := rng.New(17)
+	for range 4096 {
+		counts = append(counts, int32(r.Uint64()))
+	}
+	slices.Sort(counts)
+	for i, c := range counts {
+		if c >= math.MinInt32+1024 {
+			if got, want := ToMillivolts(c), float64(c-Baseline)/Gain; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ToMillivolts(%d) = %v, the int32 difference gave %v", c, got, want)
+			}
+		}
+		if i == 0 || c == counts[i-1] {
+			continue
+		}
+		if lo, hi := ToMillivolts(counts[i-1]), ToMillivolts(c); !(lo < hi) {
+			t.Fatalf("ToMillivolts(%d) = %v, not below ToMillivolts(%d) = %v", counts[i-1], lo, c, hi)
+		}
+	}
+	if v := ToMillivolts(Baseline); math.Float64bits(v) != 0 {
+		t.Fatalf("ToMillivolts(Baseline) = %v, want +0", v)
+	}
+}
+
+// TestToMillivoltsTable holds the 11-bit table to the expression, by bits,
+// at every count.
+func TestToMillivoltsTable(t *testing.T) {
+	for c := int32(0); c <= ADCMax; c++ {
+		if got, want := ToMillivolts(c), (float64(c)-Baseline)/Gain; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ToMillivolts(%d) = %v from the table, %v from the expression", c, got, want)
 		}
 	}
 }

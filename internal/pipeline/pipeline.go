@@ -8,12 +8,17 @@
 // internal/wbsn runs over whole records:
 //
 //	raw ADC samples
-//	  └─ millivolt conversion
-//	       └─ sigdsp.StreamECGFilter   (noise suppression + baseline removal)
-//	            └─ peak.StreamDetector (à trous scales, adaptive thresholds,
-//	               modulus-maxima pairing, refractory arbitration)
-//	                 └─ beat window from the raw-sample ring
-//	                      └─ downsampling → core.Embedded (integer RP + NFC)
+//	  └─ noise suppression on the counts  ┐
+//	       └─ millivolt conversion         │ sigdsp.StreamECGFilter.PushCounts
+//	            └─ baseline removal        ┘
+//	                 └─ peak.StreamDetector (à trous scales, adaptive thresholds,
+//	                    modulus-maxima pairing, refractory arbitration)
+//	                      └─ beat window from the raw-sample ring
+//	                           └─ downsampling → core.Embedded (integer RP + NFC)
+//
+// The noise stages take minima and maxima, which commute with the
+// strictly increasing count→millivolt map, so running them on the counts
+// gives the batch reference's bits.
 //
 // PushChunk runs a chunk sigdsp.Block (64) samples at a time through stack
 // buffers, so a stream's heap is its operator state and its fixed-size
@@ -256,17 +261,16 @@ func (p *Pipeline) push(samples []int32) {
 	raw, mask := p.raw, p.rawMask
 	for len(samples) > 0 {
 		m := min(len(samples), sigdsp.Block)
-		var y [sigdsp.Block]float64
 		for i, v := range samples[:m] {
 			raw[(p.n+i)&mask] = v
-			y[i] = ecgsyn.ToMillivolts(v)
 		}
-		samples = samples[m:]
-		p.n += m
 		// The k filtered samples belong to the block's last k raw samples,
 		// and the detector stops at each window boundary, so at-1 is the
 		// raw sample that finalized the peaks of each call.
-		k := p.filter.PushChunk(y[:m], y[:m])
+		var y [sigdsp.Block]float64
+		k := p.filter.PushCounts(y[:], samples[:m])
+		samples = samples[m:]
+		p.n += m
 		at := p.n - k
 		for f := y[:k]; len(f) > 0; {
 			used, peaks := p.det.PushChunk(f)

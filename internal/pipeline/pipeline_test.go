@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -185,6 +186,17 @@ func TestPipelineMatchesBatch(t *testing.T) {
 	// A record under Detect's 16-sample minimum, so without a beat, whose
 	// lone threshold window would otherwise yield one at sample 3.
 	records["15 samples"] = short15
+	// An ECG record with int32 spikes, which the wire admits: MinInt32 and
+	// MinInt32+1000, below which an int32 difference from Baseline wraps,
+	// each two samples before a MaxInt32, so that one 3-sample window
+	// holds both. The stream filters counts and the batch millivolts, so
+	// the two orders of the spikes must agree. Spikes alone would not do:
+	// a rails lead yields no beat.
+	spiked := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "p", Seconds: 20, Seed: 13, PVCRate: 0.1}).Leads[0]
+	for i, v := range []int32{math.MinInt32, math.MinInt32 + 1000, math.MinInt32} {
+		spiked[1000+2000*i], spiked[1002+2000*i] = v, math.MaxInt32
+	}
+	records["int32 spikes"] = spiked
 	// Records that end at other phases of the beat and window cycles.
 	for n := 30000; n < 38000; n += 997 {
 		records[fmt.Sprintf("seed 11 cut at %d", n)] = records["seed 11"][:n]
@@ -195,6 +207,9 @@ func TestPipelineMatchesBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if strings.HasPrefix(name, "seed") && len(batch) < 50 {
+			t.Fatalf("%s: only %d batch beats", name, len(batch))
+		}
+		if name == "int32 spikes" && len(batch) < 20 {
 			t.Fatalf("%s: only %d batch beats", name, len(batch))
 		}
 		for _, size := range []int{1, 180, 7919, len(lead)} {

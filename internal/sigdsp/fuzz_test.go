@@ -16,7 +16,9 @@ import (
 // streaming filter, flushed at the end, must equal the Open/Close
 // composition RemoveBaseline(SuppressNoise(x)) to the last sample, and a
 // StreamDWT fed the filter's output chunks, its flushed tail last, then
-// flushed itself, must equal AtrousDWT over that output, bit for bit.
+// flushed itself, must equal AtrousDWT over that output, bit for bit. The
+// same filter, Reset, then takes the counts themselves through PushCounts
+// in the same chunks, and flushed it must equal the composition too.
 func FuzzFrontEndChunks(f *testing.F) {
 	const n = 1500
 	seed := func(sample func(i int) int32) []byte {
@@ -48,10 +50,11 @@ func FuzzFrontEndChunks(f *testing.F) {
 		if len(samples) > 2*8192 {
 			samples = samples[:2*8192]
 		}
-		x := make([]float64, len(samples)/2)
+		counts := make([]int32, len(samples)/2)
+		x := make([]float64, len(counts))
 		for i := range x {
-			v := binary.LittleEndian.Uint16(samples[2*i:]) % (ecgsyn.ADCMax + 1)
-			x[i] = ecgsyn.ToMillivolts(int32(v))
+			counts[i] = int32(binary.LittleEndian.Uint16(samples[2*i:]) % (ecgsyn.ADCMax + 1))
+			x[i] = ecgsyn.ToMillivolts(counts[i])
 		}
 		size := func(c int) int {
 			if len(chunks) == 0 {
@@ -111,6 +114,23 @@ func FuzzFrontEndChunks(f *testing.F) {
 				if math.Float64bits(v) != math.Float64bits(refW.W[j][i]) {
 					t.Fatalf("W[%d][%d]: stream %v, AtrousDWT %v", j, i, v, refW.W[j][i])
 				}
+			}
+		}
+
+		// The counts leg.
+		filter.Reset()
+		k = 0
+		for off, c := 0, 0; off < len(counts); c++ {
+			end := min(off+size(c), len(counts))
+			k += filter.PushCounts(y[k:], counts[off:end])
+			off = end
+		}
+		if k += filter.Flush(y[k:]); k != len(counts) {
+			t.Fatalf("counts: %d samples after Flush, want %d", k, len(counts))
+		}
+		for i, v := range y {
+			if math.Float64bits(v) != math.Float64bits(ref[i]) {
+				t.Fatalf("counts: filtered sample %d: stream %v, reference %v", i, v, ref[i])
 			}
 		}
 	})

@@ -103,6 +103,61 @@ func (s *tap3) flush(x []float64, k int) int {
 	return k + 1
 }
 
+// tap3Counts is tap3 over ADC counts, StreamECGFilter.PushCounts's noise
+// stage. Equal counts are the same count, so no tie rule is needed, and
+// the builtin integer min and max compile to conditional moves with no
+// float↔bits moves around them (TestNoiseStagesDataIndependent).
+type tap3Counts struct {
+	older, newer   int32
+	dilate, primed bool
+}
+
+// pass runs the stage in place over x and returns how many outputs it wrote
+// to the front of x, as tap3.pass.
+//
+//rpbeat:allocfree
+func (s *tap3Counts) pass(x []int32) int {
+	if len(x) == 0 {
+		return 0
+	}
+	in := x
+	if !s.primed {
+		s.older, s.newer, s.primed = x[0], x[0], true
+		in = x[1:]
+	}
+	a, b := s.older, s.newer
+	if s.dilate {
+		for i, c := range in {
+			x[i] = max(a, b, c)
+			a, b = b, c
+		}
+	} else {
+		for i, c := range in {
+			x[i] = min(a, b, c)
+			a, b = b, c
+		}
+	}
+	s.older, s.newer = a, b
+	return len(in)
+}
+
+// flush passes the upstream tail x[:k] through the stage and appends the
+// output it still owes, as tap3.flush.
+//
+//rpbeat:allocfree
+func (s *tap3Counts) flush(x []int32, k int) int {
+	k = s.pass(x[:k])
+	if !s.primed {
+		return k
+	}
+	if s.dilate {
+		x[k] = max(s.older, s.newer)
+	} else {
+		x[k] = min(s.older, s.newer)
+	}
+	return k + 1
+}
+
 // wedge is one long erosion or dilation stage of a stream: Lemire's
 // monotonic wedge over the trailing window of the last length inputs, O(1)
 // amortized per sample. The output for the window ending at input i+right

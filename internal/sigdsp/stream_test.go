@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/rng"
 	"rpbeat/internal/testutil"
 )
@@ -157,12 +158,13 @@ func TestMorphCompositionIsOneElement(t *testing.T) {
 }
 
 // TestNoiseStagesDataIndependent holds the noise stages to conditional-move
-// selects: four tap3 stages in the oc order cost the same per block over
-// white noise as over a flat lead. A select compiled to a jump shows as
-// about 3x, since the predictor loses about half the comparisons between
-// noisy neighbours and none on a flat lead. The noise lead is 2^16 samples,
-// a cycle too long for a predictor to learn, where one 64-sample block
-// repeated would be learned and hide the jumps.
+// selects: four stages in the oc order cost the same per block over white
+// noise as over a flat lead, both the tap3 stages over millivolts and the
+// tap3Counts stages over 11-bit counts. A select compiled to a jump shows
+// as about 3x, since the predictor loses about half the comparisons
+// between noisy neighbours and none on a flat lead. Each noise lead is
+// 2^16 samples, a cycle too long for a predictor to learn, where one
+// 64-sample block repeated would be learned and hide the jumps.
 func TestNoiseStagesDataIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
@@ -170,29 +172,60 @@ func TestNoiseStagesDataIndependent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts the timing ratio; CI runs this un-instrumented")
 	}
-	noise := randomSignal(rng.New(4), 1<<16)
-	stages := func(lead []float64) func(n int) {
+	const n = 1 << 16
+	floats := func(lead []float64) func(n int) {
 		s := [4]tap3{{}, {dilate: true}, {dilate: true}, {}}
-		var buf [Block]float64
-		off := 0
-		return func(n int) {
-			for range n {
-				if off == len(lead) {
-					off = 0
-				}
-				copy(buf[:], lead[off:off+Block])
-				off += Block
-				k := Block
-				for i := range s {
-					k = s[i].pass(buf[:k])
-				}
+		return blocks(lead, func(x []float64) {
+			k := len(x)
+			for i := range s {
+				k = s[i].pass(x[:k])
 			}
+		})
+	}
+	counts := func(lead []int32) func(n int) {
+		s := [4]tap3Counts{{}, {dilate: true}, {dilate: true}, {}}
+		return blocks(lead, func(x []int32) {
+			k := len(x)
+			for i := range s {
+				k = s[i].pass(x[:k])
+			}
+		})
+	}
+	r := rng.New(5)
+	noise := make([]int32, n)
+	for i := range noise {
+		noise[i] = int32(r.Intn(ecgsyn.ADCMax + 1))
+	}
+	for _, c := range []struct {
+		name        string
+		noise, flat func(n int)
+	}{
+		{"tap3", floats(randomSignal(rng.New(4), n)), floats(make([]float64, n))},
+		{"tap3Counts", counts(noise), counts(make([]int32, n))},
+	} {
+		ratio, noiseNs, flatNs := testutil.MedianRatio(21, c.noise, c.flat)
+		t.Logf("%s: noise %.0f ns/block, flat %.0f ns/block: median pair ratio %.2fx", c.name, noiseNs, flatNs, ratio)
+		if ratio > 1.25 {
+			t.Errorf("four %s noise stages cost %.2fx over noise what they cost over a flat lead (median pair), want <= 1.25x",
+				c.name, ratio)
 		}
 	}
-	ratio, noiseNs, flatNs := testutil.MedianRatio(21, stages(noise), stages(make([]float64, len(noise))))
-	t.Logf("noise %.0f ns/block, flat %.0f ns/block: median pair ratio %.2fx", noiseNs, flatNs, ratio)
-	if ratio > 1.25 {
-		t.Fatalf("four noise stages cost %.2fx over noise what they cost over a flat lead (median pair), want <= 1.25x", ratio)
+}
+
+// blocks returns a timing op that copies n consecutive Block-sample blocks
+// of lead, cycling, into a buffer and runs stages over each.
+func blocks[T any](lead []T, stages func(x []T)) func(n int) {
+	var buf [Block]T
+	off := 0
+	return func(n int) {
+		for range n {
+			if off == len(lead) {
+				off = 0
+			}
+			copy(buf[:], lead[off:off+Block])
+			off += Block
+			stages(buf[:])
+		}
 	}
 }
 

@@ -19,6 +19,8 @@ package sigdsp
 // right border, and Reset readies the operator for the next record. The
 // batch FilterECGInto and AtrousDWTInto are PushChunk plus Flush.
 
+import "rpbeat/internal/ecgsyn"
+
 // StreamECGFilter is the front-end filter a block at a time: morphological
 // noise suppression (the averaged open-close / close-open pair) followed by
 // baseline-wander removal, with the delay line that aligns the final
@@ -27,8 +29,10 @@ package sigdsp
 type StreamECGFilter struct {
 	// Noise suppression: two parallel chains of four 3-sample stages over
 	// the same input. oc = Close(Open(x,k),k) = Erode,Dilate,Dilate,Erode;
-	// co = Open(Close(x,k),k) = Dilate,Erode,Erode,Dilate.
-	oc, co [4]tap3
+	// co = Open(Close(x,k),k) = Dilate,Erode,Erode,Dilate. PushChunk runs
+	// the float chains, PushCounts the same chains over ADC counts.
+	oc, co             [4]tap3
+	ocCounts, coCounts [4]tap3Counts
 	// Baseline estimation over the suppressed signal:
 	// Close(Open(y,OpenLen),CloseLen) = Erode,Dilate (open) then
 	// Dilate,Erode (close), run as Erode OpenLen, Dilate
@@ -50,9 +54,11 @@ type StreamECGFilter struct {
 func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
 	ol, cl := cfg.OpenLen(), cfg.CloseLen()
 	f := &StreamECGFilter{
-		oc:   [4]tap3{{}, {dilate: true}, {dilate: true}, {}},
-		co:   [4]tap3{{dilate: true}, {}, {}, {dilate: true}},
-		base: [3]wedge{newWedge(ol, false), newWedge(ol+cl-1, true), newWedge(cl, false)},
+		oc:       [4]tap3{{}, {dilate: true}, {dilate: true}, {}},
+		co:       [4]tap3{{dilate: true}, {}, {}, {dilate: true}},
+		ocCounts: [4]tap3Counts{{}, {dilate: true}, {dilate: true}, {}},
+		coCounts: [4]tap3Counts{{dilate: true}, {}, {}, {dilate: true}},
+		base:     [3]wedge{newWedge(ol, false), newWedge(ol+cl-1, true), newWedge(cl, false)},
 	}
 	for _, w := range f.base {
 		f.total += w.right
@@ -71,7 +77,8 @@ func (f *StreamECGFilter) Delay() int { return f.total }
 // the cascade has filled (the first Delay() inputs complete none), in
 // order. dst needs room for len(src) samples and may be src itself. The
 // work runs Block samples at a time through stack buffers, so the filter's
-// own state is all it keeps between calls.
+// own state is all it keeps between calls. A record goes in through one
+// entry, PushChunk or PushCounts.
 //
 //rpbeat:allocfree
 func (f *StreamECGFilter) PushChunk(dst, src []float64) int {
@@ -92,49 +99,102 @@ func (f *StreamECGFilter) PushChunk(dst, src []float64) int {
 		for i := range a[:k] {
 			a[i] = 0.5 * (a[i] + b[i])
 		}
-		// The baseline cascade runs over a copy of the suppressed signal in
-		// b, while the delay line swaps each suppressed sample in a for the
-		// one len(f.sup) samples older.
-		copy(b[:k], a[:k])
-		ring, at := f.sup, f.supAt
-		for i := range a[:k] {
-			a[i], ring[at] = ring[at], a[i]
-			at++
-			if at == len(ring) {
-				at = 0
-			}
-		}
-		f.supAt = at
-		n := k
-		for i := range f.base {
-			n = f.base[i].pass(b[:n])
-		}
-		// The n baseline samples belong to the last n delayed samples; the
-		// ones before them are the delay line's warm-up.
-		for i, bl := range b[:n] {
-			dst[out+i] = a[k-n+i] - bl
-		}
-		out += n
+		out += f.removeBaseline(dst[out:], a[:k])
 	}
 	return out
 }
 
+// PushCounts is PushChunk over ADC counts, bit for bit PushChunk of their
+// ecgsyn.ToMillivolts: the noise chains run on the counts, and their two
+// outputs are converted and averaged as PushChunk averages its own. That
+// is exact because each stage outputs one of its inputs, the minimum or
+// maximum, and the conversion is strictly increasing and never −0, so the
+// count it picks converts to the millivolts PushChunk's stage picks, ties
+// included. This is the entry internal/pipeline serves through.
+//
+//rpbeat:allocfree
+func (f *StreamECGFilter) PushCounts(dst []float64, src []int32) int {
+	out := 0
+	for len(src) > 0 {
+		m := min(len(src), Block)
+		var a, b [Block]int32
+		copy(a[:m], src[:m])
+		copy(b[:m], src[:m])
+		src = src[m:]
+		k := m
+		for i := range f.ocCounts {
+			f.coCounts[i].pass(b[:k])
+			k = f.ocCounts[i].pass(a[:k])
+		}
+		var y [Block]float64
+		for i := range y[:k] {
+			y[i] = 0.5 * (ecgsyn.ToMillivolts(a[i]) + ecgsyn.ToMillivolts(b[i]))
+		}
+		out += f.removeBaseline(dst[out:], y[:k])
+	}
+	return out
+}
+
+// removeBaseline takes the suppressed block y (at most Block samples)
+// through the baseline cascade and the delay line, writes the filtered
+// samples it completes to the front of dst and returns how many. The
+// cascade runs over a copy of y, while the delay line swaps each sample
+// of y for the one len(f.sup) samples older.
+//
+//rpbeat:allocfree
+func (f *StreamECGFilter) removeBaseline(dst, y []float64) int {
+	var b [Block]float64
+	k := copy(b[:], y)
+	ring, at := f.sup, f.supAt
+	for i := range y {
+		y[i], ring[at] = ring[at], y[i]
+		at++
+		if at == len(ring) {
+			at = 0
+		}
+	}
+	f.supAt = at
+	n := k
+	for i := range f.base {
+		n = f.base[i].pass(b[:n])
+	}
+	// The n baseline samples belong to the last n delayed samples; the
+	// ones before them are the delay line's warm-up.
+	for i, bl := range b[:n] {
+		dst[i] = y[k-n+i] - bl
+	}
+	return n
+}
+
 // Flush writes the outputs the end of the input still owes to the front of
 // dst and returns how many: the last Delay() samples of the record, or all
-// of a shorter one, as many as PushChunk held back. Each stage computes
-// them with the batch operators' right border, its window clipped at its
-// last input, and passes them down the cascade before adding its own. dst
-// needs room for them. The filter must be Reset before its next record.
+// of a shorter one, as many as PushChunk or PushCounts held back. Each
+// stage computes them with the batch operators' right border, its window
+// clipped at its last input, and passes them down the cascade before
+// adding its own. dst needs room for them. The filter must be Reset before
+// its next record.
 //
 //rpbeat:allocfree
 func (f *StreamECGFilter) Flush(dst []float64) int {
-	// Noise suppression: each chain stage owes one sample, so the tails
-	// hold at most one sample per stage.
+	// Noise suppression, in the chains the record went through: each chain
+	// stage owes one sample, so the tails hold at most one sample per
+	// stage.
 	var a, b [len(f.oc)]float64
 	k := 0
-	for i := range f.oc {
-		f.co[i].flush(b[:], k)
-		k = f.oc[i].flush(a[:], k)
+	if f.ocCounts[0].primed {
+		var ac, bc [len(f.oc)]int32
+		for i := range f.ocCounts {
+			f.coCounts[i].flush(bc[:], k)
+			k = f.ocCounts[i].flush(ac[:], k)
+		}
+		for i := range a[:k] {
+			a[i], b[i] = ecgsyn.ToMillivolts(ac[i]), ecgsyn.ToMillivolts(bc[i])
+		}
+	} else {
+		for i := range f.oc {
+			f.co[i].flush(b[:], k)
+			k = f.oc[i].flush(a[:], k)
+		}
 	}
 	for i := range a[:k] {
 		a[i] = 0.5 * (a[i] + b[i])
@@ -167,6 +227,7 @@ func (f *StreamECGFilter) Flush(dst []float64) int {
 func (f *StreamECGFilter) Reset() {
 	for i := range f.oc {
 		f.oc[i].primed, f.co[i].primed = false, false
+		f.ocCounts[i].primed, f.coCounts[i].primed = false, false
 	}
 	for i := range f.base {
 		f.base[i].reset()

@@ -2,6 +2,7 @@ package sigdsp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"rpbeat/internal/ecgsyn"
@@ -34,11 +35,11 @@ func noisyECGLike(n int) []float64 {
 var chunkSizes = []int{1, 2, 3, 63, 64, 65, 180, 719, 1024, 0}
 
 // chunks splits x into consecutive chunks of size (the whole of x for 0).
-func chunks(x []float64, size int) [][]float64 {
+func chunks[T any](x []T, size int) [][]T {
 	if size == 0 {
 		size = len(x)
 	}
-	var out [][]float64
+	var out [][]T
 	for off := 0; off < len(x); off += size {
 		out = append(out, x[off:min(off+size, len(x))])
 	}
@@ -194,6 +195,66 @@ func TestFrontEndFlushMatchesReferences(t *testing.T) {
 	}
 }
 
+// countLeads are n-sample leads of ADC counts: 11-bit ECG, the two rails
+// (0 and ADCMax) drawn at random, a flat lead, and full-range int32 counts,
+// half of them the extremes and values straddling MinInt32+1024, below
+// which an int32 difference from ecgsyn.Baseline wraps.
+func countLeads(n int) map[string][]int32 {
+	ecg := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "counts", Seconds: float64(n)/ecgsyn.Fs + 1, Seed: 3, PVCRate: 0.2}).Leads[0][:n]
+	rails, flat, full := make([]int32, n), make([]int32, n), make([]int32, n)
+	edges := []int32{math.MinInt32, math.MinInt32 + 1, math.MinInt32 + 1023, math.MinInt32 + 1024,
+		math.MinInt32 + 1025, -1, 0, ecgsyn.Baseline, ecgsyn.ADCMax, math.MaxInt32 - 1, math.MaxInt32}
+	r := rng.New(22)
+	for i := range n {
+		rails[i] = ecgsyn.ADCMax * int32(r.Intn(2))
+		flat[i] = ecgsyn.Baseline
+		full[i] = int32(r.Uint64())
+		if r.Intn(2) == 0 {
+			full[i] = edges[r.Intn(len(edges))]
+		}
+	}
+	return map[string][]int32{"ECG": ecg, "rails": rails, "flat": flat, "full-range": full}
+}
+
+// TestPushCountsMatchesPushChunk holds the counts entry to the float one
+// over the same counts in millivolts, bit for bit through Flush, at every
+// chunking and flushLengths length. One filter takes every record through
+// both entries, Reset before each, so Reset and Flush must keep the
+// entries' noise chains apart.
+func TestPushCountsMatchesPushChunk(t *testing.T) {
+	f := NewStreamECGFilter(DefaultBaselineConfig(ecgsyn.Fs))
+	for name, lead := range countLeads(slices.Max(flushLengths)) {
+		for _, n := range flushLengths {
+			counts, mv := lead[:n], make([]float64, n)
+			for i, c := range counts {
+				mv[i] = ecgsyn.ToMillivolts(c)
+			}
+			for _, size := range chunkSizes {
+				want, got := make([]float64, n), make([]float64, n)
+				f.Reset()
+				k := 0
+				for _, c := range chunks(mv, size) {
+					k += f.PushChunk(want[k:], c)
+				}
+				f.Flush(want[k:])
+				f.Reset()
+				k = 0
+				for _, c := range chunks(counts, size) {
+					k += f.PushCounts(got[k:], c)
+				}
+				if m := f.Flush(got[k:]); k+m != n {
+					t.Fatalf("%s n=%d chunk %d: %d samples after Flush, want %d", name, n, size, k+m, n)
+				}
+				for i, v := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(v) {
+						t.Fatalf("%s n=%d chunk %d: sample %d: PushCounts %v, PushChunk %v", name, n, size, i, got[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Deeper levels must not perturb shallower ones: a 3-level stream must match
 // the 4-level batch on its shared scales (the detector relies on this).
 func TestStreamDWTPrefixOfDeeperBatch(t *testing.T) {
@@ -229,17 +290,20 @@ func BenchmarkStreamECGFilterPush(b *testing.B) {
 	}
 }
 
-// servedLead is what the served front end filters: 60 s of an ecgsyn lead
-// in millivolts, 10% PVCs. Its noise does not repeat the way noisyECGLike's
-// sum of sines does, so a stage that branches on the data pays here for
-// the predictor's misses as it does in service.
-func servedLead() []float64 {
-	return ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "bench", Seconds: 60, Seed: 9, PVCRate: 0.1}).LeadMillivolts(0)
+// servedRecord is what the served front end filters: 60 s of an ecgsyn
+// lead, 10% PVCs. Its noise does not repeat the way noisyECGLike's sum of
+// sines does, so a stage that branches on the data pays here for the
+// predictor's misses as it does in service.
+func servedRecord() *ecgsyn.Record {
+	return ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "bench", Seconds: 60, Seed: 9, PVCRate: 0.1})
 }
+
+// servedLead is servedRecord's lead in millivolts.
+func servedLead() []float64 { return servedRecord().LeadMillivolts(0) }
 
 // chunk180 runs op over consecutive 180-sample chunks of x (the serving
 // chunk: 0.5 s at 360 Hz) and reports the cost per sample.
-func chunk180(b *testing.B, x []float64, op func(chunk []float64)) {
+func chunk180[T any](b *testing.B, x []T, op func(chunk []T)) {
 	const size = 180
 	b.ReportAllocs()
 	off := 0
@@ -258,6 +322,15 @@ func BenchmarkKernel_StreamECGFilterChunk180(b *testing.B) {
 	f := NewStreamECGFilter(DefaultBaselineConfig(360))
 	var dst [180]float64
 	chunk180(b, x, func(c []float64) { f.PushChunk(dst[:], c) })
+}
+
+// BenchmarkKernel_StreamECGFilterCountsChunk180 is the served entry: the
+// same lead as ADC counts through PushCounts.
+func BenchmarkKernel_StreamECGFilterCountsChunk180(b *testing.B) {
+	x := servedRecord().Leads[0]
+	f := NewStreamECGFilter(DefaultBaselineConfig(360))
+	var dst [180]float64
+	chunk180(b, x, func(c []int32) { f.PushCounts(dst[:], c) })
 }
 
 func BenchmarkKernel_StreamDWTChunk180(b *testing.B) {
