@@ -135,3 +135,87 @@ func FuzzFrontEndChunks(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBaselineWedge holds the baseline wedge to the batch operators on any
+// float64 input in the front end's domain, ±0 ties included, which
+// FuzzFrontEndChunks's counts never produce. samples are little-endian
+// float64 bits, NaN dropped as out of the domain; length is the element
+// length, 1 to 200, which covers the filter's 73, 109 and 181; and each
+// byte of chunks is one chunk length, 1 to 256 keys, cycled (no bytes:
+// the whole input in one pass). An erosion and a dilation wedge each pass
+// the samples' order keys, then right pads, at those chunk sizes, and their
+// outputs must equal Erode and Dilate bit for bit to the last sample.
+func FuzzBaselineWedge(f *testing.F) {
+	seed := func(x ...float64) []byte {
+		b := make([]byte, 8*len(x))
+		for i, v := range x {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	// ±0 ties at the extremum of a window, for either operator.
+	f.Add(seed(-1, 0, negZero, -2, negZero, 0, 1, negZero, 0, 2, 0, negZero, -3), byte(4), []byte{0, 2})
+	zeros := make([]float64, 300) // zeros of both signs
+	for i := range zeros {
+		if i%3 == 0 || i%7 == 0 {
+			zeros[i] = negZero
+		}
+	}
+	f.Add(seed(zeros...), byte(72), []byte{63, 64})
+	denormal := math.SmallestNonzeroFloat64
+	f.Add(seed(denormal, -denormal, 0, negZero, 0x1p-1022, -0x1p-1022, 3*denormal, -2*denormal, negZero, denormal),
+		byte(108), []byte{1})
+	f.Add(seed(math.Inf(1), 0, math.Inf(-1), negZero, math.MaxFloat64, -math.MaxFloat64, math.NaN(), 1, math.Inf(-1), math.Inf(1)),
+		byte(180), []byte{})
+
+	f.Fuzz(func(t *testing.T, samples []byte, length byte, chunks []byte) {
+		if len(samples) > 8*8192 {
+			samples = samples[:8*8192]
+		}
+		x := make([]float64, 0, len(samples)/8)
+		for i := 0; i+8 <= len(samples); i += 8 {
+			if v := math.Float64frombits(binary.LittleEndian.Uint64(samples[i:])); !math.IsNaN(v) {
+				x = append(x, v)
+			}
+		}
+		elem := 1 + int(length)%200
+		for _, dilate := range []bool{false, true} {
+			want := Erode(x, elem)
+			if dilate {
+				want = Dilate(x, elem)
+			}
+			w := newWedge(elem, dilate)
+			keys, pads := make([]int64, len(x)), make([]int64, w.right)
+			for i, v := range x {
+				keys[i] = orderKey(v)
+			}
+			for i := range pads {
+				pads[i] = w.pad()
+			}
+			var got []float64
+			c := 0
+			for _, in := range [][]int64{keys, pads} {
+				for off := 0; off < len(in); c++ {
+					size := len(in)
+					if len(chunks) > 0 {
+						size = 1 + int(chunks[c%len(chunks)])
+					}
+					chunk := in[off:min(off+size, len(in))]
+					for _, k := range chunk[:w.pass(chunk)] {
+						got = append(got, keyFloat(k))
+					}
+					off += len(chunk)
+				}
+			}
+			if len(got) != len(x) {
+				t.Fatalf("length %d dilate %v: %d outputs for %d samples", elem, dilate, len(got), len(x))
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("length %d dilate %v: sample %d: stream %v, batch %v", elem, dilate, i, v, want[i])
+				}
+			}
+		}
+	})
+}

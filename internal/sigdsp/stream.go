@@ -158,107 +158,143 @@ func (s *tap3Counts) flush(x []int32, k int) int {
 	return k + 1
 }
 
-// wedge is one long erosion or dilation stage of a stream: Lemire's
-// monotonic wedge over the trailing window of the last length inputs, O(1)
-// amortized per sample. The output for the window ending at input i+right
-// is output i, so with right = length-1-length/2 it is the batch operator's
-// centered window (the trailing window over a stream prefix covers exactly
-// the batch operator's border-shrunk window), and with right = 0 the plain
-// trailing extremum. The wedge lives in power-of-two rings of values and
-// positions, at most length entries, so a stage never allocates after
+// orderKey maps a float64 to an int64 that orders as the floats compare,
+// −0 one below +0, so the baseline wedges select with the builtin integer
+// max, a CMP and CMOV. A non-negative float's bits already order as
+// integers; flipping every bit but the sign of a negative one reverses the
+// order of its magnitude. Equal keys are equal bits.
+//
+// The front end's float domain is non-NaN: NaN has no place in the order.
+// Served input is int32 counts, and ecgsyn.ToMillivolts and wfdb never give
+// NaN, so nothing on the hot path checks for it.
+func orderKey(v float64) int64 {
+	k := int64(math.Float64bits(v))
+	return k ^ (k >> 63 & math.MaxInt64)
+}
+
+// keyFloat is the float64 whose order key is k: the same flip.
+func keyFloat(k int64) float64 {
+	return math.Float64frombits(uint64(k ^ (k >> 63 & math.MaxInt64)))
+}
+
+// keyFloor lies below every non-NaN float's key, the identity of max.
+const keyFloor = math.MinInt64
+
+// wedge is one long erosion or dilation stage of a stream, a running
+// maximum of order keys over the trailing window of the last length
+// inputs after van Herk and Gil-Werman: the inputs fall into blocks of
+// length, the window ending at an input covers a suffix of the previous
+// block and a prefix of the current one, and its output is the larger of
+// that suffix's maximum, from one suffix pass per completed block, and the
+// current block's running prefix maximum. That is three max per input
+// whatever the data, with no branch to mispredict
+// (TestBaselineCascadeDataIndependent). An erosion is the dilation of the
+// flipped keys ^k, flipped back on the way out.
+//
+// The output for the window ending at input i+right is output i, so with
+// right = length-1-length/2 it is the batch operator's centered window (the
+// trailing window over a stream prefix covers exactly the batch operator's
+// border-shrunk window), and with right = 0 the plain trailing extremum.
+// At the record's end the stage owes its last right outputs, the batch
+// windows clipped at the last input: a pass over right pad keys writes
+// them, since a pad is keyFloor after the flip.
+//
+// Ties keep the newest sample, as in tap3 and slideExtremum. Equal keys
+// are equal bits, so the one tie that can show is ±0, which compare equal
+// as floats but key one apart: a window whose extremum is a zero takes the
+// newest zero the stage has seen, which lies in the window, since the
+// window holds a zero and ends at the newest input. The stage lives in two
+// block buffers of length+1 keys, so it never allocates after
 // construction.
 type wedge struct {
 	length, right int
-	dilate        bool
-	val           []float64 // wedge values, ring indexed by counter&mask
-	pos           []uint32  // their input positions, mod 2^32
-	head, tail    int       // the wedge occupies ring counters [head, tail)
-	n             int       // inputs consumed
+	flip          int64   // 0 for a dilation, -1 (every bit) for an erosion
+	cur, suf      []int64 // the current block's inputs, the previous block's suffix maxima; [length] is keyFloor in both
+	pre           int64   // the current block's prefix maximum
+	zero          int64   // the newest zero key seen, 0 (+0) or -1 (−0) after the flip
+	at, n         int     // inputs in the current block and in all
 }
 
 // newWedge returns the stage aligned with Erode (dilate false) or Dilate
 // for a flat element of the given length.
 func newWedge(length int, dilate bool) wedge {
-	size := nextPow2(length)
-	return wedge{
-		length: length, right: length - 1 - length/2, dilate: dilate,
-		val: make([]float64, size),
-		pos: make([]uint32, size),
+	w := wedge{
+		length: length, right: length - 1 - length/2,
+		cur: make([]int64, length+1),
+		suf: make([]int64, length+1),
 	}
+	if !dilate {
+		w.flip = -1
+	}
+	w.cur[length] = keyFloor
+	w.reset()
+	return w
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// pad is the key that stands in for an input past the record's last.
+func (w *wedge) pad() int64 { return keyFloor ^ w.flip }
 
-// pass runs the stage in place over x and returns how many outputs it wrote
-// to the front of x: one per input, less the first right inputs the stage
-// ever sees. Ties keep the newest sample, as in tap3.
+// pass runs the stage in place over the keys x and returns how many
+// outputs it wrote to the front of x: one per input, less the first right
+// inputs the stage ever sees.
 //
 //rpbeat:allocfree
-func (w *wedge) pass(x []float64) int {
-	mask := len(w.val) - 1
-	val, pos := w.val, w.pos
-	length := uint32(w.length)
-	head, tail, n, k := w.head, w.tail, w.n, 0
-	for _, v := range x {
-		// Expire the front once it leaves the window of input n. The wedge
-		// is empty only before the first input, whose zeroed slot reads as
-		// position 0, inside that window.
-		if uint32(n)-pos[head&mask] >= length {
-			head++
+func (w *wedge) pass(x []int64) int {
+	out := 0
+	for in := 0; in < len(x); {
+		// A run ends where the block or the warm-up does, so all its
+		// outputs are kept or none.
+		m := min(len(x)-in, w.length-w.at)
+		keep := w.n >= w.right
+		if !keep {
+			m = min(m, w.right-w.n)
 		}
-		if w.dilate {
-			for tail != head && v >= val[(tail-1)&mask] {
-				tail--
+		src := x[in : in+m]
+		cur, suf := w.cur[w.at:][:len(src)], w.suf[w.at+1:][:len(src)]
+		dst := x[out:][:len(src)] // out <= in: each input is read before its slot is written
+		flip, pre, zero := w.flip, w.pre, w.zero
+		for i, v := range src {
+			v ^= flip
+			cur[i] = v
+			pre = max(pre, v)
+			if uint64(v+1) <= 1 { // v is a zero key, -1 or 0
+				zero = v
 			}
-		} else {
-			for tail != head && v <= val[(tail-1)&mask] {
-				tail--
+			o := max(suf[i], pre)
+			if uint64(o+1) <= 1 {
+				o = zero
 			}
+			dst[i] = o ^ flip
 		}
-		val[tail&mask], pos[tail&mask] = v, uint32(n)
-		tail++
-		n++
-		if n > w.right {
-			x[k] = val[head&mask]
-			k++
+		w.pre, w.zero = pre, zero
+		w.at += m
+		w.n += m
+		in += m
+		if keep {
+			out += m
+		}
+		if w.at == w.length {
+			// The block is complete: its suffix maxima replace its inputs,
+			// and it becomes the previous block.
+			blk, s := w.cur[:w.length], int64(keyFloor)
+			for i := len(blk) - 1; i >= 0; i-- {
+				s = max(s, blk[i])
+				blk[i] = s
+			}
+			w.cur, w.suf = w.suf, w.cur
+			w.at, w.pre = 0, keyFloor
 		}
 	}
-	w.head, w.tail, w.n = head, tail, n
-	return k
+	return out
 }
 
-// flush passes the upstream tail x[:k] through the stage, then appends the
-// outputs it still owes, one for each of its last min(n, right) inputs: the
-// batch operator's windows clipped at the last input, each the wedge front
-// once the entries left of its window have expired. x needs room for
-// k+min(n, right) samples; flush returns how many it holds.
-//
-//rpbeat:allocfree
-func (w *wedge) flush(x []float64, k int) int {
-	k = w.pass(x[:k])
-	mask, left := len(w.val)-1, w.length-1-w.right
-	for i := max(0, w.n-w.right); i < w.n; i++ {
-		// An entry n-pos inputs back is in output i's window [i-left, n)
-		// while n-pos <= n-i+left. The newest entry always is.
-		for int(uint32(w.n)-w.pos[w.head&mask]) > w.n-i+left {
-			w.head++
-		}
-		x[k] = w.val[w.head&mask]
-		k++
-	}
-	return k
-}
-
-// reset empties the stage for a new input.
+// reset empties the stage for a new input: no block before the first
+// holds a key.
 //
 //rpbeat:allocfree
 func (w *wedge) reset() {
-	w.head, w.tail, w.n = 0, 0, 0
-	w.pos[0] = 0 // the empty wedge's front reads as input 0 (see pass)
+	for i := range w.suf {
+		w.suf[i] = keyFloor
+	}
+	w.at, w.n, w.pre = 0, 0, keyFloor
 }

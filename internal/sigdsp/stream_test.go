@@ -23,6 +23,22 @@ func runStage(pass func([]float64) int, x []float64, sizes ...int) []float64 {
 	return out
 }
 
+// keyed is a keyed stage pass over floats: it passes their order keys and
+// writes the outputs back as floats.
+func keyed(pass func([]int64) int) func([]float64) int {
+	return func(x []float64) int {
+		keys := make([]int64, len(x))
+		for i, v := range x {
+			keys[i] = orderKey(v)
+		}
+		n := pass(keys)
+		for i, k := range keys[:n] {
+			x[i] = keyFloat(k)
+		}
+		return n
+	}
+}
+
 // tieSignal is quantized to a few levels, both zeros included, so equal
 // samples are common and a tie rule that kept the wrong one would show in
 // the bits.
@@ -66,7 +82,7 @@ func TestStreamExtremumMatchesTrailingWindow(t *testing.T) {
 		for _, dilate := range []bool{false, true} {
 			w := newWedge(length, dilate)
 			w.right = 0
-			got := runStage(w.pass, x, 1+length%7, 64, 3)
+			got := runStage(keyed(w.pass), x, 1+length%7, 64, 3)
 			if len(got) != len(x) {
 				t.Fatalf("len %d: emitted %d samples, want %d", length, len(got), len(x))
 			}
@@ -82,14 +98,27 @@ func TestStreamExtremumMatchesTrailingWindow(t *testing.T) {
 
 // morphStage is the streaming form of Erode (dilate false) or Dilate with
 // a flat element of the given length, as StreamECGFilter builds it: the
-// fused 3-tap stage for the noise element, a wedge otherwise.
-func morphStage(length int, dilate bool) (pass func([]float64) int, flush func([]float64, int) int, delay int) {
+// fused 3-tap stage for the noise element, a wedge otherwise. flush writes
+// the delay outputs the stage owes at the end of its input to the front of
+// x and returns how many, as StreamECGFilter.Flush has each stage compute
+// them: the 3-tap stage's flush, or the wedge's pass over right pads.
+func morphStage(length int, dilate bool) (pass func([]float64) int, flush func(x []float64) int, delay int) {
 	if length == NoiseElem {
 		s := &tap3{dilate: dilate}
-		return s.pass, s.flush, 1
+		return s.pass, func(x []float64) int { return s.flush(x, 0) }, 1
 	}
 	w := newWedge(length, dilate)
-	return w.pass, w.flush, w.right
+	return keyed(w.pass), func(x []float64) int {
+		pads := make([]int64, w.right)
+		for i := range pads {
+			pads[i] = w.pad()
+		}
+		n := w.pass(pads)
+		for i, k := range pads[:n] {
+			x[i] = keyFloat(k)
+		}
+		return n
+	}, w.right
 }
 
 // The centered stages equal the batch operators bitwise from sample 0 (the
@@ -112,7 +141,7 @@ func TestStreamMorphMatchesBatchAfterWarmup(t *testing.T) {
 					t.Fatalf("len %d: emitted %d samples, want %d", length, len(got), len(x)-delay)
 				}
 				tail := make([]float64, delay)
-				if got = append(got, tail[:flush(tail, 0)]...); len(got) != len(x) {
+				if got = append(got, tail[:flush(tail)]...); len(got) != len(x) {
 					t.Fatalf("len %d: %d samples after flush, want %d", length, len(got), len(x))
 				}
 				for i, v := range got {
@@ -212,6 +241,48 @@ func TestNoiseStagesDataIndependent(t *testing.T) {
 	}
 }
 
+// TestBaselineCascadeDataIndependent holds the baseline wedges to
+// branch-free selects: the three wedges in the filter's order (erode 73,
+// dilate 181, erode 109 at 360 Hz) cost the same per block over white noise
+// as over a flat lead. A wedge whose pop loop branches on the data, as
+// Lemire's monotonic wedge does, reads about 2x: its pops follow the noise,
+// and a flat lead pops the same way every time. The flat lead sits at a
+// non-zero level, away from the ±0 tie rule, and each lead is 2^16 samples,
+// as in TestNoiseStagesDataIndependent.
+func TestBaselineCascadeDataIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing comparison")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation distorts the timing ratio; CI runs this un-instrumented")
+	}
+	const n = 1 << 16
+	cfg := DefaultBaselineConfig(360)
+	ol, cl := cfg.OpenLen(), cfg.CloseLen()
+	cascade := func(lead []float64) func(n int) {
+		s := [3]wedge{newWedge(ol, false), newWedge(ol+cl-1, true), newWedge(cl, false)}
+		keys := make([]int64, len(lead))
+		for i, v := range lead {
+			keys[i] = orderKey(v)
+		}
+		return blocks(keys, func(x []int64) {
+			k := len(x)
+			for i := range s {
+				k = s[i].pass(x[:k])
+			}
+		})
+	}
+	flat := make([]float64, n)
+	for i := range flat {
+		flat[i] = 1.5
+	}
+	ratio, noiseNs, flatNs := testutil.MedianRatio(21, cascade(randomSignal(rng.New(6), n)), cascade(flat))
+	t.Logf("noise %.0f ns/block, flat %.0f ns/block: median pair ratio %.2fx", noiseNs, flatNs, ratio)
+	if ratio > 1.25 {
+		t.Errorf("the baseline wedges cost %.2fx over noise what they cost over a flat lead (median pair), want <= 1.25x", ratio)
+	}
+}
+
 // blocks returns a timing op that copies n consecutive Block-sample blocks
 // of lead, cycling, into a buffer and runs stages over each.
 func blocks[T any](lead []T, stages func(x []T)) func(n int) {
@@ -252,17 +323,17 @@ func TestStreamMorphPropertyEquivalence(t *testing.T) {
 func TestStreamExtremumBoundedMemory(t *testing.T) {
 	w := newWedge(16, true)
 	w.right = 0
-	ring := &w.val[0]
+	bufs := [2]*int64{&w.cur[0], &w.suf[0]}
 	r := rng.New(9)
-	var x [1]float64
+	var x [1]int64
 	for i := 0; i < 10000; i++ {
-		x[0] = r.Norm()
+		x[0] = orderKey(r.Norm())
 		w.pass(x[:])
-		if w.tail-w.head > 16 {
-			t.Fatalf("wedge holds %d entries for a 16-sample window", w.tail-w.head)
+		if len(w.cur) != 17 || len(w.suf) != 17 {
+			t.Fatalf("wedge holds block buffers of %d and %d keys for a 16-sample window, want 17 each", len(w.cur), len(w.suf))
 		}
 	}
-	if &w.val[0] != ring || len(w.val) != 16 {
-		t.Fatal("wedge ring was reallocated; a pass must not allocate")
+	if cur, suf := &w.cur[0], &w.suf[0]; cur == suf || (cur != bufs[0] && cur != bufs[1]) || (suf != bufs[0] && suf != bufs[1]) {
+		t.Fatal("wedge block buffers were reallocated; a pass must not allocate")
 	}
 }

@@ -138,13 +138,16 @@ func (f *StreamECGFilter) PushCounts(dst []float64, src []int32) int {
 // removeBaseline takes the suppressed block y (at most Block samples)
 // through the baseline cascade and the delay line, writes the filtered
 // samples it completes to the front of dst and returns how many. The
-// cascade runs over a copy of y, while the delay line swaps each sample
+// cascade runs over y's order keys, while the delay line swaps each sample
 // of y for the one len(f.sup) samples older.
 //
 //rpbeat:allocfree
 func (f *StreamECGFilter) removeBaseline(dst, y []float64) int {
-	var b [Block]float64
-	k := copy(b[:], y)
+	var b [Block]int64
+	keys := b[:len(y)]
+	for i, v := range y {
+		keys[i] = orderKey(v)
+	}
 	ring, at := f.sup, f.supAt
 	for i := range y {
 		y[i], ring[at] = ring[at], y[i]
@@ -154,14 +157,23 @@ func (f *StreamECGFilter) removeBaseline(dst, y []float64) int {
 		}
 	}
 	f.supAt = at
-	n := k
-	for i := range f.base {
-		n = f.base[i].pass(b[:n])
-	}
+	n := f.cascade(keys, 0)
 	// The n baseline samples belong to the last n delayed samples; the
 	// ones before them are the delay line's warm-up.
-	for i, bl := range b[:n] {
-		dst[i] = y[k-n+i] - bl
+	for i, k := range keys[:n] {
+		dst[i] = y[len(y)-n+i] - keyFloat(k)
+	}
+	return n
+}
+
+// cascade runs the baseline stages from the given one on in place over
+// the keys x and returns how many outputs the last wrote to the front of x.
+//
+//rpbeat:allocfree
+func (f *StreamECGFilter) cascade(x []int64, from int) int {
+	n := len(x)
+	for i := from; i < len(f.base); i++ {
+		n = f.base[i].pass(x[:n])
 	}
 	return n
 }
@@ -170,9 +182,10 @@ func (f *StreamECGFilter) removeBaseline(dst, y []float64) int {
 // dst and returns how many: the last Delay() samples of the record, or all
 // of a shorter one, as many as PushChunk or PushCounts held back. Each
 // stage computes them with the batch operators' right border, its window
-// clipped at its last input, and passes them down the cascade before
-// adding its own. dst needs room for them. The filter must be Reset before
-// its next record.
+// clipped at its last input: a 3-sample stage appends the extremum of its
+// two newest inputs, and a baseline stage passes right pads, whose outputs
+// run on down the cascade before the next stage's pads. dst needs room for
+// them. The filter must be Reset before its next record.
 //
 //rpbeat:allocfree
 func (f *StreamECGFilter) Flush(dst []float64) int {
@@ -199,26 +212,29 @@ func (f *StreamECGFilter) Flush(dst []float64) int {
 	for i := range a[:k] {
 		a[i] = 0.5 * (a[i] + b[i])
 	}
-	// The baseline cascade's tail builds up in dst. Its m samples belong to
-	// the last m suppressed samples: the delay line's, oldest first, then
-	// the k that never entered it.
-	copy(dst, a[:k])
-	m := k
-	for i := range f.base {
-		m = f.base[i].flush(dst, m)
-	}
+	out := f.removeBaseline(dst, a[:k])
+	// The cascade owes one output for each of its last min(n, len(ring))
+	// inputs. They come out oldest first and belong to the delay line's
+	// samples, oldest first.
 	ring := f.sup
-	at := (f.base[0].n - m) % len(ring)
-	for i := range dst[:m-k] {
-		dst[i] = ring[at] - dst[i]
-		if at++; at == len(ring) {
-			at = 0
+	at := max(0, f.base[0].n-len(ring)) % len(ring)
+	var buf [Block]int64
+	for s := range f.base {
+		for p := f.base[s].right; p > 0; p -= Block {
+			pads := buf[:min(p, Block)]
+			for i := range pads {
+				pads[i] = f.base[s].pad()
+			}
+			for _, key := range pads[:f.cascade(pads, s)] {
+				dst[out] = ring[at] - keyFloat(key)
+				out++
+				if at++; at == len(ring) {
+					at = 0
+				}
+			}
 		}
 	}
-	for i, y := range a[:k] {
-		dst[m-k+i] = y - dst[m-k+i]
-	}
-	return m
+	return out
 }
 
 // Reset readies the filter for a new record, as NewStreamECGFilter built it.
@@ -302,6 +318,14 @@ func NewStreamDWT(levels int) *StreamDWT {
 		ahead -= l.delay
 	}
 	return d
+}
+
+func nextPow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }
 
 // Delay returns the total warm-up: detail index i for every level is

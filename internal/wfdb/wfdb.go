@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -123,6 +124,11 @@ func ParseHeader(r io.Reader) (Header, error) {
 		}
 		if s.Gain, err = strconv.ParseFloat(strings.SplitN(fields[2], "(", 2)[0], 64); err != nil {
 			return h, fmt.Errorf("wfdb: bad gain: %v", err)
+		}
+		// Samples convert as (v - ADCZero) / Gain: a gain of 0, NaN or ±Inf
+		// would give the front end NaN, outside its domain.
+		if !(s.Gain > 0) || math.IsInf(s.Gain, 1) {
+			return h, fmt.Errorf("wfdb: bad gain %v: want a finite gain above 0", s.Gain)
 		}
 		if s.ADCRes, err = strconv.Atoi(fields[3]); err != nil {
 			return h, fmt.Errorf("wfdb: bad adc resolution: %v", err)

@@ -161,6 +161,11 @@ func TestParseHeaderErrors(t *testing.T) {
 		"100\n",
 		"100 x 360 650000\n",
 		"100 1 360 650000\nfile.dat 212\n",
+		// Gains the sample conversion would turn into NaN or ±Inf.
+		"100 1 360 650000\n100.dat 212 0 11 1024 995 0 0 MLII\n",
+		"100 1 360 650000\n100.dat 212 -200 11 1024 995 0 0 MLII\n",
+		"100 1 360 650000\n100.dat 212 NaN 11 1024 995 0 0 MLII\n",
+		"100 1 360 650000\n100.dat 212 +Inf(0)/mV 11 1024 995 0 0 MLII\n",
 	}
 	for _, c := range cases {
 		if _, err := ParseHeader(strings.NewReader(c)); err == nil {
