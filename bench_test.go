@@ -215,10 +215,17 @@ func BenchmarkKernel_ProjectionSparse_8x50(b *testing.B) {
 	}
 }
 
+// pushOne is a one-sample PushChunk: it feeds p the sample v and returns
+// the beats it finalized, reused by p's next call.
+func pushOne(p *pipeline.Pipeline, v int32) (beats []pipeline.BeatResult) {
+	p.PushChunk([]int32{v}, func(b []pipeline.BeatResult) { beats = b })
+	return beats
+}
+
 // BenchmarkKernel_PipelinePushSteadyState measures the per-sample cost of
-// the full online pipeline after warm-up. allocs/op must be 0 — the
-// invariant TestPipelinePushZeroAlloc enforces and the Engine's
-// many-streams story depends on.
+// the full online pipeline after warm-up, one sample per PushChunk.
+// allocs/op must be 0 — the invariant TestPipelinePushZeroAlloc enforces
+// and the Engine's many-streams story depends on.
 func BenchmarkKernel_PipelinePushSteadyState(b *testing.B) {
 	_, _, emb, _ := benchSetup(b)
 	pipe, err := pipeline.New(emb, pipeline.Config{})
@@ -228,13 +235,13 @@ func BenchmarkKernel_PipelinePushSteadyState(b *testing.B) {
 	rec := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "push", Seconds: 60, Seed: 6, PVCRate: 0.1})
 	lead := rec.Leads[0]
 	for _, v := range lead {
-		pipe.Push(v)
+		pushOne(pipe, v)
 	}
 	next := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipe.Push(lead[next])
+		pushOne(pipe, lead[next])
 		next++
 		if next == len(lead) {
 			next = 0

@@ -30,7 +30,7 @@ func TestPipelinePushZeroAlloc(t *testing.T) {
 	beats := 0
 	// Warm up: one full pass brings every internal buffer to steady state.
 	for _, v := range lead {
-		beats += len(pipe.Push(v))
+		beats += len(pushOne(pipe, v))
 	}
 	if beats == 0 {
 		t.Fatal("warm-up emitted no beats; steady-state measurement would be vacuous")
@@ -39,7 +39,7 @@ func TestPipelinePushZeroAlloc(t *testing.T) {
 	next := 0
 	testutil.AssertZeroAllocN(t, "steady-state Push (3600 samples per run)", 10, func() {
 		for i := 0; i < 3600; i++ { // 10 seconds of stream per run
-			pipe.Push(lead[next])
+			pushOne(pipe, lead[next])
 			next++
 			if next == len(lead) {
 				next = 0

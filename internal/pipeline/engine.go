@@ -34,8 +34,9 @@ package pipeline
 // into one of the stream's spare buffers and the worker hands it back after
 // the drain, so a steady-state Send performs zero heap allocations in every
 // build, the race build included (enforced by TestEngineSendZeroAlloc),
-// matching the Pipeline.Push invariant. A sync.Pool would not hold that: the
-// race build drops a random share of its Puts, and a GC empties it.
+// matching the Pipeline.PushChunk invariant. A sync.Pool would not hold
+// that: the race build drops a random share of its Puts, and a GC empties
+// it.
 
 import (
 	"context"
@@ -401,7 +402,7 @@ func (s *Stream) Close() error {
 }
 
 // Pipeline exposes the underlying pipeline for delay accounting. Mutating
-// calls (Push, Flush) are the engine's alone; callers may only use
+// calls (PushChunk, Flush) are the engine's alone; callers may only use
 // read-only accessors such as Delay.
 func (s *Stream) Pipeline() *Pipeline { return s.pipe }
 

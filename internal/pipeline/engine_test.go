@@ -61,7 +61,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 				return
 			}
 			for _, v := range lead {
-				results[si].want = append(results[si].want, pipe.Push(v)...)
+				results[si].want = append(results[si].want, pushOne(pipe, v)...)
 			}
 			results[si].want = append(results[si].want, pipe.Flush()...)
 
@@ -166,7 +166,7 @@ func TestEngineMixedKinds(t *testing.T) {
 				return
 			}
 			for _, v := range lead {
-				results[si].want = append(results[si].want, pipe.Push(v)...)
+				results[si].want = append(results[si].want, pushOne(pipe, v)...)
 			}
 			results[si].want = append(results[si].want, pipe.Flush()...)
 
@@ -421,7 +421,7 @@ func TestPushChunkMatchesPush(t *testing.T) {
 		}
 		var want []BeatResult
 		for i, v := range lead {
-			for _, b := range ref.Push(v) {
+			for _, b := range pushOne(ref, v) {
 				// Pushed one at a time, a beat is finalized by the sample
 				// just pushed.
 				if b.DetectedAt != base+i {
@@ -537,7 +537,7 @@ func TestEngineStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, v := range leads[i] {
-			refs[i] = append(refs[i], pipe.Push(v)...)
+			refs[i] = append(refs[i], pushOne(pipe, v)...)
 		}
 		refs[i] = append(refs[i], pipe.Flush()...)
 		if len(refs[i]) == 0 {

@@ -225,24 +225,12 @@ func ResyncWarmup(Config) int {
 	return 3*filter.Delay() + 2*det.Delay() + det.Window() + windowLen
 }
 
-// Push consumes one raw ADC sample and returns the beats it finalized
-// (usually none — beats surface in bursts as threshold windows complete).
-// It is PushChunk over a one-sample chunk. The returned slice is reused by
-// the next call; copy it to retain.
-//
-//rpbeat:allocfree
-func (p *Pipeline) Push(sample int32) []BeatResult {
-	one := [1]int32{sample}
-	p.PushChunk(one[:], nil)
-	return p.out
-}
-
 // PushChunk consumes a whole chunk of raw ADC samples and invokes emit once
 // with every beat the chunk finalized, in input order (emit is not called
 // for chunks that finalize nothing). The beats do not depend on how the
 // stream is split into chunks (see the package comment); this is what the
 // engine's workers and /v1/stream run. The slice passed to emit is reused
-// by the next Push/PushChunk call; copy it to retain.
+// by the next PushChunk call; copy it to retain.
 //
 //rpbeat:allocfree
 func (p *Pipeline) PushChunk(samples []int32, emit func([]BeatResult)) {

@@ -98,6 +98,13 @@ func testFloatModel(t testing.TB) *core.Model {
 	return modelFloat
 }
 
+// pushOne is a one-sample PushChunk: it feeds p the sample v and returns
+// the beats it finalized, reused by p's next call.
+func pushOne(p *Pipeline, v int32) []BeatResult {
+	p.PushChunk([]int32{v}, nil)
+	return p.out
+}
+
 // streamRecord feeds lead to a fresh pipeline in chunks of the given sizes,
 // cycled, flushes it and returns every beat, checking each one's
 // DetectedAt on the way: at or after its Peak, never before an earlier
@@ -344,7 +351,7 @@ func TestPipelineFlushIsTerminal(t *testing.T) {
 	}
 	rec := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "f", Seconds: 20, Seed: 2})
 	for _, v := range rec.Leads[0] {
-		pipe.Push(v)
+		pushOne(pipe, v)
 	}
 	first := len(pipe.Flush())
 	if again := len(pipe.Flush()); again != 0 {
@@ -363,7 +370,7 @@ func BenchmarkPipelinePush(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipe.Push(lead[i%len(lead)])
+		pushOne(pipe, lead[i%len(lead)])
 	}
 }
 

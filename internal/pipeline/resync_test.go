@@ -22,7 +22,7 @@ func pushAll(t *testing.T, p *Pipeline, lead []int32, flush bool) []BeatResult {
 	t.Helper()
 	var out []BeatResult
 	for _, s := range lead {
-		out = append(out, p.Push(s)...)
+		out = append(out, pushOne(p, s)...)
 	}
 	if flush {
 		out = append(out, p.Flush()...)

@@ -116,7 +116,7 @@ func TestBitembUploadAndPinnedStream(t *testing.T) {
 	}
 	var want []pipeline.BeatResult
 	for _, v := range lead {
-		want = append(want, pipe.Push(v)...)
+		want = append(want, pushOne(pipe, v)...)
 	}
 	want = append(want, pipe.Flush()...)
 	if len(want) == 0 {

@@ -187,7 +187,7 @@ func TestModelLifecycleEndToEnd(t *testing.T) {
 	}
 	beats := 0
 	for _, v := range lead { // warm-up: rings and FIFOs at capacity
-		beats += len(pipe.Push(v))
+		beats += len(pushOne(pipe, v))
 	}
 	if beats == 0 {
 		t.Fatal("warm-up emitted no beats")
@@ -195,7 +195,7 @@ func TestModelLifecycleEndToEnd(t *testing.T) {
 	next := 0
 	testutil.AssertZeroAllocN(t, "steady-state Push on the uploaded model", 10, func() {
 		for i := 0; i < 3600; i++ {
-			pipe.Push(lead[next])
+			pushOne(pipe, lead[next])
 			next++
 			if next == len(lead) {
 				next = 0

@@ -75,6 +75,13 @@ func testServer(t *testing.T) (*httptest.Server, *pipeline.Engine, *core.Embedde
 	return ts, eng, emb
 }
 
+// pushOne is a one-sample PushChunk: it feeds p the sample v and returns
+// the beats it finalized, reused by p's next call.
+func pushOne(p *pipeline.Pipeline, v int32) (beats []pipeline.BeatResult) {
+	p.PushChunk([]int32{v}, func(b []pipeline.BeatResult) { beats = b })
+	return beats
+}
+
 // wantAPIError asserts a response carries the typed JSON error contract:
 // the expected HTTP status and machine-readable code.
 func wantAPIError(t *testing.T, resp *http.Response, status int, code apierr.Code) {
@@ -354,7 +361,7 @@ func TestStreamMatchesSequentialPipeline(t *testing.T) {
 	}
 	var want []pipeline.BeatResult
 	for _, v := range lead {
-		want = append(want, pipe.Push(v)...)
+		want = append(want, pushOne(pipe, v)...)
 	}
 	want = append(want, pipe.Flush()...)
 
@@ -450,7 +457,7 @@ func TestStreamResumeFrom(t *testing.T) {
 	}
 	var want []pipeline.BeatResult
 	for _, v := range lead[base:] {
-		want = append(want, pipe.Push(v)...)
+		want = append(want, pushOne(pipe, v)...)
 	}
 	want = append(want, pipe.Flush()...)
 	if len(want) == 0 {

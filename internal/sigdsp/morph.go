@@ -157,8 +157,8 @@ func SuppressNoise(x []float64, _ BaselineConfig) []float64 {
 
 // FilterECG applies the complete morphological front end: noise suppression
 // followed by baseline removal, RemoveBaseline(SuppressNoise(x, cfg), cfg)
-// bit for bit. It is the software equivalent of the "filtering" stage of
-// sub-system (1) in the paper.
+// bit for bit over x with −0 read as +0, for finite x. It is the software
+// equivalent of the "filtering" stage of sub-system (1) in the paper.
 //
 // Each call builds its own filter and output; request loops should hold a
 // FilterScratch and call FilterECGInto instead.

@@ -20,24 +20,18 @@ import "math"
 // the operators' delays.
 const Block = 64
 
-// tap3 is one NoiseElem-sample erosion or dilation stage of a stream.
-// Output i is the extremum of inputs i-1, i and i+1, so the stage lags its
-// input by one sample. It carries its two newest inputs between blocks, and
-// its first input stands in for input -1, which reproduces the batch
-// operator's border-shrunk window. Ties keep the newest sample, as
-// slideExtremum's monotonic deque does, so equal values of opposite
-// sign (±0) come out bit-identical too.
-//
-// The selects move bits: each output makes a branching extremum's two
-// comparisons (the middle input against the newest, then the oldest
-// against the winner), but with the Float64bits casts above the ifs each
-// if compiles to a conditional move, so noisy neighbours, whose order a
-// branch predictor guesses wrong about half the time, cost what a flat
-// lead does (TestNoiseStagesDataIndependent). A cast inside an if keeps
-// the jump, and the builtin float min and max, though branch-free, order
-// -0 below +0 and would break the newest-wins ties.
-type tap3 struct {
-	older, newer   float64
+// tap3 is one NoiseElem-sample erosion or dilation stage of a stream, over
+// ADC counts (PushCounts) or float order keys (PushChunk). Output i is the
+// extremum of inputs i-1, i and i+1, so the stage lags its input by one
+// sample. It carries its two newest inputs between blocks, and its first
+// input stands in for input -1, which reproduces the batch operator's
+// border-shrunk window. Equal inputs are one value, so the batch deque's
+// newest-wins ties cannot show, and the builtin integer min and max compile
+// to conditional moves: noisy neighbours, whose order a branch predictor
+// guesses wrong about half the time, cost what a flat lead does
+// (TestNoiseStagesDataIndependent).
+type tap3[T int32 | int64] struct {
+	older, newer   T
 	dilate, primed bool
 }
 
@@ -45,78 +39,7 @@ type tap3 struct {
 // to the front of x: one per input, less one for the stage's first input.
 //
 //rpbeat:allocfree
-func (s *tap3) pass(x []float64) int {
-	if len(x) == 0 {
-		return 0
-	}
-	in := x
-	if !s.primed {
-		s.older, s.newer, s.primed = x[0], x[0], true
-		in = x[1:]
-	}
-	a, b := s.older, s.newer
-	if s.dilate {
-		for i, c := range in {
-			ab, bb, m := math.Float64bits(a), math.Float64bits(b), math.Float64bits(c)
-			if b > c {
-				m = bb
-			}
-			if a > math.Float64frombits(m) {
-				m = ab
-			}
-			x[i] = math.Float64frombits(m)
-			a, b = b, c
-		}
-	} else {
-		for i, c := range in {
-			ab, bb, m := math.Float64bits(a), math.Float64bits(b), math.Float64bits(c)
-			if b < c {
-				m = bb
-			}
-			if a < math.Float64frombits(m) {
-				m = ab
-			}
-			x[i] = math.Float64frombits(m)
-			a, b = b, c
-		}
-	}
-	s.older, s.newer = a, b
-	return len(in)
-}
-
-// flush passes the upstream tail x[:k] through the stage, then appends the
-// output it still owes for its last input: the batch operator's window
-// clipped there, the extremum of the two newest inputs (ties to the newer).
-// x needs room for k+1 samples; flush returns how many it holds.
-//
-//rpbeat:allocfree
-func (s *tap3) flush(x []float64, k int) int {
-	k = s.pass(x[:k])
-	if !s.primed {
-		return k
-	}
-	m := s.newer
-	if (s.dilate && s.older > m) || (!s.dilate && s.older < m) {
-		m = s.older
-	}
-	x[k] = m
-	return k + 1
-}
-
-// tap3Counts is tap3 over ADC counts, StreamECGFilter.PushCounts's noise
-// stage. Equal counts are the same count, so no tie rule is needed, and
-// the builtin integer min and max compile to conditional moves with no
-// float↔bits moves around them (TestNoiseStagesDataIndependent).
-type tap3Counts struct {
-	older, newer   int32
-	dilate, primed bool
-}
-
-// pass runs the stage in place over x and returns how many outputs it wrote
-// to the front of x, as tap3.pass.
-//
-//rpbeat:allocfree
-func (s *tap3Counts) pass(x []int32) int {
+func (s *tap3[T]) pass(x []T) int {
 	if len(x) == 0 {
 		return 0
 	}
@@ -141,11 +64,13 @@ func (s *tap3Counts) pass(x []int32) int {
 	return len(in)
 }
 
-// flush passes the upstream tail x[:k] through the stage and appends the
-// output it still owes, as tap3.flush.
+// flush passes the upstream tail x[:k] through the stage, then appends the
+// output it still owes for its last input: the batch operator's window
+// clipped there, the extremum of the two newest inputs. x needs room for
+// k+1 samples; flush returns how many it holds.
 //
 //rpbeat:allocfree
-func (s *tap3Counts) flush(x []int32, k int) int {
+func (s *tap3[T]) flush(x []T, k int) int {
 	k = s.pass(x[:k])
 	if !s.primed {
 		return k
@@ -159,14 +84,17 @@ func (s *tap3Counts) flush(x []int32, k int) int {
 }
 
 // orderKey maps a float64 to an int64 that orders as the floats compare,
-// −0 one below +0, so the baseline wedges select with the builtin integer
-// max, a CMP and CMOV. A non-negative float's bits already order as
-// integers; flipping every bit but the sign of a negative one reverses the
-// order of its magnitude. Equal keys are equal bits.
+// −0 one below +0, so the noise stages and the baseline wedges select with
+// the builtin integer min and max, a CMP and CMOV. A non-negative float's
+// bits already order as integers; flipping every bit but the sign of a
+// negative one reverses the order of its magnitude. Equal keys are equal
+// bits.
 //
-// The front end's float domain is non-NaN: NaN has no place in the order.
-// Served input is int32 counts, and ecgsyn.ToMillivolts and wfdb never give
-// NaN, so nothing on the hot path checks for it.
+// The front end's float domain is finite, −0 read as +0: NaN has no place
+// in the order, and ±Inf can meet in the noise average as Inf − Inf, NaN.
+// Served input is int32 counts, and ecgsyn.ToMillivolts and wfdb (which
+// rejects a gain that is not finite and above 0) give neither, so nothing
+// on the hot path checks for them.
 func orderKey(v float64) int64 {
 	k := int64(math.Float64bits(v))
 	return k ^ (k >> 63 & math.MaxInt64)
@@ -199,11 +127,13 @@ const keyFloor = math.MinInt64
 // windows clipped at the last input: a pass over right pad keys writes
 // them, since a pad is keyFloor after the flip.
 //
-// Ties keep the newest sample, as in tap3 and slideExtremum. Equal keys
-// are equal bits, so the one tie that can show is ±0, which compare equal
-// as floats but key one apart: a window whose extremum is a zero takes the
-// newest zero the stage has seen, which lies in the window, since the
-// window holds a zero and ends at the newest input. The stage lives in two
+// Ties keep the newest sample, as in slideExtremum. Equal keys are equal
+// bits, so the one tie that can show is ±0, which compare equal as floats
+// but key one apart: a window whose extremum is a zero takes the newest
+// zero the stage has seen, which lies in the window, since the window holds
+// a zero and ends at the newest input. PushChunk reads −0 as +0, but the
+// noise average of its input can still round to −0 (half of −2⁻¹⁰⁷⁴), so
+// the baseline needs the rule all the same. The stage lives in two
 // block buffers of length+1 keys, so it never allocates after
 // construction.
 type wedge struct {

@@ -51,6 +51,19 @@ func tieSignal(r *rng.Rand, n int) []float64 {
 	return x
 }
 
+// plusZero is x with −0 read as +0, the input the 3-sample stages and the
+// filter are held to their references over.
+func plusZero(x []float64) []float64 {
+	y := make([]float64, len(x))
+	for i, v := range x {
+		if v == 0 {
+			v = 0
+		}
+		y[i] = v
+	}
+	return y
+}
+
 // zerosSignal holds only ±0, so every window is a tie of values whose bits
 // differ.
 func zerosSignal(r *rng.Rand, n int) []float64 {
@@ -98,14 +111,27 @@ func TestStreamExtremumMatchesTrailingWindow(t *testing.T) {
 
 // morphStage is the streaming form of Erode (dilate false) or Dilate with
 // a flat element of the given length, as StreamECGFilter builds it: the
-// fused 3-tap stage for the noise element, a wedge otherwise. flush writes
+// fused 3-tap stage for the noise element, over the keys of its input with
+// −0 read as +0, as PushChunk runs it, and a wedge otherwise. flush writes
 // the delay outputs the stage owes at the end of its input to the front of
 // x and returns how many, as StreamECGFilter.Flush has each stage compute
 // them: the 3-tap stage's flush, or the wedge's pass over right pads.
 func morphStage(length int, dilate bool) (pass func([]float64) int, flush func(x []float64) int, delay int) {
 	if length == NoiseElem {
-		s := &tap3{dilate: dilate}
-		return s.pass, func(x []float64) int { return s.flush(x, 0) }, 1
+		s := &tap3[int64]{dilate: dilate}
+		pass = func(x []float64) int {
+			copy(x, plusZero(x))
+			return keyed(s.pass)(x)
+		}
+		flush = func(x []float64) int {
+			var keys [1]int64
+			n := s.flush(keys[:], 0)
+			for i, k := range keys[:n] {
+				x[i] = keyFloat(k)
+			}
+			return n
+		}
+		return pass, flush, 1
 	}
 	w := newWedge(length, dilate)
 	return keyed(w.pass), func(x []float64) int {
@@ -124,16 +150,22 @@ func morphStage(length int, dilate bool) (pass func([]float64) int, flush func(x
 // The centered stages equal the batch operators bitwise from sample 0 (the
 // trailing window over the first samples covers exactly the batch
 // operator's shrunken window) and emit all but their last Delay() outputs,
-// which flush emits, to the last sample (ties, ±0 included, to the newest).
+// which flush emits, to the last sample (ties to the newest). The wedges
+// keep the batch operators' ±0 ties; the 3-sample stage reads −0 as +0, so
+// it is held to them over that input.
 func TestStreamMorphMatchesBatchAfterWarmup(t *testing.T) {
 	r := rng.New(2)
 	for _, length := range []int{3, 5, 9, 31, 73, 109, 181} {
 		zeros := zerosSignal(r, 400)
 		for name, x := range map[string][]float64{"random": randomSignal(r, 400), "ties": tieSignal(r, 400), "zeros": zeros} {
 			for _, dilate := range []bool{false, true} {
-				want := Erode(x, length)
+				ref := x
+				if length == NoiseElem {
+					ref = plusZero(x)
+				}
+				want := Erode(ref, length)
 				if dilate {
-					want = Dilate(x, length)
+					want = Dilate(ref, length)
 				}
 				pass, flush, delay := morphStage(length, dilate)
 				got := runStage(pass, x, 1, 2, 63, 64, 65)
@@ -188,12 +220,13 @@ func TestMorphCompositionIsOneElement(t *testing.T) {
 
 // TestNoiseStagesDataIndependent holds the noise stages to conditional-move
 // selects: four stages in the oc order cost the same per block over white
-// noise as over a flat lead, both the tap3 stages over millivolts and the
-// tap3Counts stages over 11-bit counts. A select compiled to a jump shows
-// as about 3x, since the predictor loses about half the comparisons
-// between noisy neighbours and none on a flat lead. Each noise lead is
-// 2^16 samples, a cycle too long for a predictor to learn, where one
-// 64-sample block repeated would be learned and hide the jumps.
+// noise as over a flat lead, both instantiations: over the order keys of
+// an N(0,1) lead, as PushChunk runs them, and over 11-bit counts, as
+// PushCounts does. A select compiled to a jump shows as about 3x, since
+// the predictor loses about half the comparisons between noisy neighbours
+// and none on a flat lead. Each noise lead is 2^16 samples, a cycle too
+// long for a predictor to learn, where one 64-sample block repeated would
+// be learned and hide the jumps.
 func TestNoiseStagesDataIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
@@ -202,35 +235,21 @@ func TestNoiseStagesDataIndependent(t *testing.T) {
 		t.Skip("race instrumentation distorts the timing ratio; CI runs this un-instrumented")
 	}
 	const n = 1 << 16
-	floats := func(lead []float64) func(n int) {
-		s := [4]tap3{{}, {dilate: true}, {dilate: true}, {}}
-		return blocks(lead, func(x []float64) {
-			k := len(x)
-			for i := range s {
-				k = s[i].pass(x[:k])
-			}
-		})
-	}
-	counts := func(lead []int32) func(n int) {
-		s := [4]tap3Counts{{}, {dilate: true}, {dilate: true}, {}}
-		return blocks(lead, func(x []int32) {
-			k := len(x)
-			for i := range s {
-				k = s[i].pass(x[:k])
-			}
-		})
+	keys := make([]int64, n)
+	for i, v := range randomSignal(rng.New(4), n) {
+		keys[i] = orderKey(v)
 	}
 	r := rng.New(5)
-	noise := make([]int32, n)
-	for i := range noise {
-		noise[i] = int32(r.Intn(ecgsyn.ADCMax + 1))
+	counts := make([]int32, n)
+	for i := range counts {
+		counts[i] = int32(r.Intn(ecgsyn.ADCMax + 1))
 	}
 	for _, c := range []struct {
 		name        string
 		noise, flat func(n int)
 	}{
-		{"tap3", floats(randomSignal(rng.New(4), n)), floats(make([]float64, n))},
-		{"tap3Counts", counts(noise), counts(make([]int32, n))},
+		{"tap3[int64]", noiseStages(keys), noiseStages(make([]int64, n))},
+		{"tap3[int32]", noiseStages(counts), noiseStages(make([]int32, n))},
 	} {
 		ratio, noiseNs, flatNs := testutil.MedianRatio(21, c.noise, c.flat)
 		t.Logf("%s: noise %.0f ns/block, flat %.0f ns/block: median pair ratio %.2fx", c.name, noiseNs, flatNs, ratio)
@@ -239,6 +258,18 @@ func TestNoiseStagesDataIndependent(t *testing.T) {
 				c.name, ratio)
 		}
 	}
+}
+
+// noiseStages returns a timing op that runs four tap3 stages in the oc
+// order over consecutive blocks of lead.
+func noiseStages[T int32 | int64](lead []T) func(n int) {
+	s := [4]tap3[T]{{}, {dilate: true}, {dilate: true}, {}}
+	return blocks(lead, func(x []T) {
+		k := len(x)
+		for i := range s {
+			k = s[i].pass(x[:k])
+		}
+	})
 }
 
 // TestBaselineCascadeDataIndependent holds the baseline wedges to

@@ -9,15 +9,16 @@ package sigdsp
 //
 // Bit-identity contract: every operator here reproduces its reference
 // exactly (Open/Close composed as SuppressNoise and RemoveBaseline for the
-// filter, AtrousDWT for the transform), and its output does not depend on
-// how the input is split into chunks. At the left border the references
-// shrink their windows (a trailing window over the first samples covers
-// exactly the same clipped range) or replicate the edge sample (StreamDWT
-// prefills each level's history with its first sample). A stream cannot
-// see past its newest sample, so PushChunk holds back the last Delay()
-// outputs; Flush writes them at the record's end with the references'
-// right border, and Reset readies the operator for the next record. The
-// batch FilterECGInto and AtrousDWTInto are PushChunk plus Flush.
+// filter, over its input with −0 read as +0; AtrousDWT for the transform),
+// and its output does not depend on how the input is split into chunks.
+// At the left border the references shrink their windows (a trailing
+// window over the first samples covers exactly the same clipped range) or
+// replicate the edge sample (StreamDWT prefills each level's history with
+// its first sample). A stream cannot see past its newest sample, so
+// PushChunk holds back the last Delay() outputs; Flush writes them at the
+// record's end with the references' right border, and Reset readies the
+// operator for the next record. The batch FilterECGInto and AtrousDWTInto
+// are PushChunk plus Flush.
 
 import "rpbeat/internal/ecgsyn"
 
@@ -25,14 +26,15 @@ import "rpbeat/internal/ecgsyn"
 // noise suppression (the averaged open-close / close-open pair) followed by
 // baseline-wander removal, with the delay line that aligns the final
 // subtraction. Output sample i is emitted with input sample i + Delay() and
-// is bit-identical to RemoveBaseline(SuppressNoise(x, cfg), cfg)[i].
+// is bit-identical to RemoveBaseline(SuppressNoise(x, cfg), cfg)[i] over x
+// with −0 read as +0, for x in the front end's float domain (orderKey).
 type StreamECGFilter struct {
 	// Noise suppression: two parallel chains of four 3-sample stages over
 	// the same input. oc = Close(Open(x,k),k) = Erode,Dilate,Dilate,Erode;
 	// co = Open(Close(x,k),k) = Dilate,Erode,Erode,Dilate. PushChunk runs
-	// the float chains, PushCounts the same chains over ADC counts.
-	oc, co             [4]tap3
-	ocCounts, coCounts [4]tap3Counts
+	// the chains over order keys, PushCounts over ADC counts.
+	oc, co             [4]tap3[int64]
+	ocCounts, coCounts [4]tap3[int32]
 	// Baseline estimation over the suppressed signal:
 	// Close(Open(y,OpenLen),CloseLen) = Erode,Dilate (open) then
 	// Dilate,Erode (close), run as Erode OpenLen, Dilate
@@ -54,10 +56,10 @@ type StreamECGFilter struct {
 func NewStreamECGFilter(cfg BaselineConfig) *StreamECGFilter {
 	ol, cl := cfg.OpenLen(), cfg.CloseLen()
 	f := &StreamECGFilter{
-		oc:       [4]tap3{{}, {dilate: true}, {dilate: true}, {}},
-		co:       [4]tap3{{dilate: true}, {}, {}, {dilate: true}},
-		ocCounts: [4]tap3Counts{{}, {dilate: true}, {dilate: true}, {}},
-		coCounts: [4]tap3Counts{{dilate: true}, {}, {}, {dilate: true}},
+		oc:       [4]tap3[int64]{{}, {dilate: true}, {dilate: true}, {}},
+		co:       [4]tap3[int64]{{dilate: true}, {}, {}, {dilate: true}},
+		ocCounts: [4]tap3[int32]{{}, {dilate: true}, {dilate: true}, {}},
+		coCounts: [4]tap3[int32]{{dilate: true}, {}, {}, {dilate: true}},
 		base:     [3]wedge{newWedge(ol, false), newWedge(ol+cl-1, true), newWedge(cl, false)},
 	}
 	for _, w := range f.base {
@@ -78,16 +80,20 @@ func (f *StreamECGFilter) Delay() int { return f.total }
 // order. dst needs room for len(src) samples and may be src itself. The
 // work runs Block samples at a time through stack buffers, so the filter's
 // own state is all it keeps between calls. A record goes in through one
-// entry, PushChunk or PushCounts.
+// entry, PushChunk or PushCounts. The noise chains run on order keys of
+// the samples with −0 read as +0, so equal keys are equal floats and each
+// stage picks the sample its batch operator does.
 //
 //rpbeat:allocfree
 func (f *StreamECGFilter) PushChunk(dst, src []float64) int {
 	out := 0
 	for len(src) > 0 {
 		m := min(len(src), Block)
-		var a, b [Block]float64
-		copy(a[:m], src[:m])
-		copy(b[:m], src[:m])
+		var a, b [Block]int64
+		for i, v := range src[:m] {
+			a[i] = orderKey(v + 0) // −0 + 0 is +0
+		}
+		copy(b[:m], a[:m])
 		src = src[m:]
 		// Noise suppression: oc in a, co in b. Both chains run four
 		// one-sample stages, so they always emit equally many samples.
@@ -96,10 +102,11 @@ func (f *StreamECGFilter) PushChunk(dst, src []float64) int {
 			f.co[i].pass(b[:k])
 			k = f.oc[i].pass(a[:k])
 		}
-		for i := range a[:k] {
-			a[i] = 0.5 * (a[i] + b[i])
+		var y [Block]float64
+		for i := range y[:k] {
+			y[i] = 0.5 * (keyFloat(a[i]) + keyFloat(b[i]))
 		}
-		out += f.removeBaseline(dst[out:], a[:k])
+		out += f.removeBaseline(dst[out:], y[:k])
 	}
 	return out
 }
@@ -109,8 +116,8 @@ func (f *StreamECGFilter) PushChunk(dst, src []float64) int {
 // outputs are converted and averaged as PushChunk averages its own. That
 // is exact because each stage outputs one of its inputs, the minimum or
 // maximum, and the conversion is strictly increasing and never −0, so the
-// count it picks converts to the millivolts PushChunk's stage picks, ties
-// included. This is the entry internal/pipeline serves through.
+// count it picks converts to the millivolts PushChunk's stage picks. This
+// is the entry internal/pipeline serves through.
 //
 //rpbeat:allocfree
 func (f *StreamECGFilter) PushCounts(dst []float64, src []int32) int {
@@ -204,9 +211,13 @@ func (f *StreamECGFilter) Flush(dst []float64) int {
 			a[i], b[i] = ecgsyn.ToMillivolts(ac[i]), ecgsyn.ToMillivolts(bc[i])
 		}
 	} else {
+		var ak, bk [len(f.oc)]int64
 		for i := range f.oc {
-			f.co[i].flush(b[:], k)
-			k = f.oc[i].flush(a[:], k)
+			f.co[i].flush(bk[:], k)
+			k = f.oc[i].flush(ak[:], k)
+		}
+		for i := range a[:k] {
+			a[i], b[i] = keyFloat(ak[i]), keyFloat(bk[i])
 		}
 	}
 	for i := range a[:k] {

@@ -126,9 +126,10 @@ var flushLengths = []int{
 
 // TestFrontEndFlushMatchesReferences holds PushChunk plus Flush to the
 // references, bit for bit to the last sample: the filter to the Open/Close
-// composition and the transform at 1-5 levels to AtrousDWT, at every
-// flushLengths entry and every chunking. One filter and one transform per
-// depth take every record, each Reset before it.
+// composition over the input with −0 read as +0 and the transform at 1-5
+// levels to AtrousDWT, at every flushLengths entry and every chunking. One
+// filter and one transform per depth take every record, each Reset before
+// it.
 func TestFrontEndFlushMatchesReferences(t *testing.T) {
 	cfg := DefaultBaselineConfig(360)
 	r := rng.New(21)
@@ -142,7 +143,7 @@ func TestFrontEndFlushMatchesReferences(t *testing.T) {
 		if n%2 == 1 {
 			x = tieSignal(r, n)
 		}
-		ref := RemoveBaseline(SuppressNoise(x, cfg), cfg)
+		ref := RemoveBaseline(SuppressNoise(plusZero(x), cfg), cfg)
 		var refW [len(dwts)]DWT
 		for l := range refW {
 			refW[l] = AtrousDWT(x, l+1)
@@ -189,6 +190,92 @@ func TestFrontEndFlushMatchesReferences(t *testing.T) {
 								levels, n, size, j, i, w[j][i], v)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// filterChunks runs x through f, Reset first, in chunks of size and
+// flushed, and returns its len(x) filtered samples.
+func filterChunks(t *testing.T, f *StreamECGFilter, x []float64, size int) []float64 {
+	t.Helper()
+	f.Reset()
+	y := make([]float64, len(x))
+	k := 0
+	for _, c := range chunks(x, size) {
+		k += f.PushChunk(y[k:], c)
+	}
+	if k += f.Flush(y[k:]); k != len(x) {
+		t.Fatalf("chunk %d: %d samples after Flush, want %d", size, k, len(x))
+	}
+	return y
+}
+
+// TestFilterDomainBoundaries holds the float entry's contract at the edges
+// of its domain, finite with −0 read as +0, row by row in the shape of a
+// range-proof boundary table: at every chunking, PushChunk plus Flush
+// equals bit for bit both the Open/Close composition over the input with
+// −0 read as +0 and PushChunk plus Flush of that input. −0 must not reach
+// the noise stages' integer selects, which key it one below +0 where the
+// batch deque takes the newest of the two; and the denormal rows make a
+// noise average that rounds to −0 from input without any (half of
+// −2⁻¹⁰⁷⁴), which the baseline wedges' own ±0 rule must keep.
+func TestFilterDomainBoundaries(t *testing.T) {
+	cfg := DefaultBaselineConfig(ecgsyn.Fs)
+	f := NewStreamECGFilter(cfg)
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	r := rng.New(23)
+	// pick draws n samples from levels, each run of one level 1 to maxRun
+	// samples long.
+	pick := func(n, maxRun int, levels ...float64) []float64 {
+		x := make([]float64, 0, n)
+		for len(x) < n {
+			v := levels[r.Intn(len(levels))]
+			for range min(1+r.Intn(maxRun), n-len(x)) {
+				x = append(x, v)
+			}
+		}
+		return x
+	}
+	// averages strings together runs whose noise average is −0 (2⁻¹⁰⁷⁴
+	// alternating with −2⁻¹⁰⁷³: the open-close keeps the lows, the
+	// close-open the highs, and half their sum rounds to −0) or +0 (2⁻¹⁰⁷³
+	// with −2⁻¹⁰⁷⁴, or zeros), so the baseline's windows meet zeros of both
+	// signs at their extremum.
+	averages := func(n int) []float64 {
+		pairs := [][2]float64{{tiny, -2 * tiny}, {2 * tiny, -tiny}, {0, 0}}
+		x := make([]float64, 0, n)
+		for len(x) < n {
+			p := pairs[r.Intn(len(pairs))]
+			for i := range min(20+r.Intn(130), n-len(x)) {
+				x = append(x, p[i%2])
+			}
+		}
+		return x
+	}
+	lo, hi := ecgsyn.ToMillivolts(0), ecgsyn.ToMillivolts(ecgsyn.ADCMax)
+	for _, row := range []struct {
+		name string
+		x    []float64
+	}{
+		{"−0 alone", []float64{negZero}},
+		{"−0 for a record", pick(700, 1, negZero)},
+		{"runs of ±0", pick(1500, 40, negZero, 0)},
+		{"±0 tied with ±1", pick(1500, 3, negZero, 0, -1, 1)},
+		{"±2⁻¹⁰⁷⁴ and ±2⁻¹⁰⁷³", pick(1500, 2, -tiny, tiny, -2*tiny, 2*tiny)},
+		{"averages of −0 and +0", averages(3000)},
+		{"±MaxFloat64", pick(1500, 50, -math.MaxFloat64, math.MaxFloat64, negZero, 0)},
+		{"11-bit rails", pick(1500, 30, lo, hi)},
+	} {
+		in := plusZero(row.x)
+		ref := RemoveBaseline(SuppressNoise(in, cfg), cfg)
+		for _, size := range chunkSizes {
+			got, plus := filterChunks(t, f, row.x, size), filterChunks(t, f, in, size)
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(ref[i]) || math.Float64bits(v) != math.Float64bits(plus[i]) {
+					t.Fatalf("%s n=%d chunk %d: sample %d = %v, composition %v, PushChunk with −0 read as +0 %v",
+						row.name, len(row.x), size, i, v, ref[i], plus[i])
 				}
 			}
 		}
