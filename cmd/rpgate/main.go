@@ -1,5 +1,6 @@
 // Command rpgate is the gateway tier in front of a pool of rpserve
-// backends: it consistent-hashes stream IDs onto backends (per-stream
+// backends: it routes each stream ID to one backend by rendezvous hashing,
+// the routable backend with the largest hash weight for that ID (per-stream
 // pipeline state makes affinity mandatory), relays the binary
 // application/x-rpbeat-samples uplink and NDJSON downlink verbatim in both
 // directions, health-checks the pool with typed-error-aware backoff, and
@@ -24,8 +25,8 @@
 //
 // A backend dying mid-stream is invisible to the client: the gateway keeps a
 // bounded replay journal per stream and, on a retryable failure, reopens on
-// the ring successor, replays the journal tail, suppresses beats the client
-// already has, and resumes live. The journal retains the
+// the stream's next backend by weight, replays the journal tail, suppresses
+// beats the client already has, and resumes live. The journal retains the
 // deterministic-resync warm-up bound of samples, so the post-failover beats
 // are bit-identical to an uninterrupted run. A stream no backend can take
 // over ends with a typed trailing error line.

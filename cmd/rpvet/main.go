@@ -2,8 +2,8 @@
 // passes (as a subprocess, when a go toolchain is on PATH) and then the
 // five rpbeat invariant analyzers — allocfree, apierrcheck, deadcode,
 // poolcheck, snapshotcheck — over the module's packages, exiting nonzero on
-// any diagnostic. deadcode always covers the whole module, whatever the
-// patterns. CI runs it before the test tiers so an invariant violation
+// any diagnostic. deadcode and apierrcheck always cover the whole module,
+// whatever the patterns. CI runs it before the test tiers so an invariant violation
 // fails fast:
 //
 //	go run ./cmd/rpvet ./...

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"runtime"
 
 	"rpbeat/internal/ecgsyn"
 	"rpbeat/internal/sigdsp"
@@ -34,8 +35,13 @@ func main() {
 	ref := sigdsp.RemoveBaseline(sigdsp.SuppressNoise(raw, cfg), cfg)
 
 	// Stream: one PushChunk per second of ADC samples, bounded memory,
-	// then one Flush at the record's end.
+	// then one Flush at the record's end. The filter allocates all of its
+	// state here and nothing after, so the allocator's count across the
+	// constructor is what the stream keeps.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	f := sigdsp.NewStreamECGFilter(cfg)
+	runtime.ReadMemStats(&after)
 	fmt.Printf("streaming front end: group delay %d samples (%.0f ms at %.0f Hz)\n",
 		f.Delay(), 1000*float64(f.Delay())/rec.Fs, rec.Fs)
 
@@ -58,24 +64,17 @@ func main() {
 	}
 	fmt.Printf("max |stream - reference| over %d samples: %.3g mV (bit-exact)\n", n, maxErr)
 
-	// What the node gains: memory. The stream keeps two samples for each of
-	// its eight 3-sample noise stages, a power-of-two ring of value +
-	// position (12 B per slot) for each of its three baseline stages (the
-	// opening's erosion, one dilation standing for the opening's and the
-	// closing's, and the closing's erosion), and an 8 B/sample delay line
-	// across the baseline cascade (Delay() less the four one-sample noise
-	// stages); a whole-record filter also holds the record and its output.
-	ring := func(n int) int {
-		p := 1
-		for p < n {
-			p <<= 1
-		}
-		return p
-	}
-	ol, cl := cfg.OpenLen(), cfg.CloseLen()
-	streamBytes := 8*2*8 + 12*(ring(ol)+ring(ol+cl-1)+ring(cl)) + 8*(f.Delay()-4)
-	fmt.Printf("approx working memory: stream state %d B; a whole-record filter adds %d B of input and output\n",
-		streamBytes, len(raw)*8*2)
+	// What the node gains: memory. The stream's state is the filter itself
+	// (two newest samples for each 3-sample noise stage of both entries,
+	// float and count), two int64 block buffers of length+1 keys for each
+	// of its three baseline wedges (the opening's erosion, one dilation
+	// standing for the opening's and the closing's, and the closing's
+	// erosion: 73, 181 and 109 samples at 360 Hz), and an 8 B/sample delay
+	// line across the baseline cascade (Delay() less the four one-sample
+	// noise stages), each in the allocator's size class; a whole-record
+	// filter also holds the record and its output.
+	fmt.Printf("working memory: stream state %d B in %d allocations; a whole-record filter adds %d B of input and output\n",
+		after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs, len(raw)*8*2)
 
 	// Show a beat before/after filtering.
 	if len(rec.Ann) > 3 {

@@ -4,7 +4,9 @@
 // through apierr.From), never a raw fmt.Errorf / errors.New. A raw error
 // reaching the wire would render as code "internal" with an arbitrary
 // message, silently breaking the byte-identity proxy contract between the
-// gateway and the serving tier.
+// gateway and the serving tier. Sinks resolve over both tiers at once, so
+// the gateway's calls into serve.WriteErr, the tiers' one typed-error
+// writer, are checked like calls to a sink of the gateway's own.
 package apierrcheck
 
 import (
@@ -26,30 +28,39 @@ var Analyzer = &analysis.Analyzer{
 		"site the error argument must not be a fmt.Errorf or errors.New\n" +
 		"value — construct a typed apierr code instead, so the client sees\n" +
 		"a stable machine-readable refusal.",
-	Run: run,
+	Run:    run,
+	Module: true,
 }
 
 func run(pass *analysis.Pass) error {
-	path := pass.Pkg.Path()
-	if !strings.HasSuffix(path, "internal/serve") && !strings.HasSuffix(path, "internal/gate") {
-		return nil
+	var tiers []*analysis.Package
+	for _, pkg := range pass.Module {
+		if strings.HasSuffix(pkg.Path, "internal/serve") || strings.HasSuffix(pkg.Path, "internal/gate") {
+			tiers = append(tiers, pkg)
+		}
 	}
 	c := &checker{
 		pass:  pass,
 		sinks: make(map[types.Object]bool),
 		fns:   make(map[types.Object]fn),
 	}
-	c.collect()
+	for _, pkg := range tiers {
+		c.collect(pkg)
+	}
 	c.resolveSinks()
-	c.checkCallSites()
+	for _, pkg := range tiers {
+		c.checkCallSites(pkg)
+	}
 	return nil
 }
 
 // fn is one candidate sink: a declared function or a closure bound to a
-// local variable, with its error-typed parameter objects.
+// local variable, with its error-typed parameter objects and the type
+// information of its package.
 type fn struct {
 	body    *ast.BlockStmt
 	errPars map[types.Object]bool
+	info    *types.Info
 }
 
 type checker struct {
@@ -59,10 +70,10 @@ type checker struct {
 }
 
 // collect gathers every function declaration and every `name := func(...)`
-// closure that has at least one error-typed parameter.
-func (c *checker) collect() {
-	info := c.pass.TypesInfo
-	for _, f := range c.pass.Files {
+// closure of pkg that has at least one error-typed parameter.
+func (c *checker) collect(pkg *analysis.Package) {
+	info := pkg.Info
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -73,7 +84,7 @@ func (c *checker) collect() {
 				continue
 			}
 			if ep := errParams(info, fd.Type.Params); len(ep) > 0 {
-				c.fns[obj] = fn{body: fd.Body, errPars: ep}
+				c.fns[obj] = fn{body: fd.Body, errPars: ep, info: info}
 			}
 			// Closures bound to locals inside any function body.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -98,7 +109,7 @@ func (c *checker) collect() {
 						continue
 					}
 					if ep := errParams(info, fl.Type.Params); len(ep) > 0 {
-						c.fns[vobj] = fn{body: fl.Body, errPars: ep}
+						c.fns[vobj] = fn{body: fl.Body, errPars: ep, info: info}
 					}
 				}
 				return true
@@ -133,9 +144,8 @@ func isErrorType(t types.Type) bool {
 // then iterates transitive ones (error param forwarded to a known sink) to
 // a fixed point.
 func (c *checker) resolveSinks() {
-	info := c.pass.TypesInfo
 	for obj, f := range c.fns {
-		if c.paramFlowsToFrom(info, f) {
+		if c.paramFlowsToFrom(f) {
 			c.sinks[obj] = true
 		}
 	}
@@ -145,7 +155,7 @@ func (c *checker) resolveSinks() {
 			if c.sinks[obj] {
 				continue
 			}
-			if c.paramForwardedToSink(info, f) {
+			if c.paramForwardedToSink(f) {
 				c.sinks[obj] = true
 				changed = true
 			}
@@ -153,7 +163,8 @@ func (c *checker) resolveSinks() {
 	}
 }
 
-func (c *checker) paramFlowsToFrom(info *types.Info, f fn) bool {
+func (c *checker) paramFlowsToFrom(f fn) bool {
+	info := f.info
 	found := false
 	ast.Inspect(f.body, func(n ast.Node) bool {
 		if found {
@@ -173,7 +184,8 @@ func (c *checker) paramFlowsToFrom(info *types.Info, f fn) bool {
 	return found
 }
 
-func (c *checker) paramForwardedToSink(info *types.Info, f fn) bool {
+func (c *checker) paramForwardedToSink(f fn) bool {
+	info := f.info
 	found := false
 	ast.Inspect(f.body, func(n ast.Node) bool {
 		if found {
@@ -197,11 +209,11 @@ func (c *checker) paramForwardedToSink(info *types.Info, f fn) bool {
 	return found
 }
 
-// checkCallSites inspects every call to a resolved sink and flags raw
-// error constructors in its error-typed argument positions.
-func (c *checker) checkCallSites() {
-	info := c.pass.TypesInfo
-	for _, f := range c.pass.Files {
+// checkCallSites inspects every call in pkg to a resolved sink and flags
+// raw error constructors in its error-typed argument positions.
+func (c *checker) checkCallSites(pkg *analysis.Package) {
+	info := pkg.Info
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -353,8 +365,7 @@ func isApierrFrom(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // calleeObject resolves the called function to its object: a declared
-// function (possibly pkg-qualified within the package) or a local closure
-// variable.
+// function, package-qualified or not, or a local closure variable.
 func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -10,6 +10,7 @@ import (
 func TestAPIErrCheck(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(t), apierrcheck.Analyzer,
 		"rpbeat/internal/serve",
+		"rpbeat/internal/gate",
 		"rpbeat/internal/other",
 	)
 }

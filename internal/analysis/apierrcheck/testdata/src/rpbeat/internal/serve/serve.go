@@ -1,4 +1,4 @@
-// Fixtures for the apierrcheck analyzer: writeErr is a direct sink (its
+// Fixtures for the apierrcheck analyzer: WriteErr is a direct sink (its
 // error parameter flows into apierr.From), streamErr/abort are the closure
 // and transitive-closure shapes from the real stream handler.
 package serve
@@ -11,26 +11,26 @@ import (
 	"rpbeat/internal/apierr"
 )
 
-func writeErr(w io.Writer, err error) {
+func WriteErr(w io.Writer, err error) {
 	ae := apierr.From(err)
 	w.Write([]byte(ae.Message))
 }
 
 func handleRawErrorf(w io.Writer, path string) {
-	writeErr(w, fmt.Errorf("no handler for %s", path)) // want `raw fmt\.Errorf error reaches wire sink writeErr`
+	WriteErr(w, fmt.Errorf("no handler for %s", path)) // want `raw fmt\.Errorf error reaches wire sink WriteErr`
 }
 
 func handleRawNewVar(w io.Writer) {
 	err := errors.New("nope")
-	writeErr(w, err) // want `raw errors\.New error reaches wire sink writeErr`
+	WriteErr(w, err) // want `raw errors\.New error reaches wire sink WriteErr`
 }
 
 func handleTyped(w io.Writer) {
-	writeErr(w, apierr.New("bad_input", "bad payload")) // typed: clean
+	WriteErr(w, apierr.New("bad_input", "bad payload")) // typed: clean
 }
 
 func handleUnknownProvenance(w io.Writer, err error) {
-	writeErr(w, err) // caller-supplied: provenance unknown, not flagged
+	WriteErr(w, err) // caller-supplied: provenance unknown, not flagged
 }
 
 func handleStream(w io.Writer) {

@@ -10,12 +10,13 @@ package gate
 // stream runs no goroutine of its own beside its handler, and the client is
 // read only when a backend asks for bytes. When the backend dies mid-stream
 // — a transport error, an unexpected EOF, or a typed retryable error line
-// like shutting_down — the relay reopens the stream on the ring's next
-// routable backend, replays the retained journal with the resume handshake
-// (wire.ResumeFromHeader), suppresses the replayed beats the client already
-// has (every beat with sample index at or below the delivery watermark —
-// exact, because refractory arbitration makes beat positions strictly
-// monotone), and resumes live relaying. The journal retains at least the
+// like shutting_down — the relay reopens the stream on the routable backend
+// its key weighs heaviest for once the lost one is skipped, replays the
+// retained journal with the resume handshake (wire.ResumeFromHeader),
+// suppresses the replayed beats the client already has (every beat with
+// sample index at or below the delivery watermark — exact, because
+// refractory arbitration makes beat positions strictly monotone), and
+// resumes live relaying. The journal retains at least the
 // deterministic-resync bound of samples (pipeline.ResyncWarmup), so every
 // beat past the watermark is bit-identical to what the uninterrupted backend
 // would have sent.
@@ -56,7 +57,7 @@ var errAttemptSuperseded = errors.New("gate: relay attempt superseded by failove
 func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend) {
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
-		writeErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
+		serve.WriteErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
 		return
 	}
 
@@ -111,7 +112,7 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 		case err != nil && r.Context().Err() != nil:
 			cur.inflight.Add(-1)
 			if !headersSent {
-				writeErr(w, r.Context().Err()) // the client gave up, not the backend
+				serve.WriteErr(w, r.Context().Err()) // the client gave up, not the backend
 			}
 			return
 		case err != nil:
@@ -178,7 +179,7 @@ func (g *Gateway) relayStream(w http.ResponseWriter, r *http.Request, b *backend
 // never a torn line.
 func (g *Gateway) failStream(w http.ResponseWriter, flush func() error, headersSent bool, d *downlink, ae *apierr.Error) {
 	if !headersSent {
-		writeErr(w, ae)
+		serve.WriteErr(w, ae)
 		return
 	}
 	if len(d.heldLine) > 0 {
@@ -334,8 +335,7 @@ func (d *downlink) process(p []byte, rewrite bool, j *journal) (out relayOutcome
 			d.flush()
 			return outDone, true
 		case bytes.HasPrefix(line, errPrefix):
-			code := errorLineCode(line)
-			if code != "" && (&apierr.Error{Code: code}).Retryable() && j.exact() {
+			if ae := decodeTypedError(bytes.NewReader(line)); ae != nil && ae.Retryable() && j.exact() {
 				// The backend bowed out retryably mid-stream: withhold the
 				// line; the caller fails over, or forwards it when it can't.
 				if !emit(i) {
@@ -345,7 +345,7 @@ func (d *downlink) process(p []byte, rewrite bool, j *journal) (out relayOutcome
 					d.flush()
 				}
 				d.heldLine = append(d.heldLine[:0], line...)
-				d.cause = apierr.New(code, "backend ended the stream retryably")
+				d.cause = apierr.New(ae.Code, "backend ended the stream retryably")
 				d.causeTransport = false
 				d.carry = d.carry[:0]
 				return outFailover, true
@@ -411,18 +411,4 @@ func parseBeatSample(line []byte) (int64, bool) {
 		v = v*10 + int64(p[i]-'0')
 	}
 	return v, i > 0
-}
-
-// errorLineCode decodes the typed code of an {"error":{...}} line, "" when
-// the line is not one.
-func errorLineCode(line []byte) apierr.Code {
-	var body struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(line, &body) != nil {
-		return ""
-	}
-	return apierr.Code(body.Error.Code)
 }

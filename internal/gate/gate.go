@@ -1,3 +1,21 @@
+// Package gate is the gateway tier: it routes any number of client
+// connections onto a pool of rpserve backends, keeping per-stream pipeline
+// state correct by stream affinity. The pool is fixed per process. Stream
+// IDs route by rendezvous hashing (Thaler & Ravishankar, 1998): a stream
+// goes to the routable backend with the largest hash weight for its ID.
+// When the gateway restarts with a changed -backend list, only the minimal
+// slice of the key space moves (the removed backend's keys, or the share a
+// new backend takes over), so a fleet-wide reshuffle never happens. The
+// relay path copies bytes verbatim in both directions — binary
+// application/x-rpbeat-samples uplink, NDJSON downlink — through pooled
+// buffers, so a relayed response is byte-identical to the backend's and the
+// steady-state per-chunk cost is allocation-free.
+//
+// The gateway also owns fleet-wide model consistency: POST /v1/models fans
+// out to every backend with catalog.Manifest digest verification, and the
+// health loop cross-checks each backend's catalog digests against the
+// gateway's authoritative view — a backend serving a divergent name@vN is
+// refused routing until it converges.
 package gate
 
 import (
@@ -18,7 +36,7 @@ import (
 	"rpbeat/internal/catalog"
 	"rpbeat/internal/core"
 	"rpbeat/internal/pipeline"
-	"rpbeat/internal/wire"
+	"rpbeat/internal/serve"
 )
 
 // Config describes a gateway over a pool of rpserve backends.
@@ -46,10 +64,12 @@ type Config struct {
 // DefaultHealthInterval is the probe cadence when Config leaves it zero.
 const DefaultHealthInterval = time.Second
 
-// backend is the gateway's view of one pool member. All fields are atomics:
-// the relay path reads them lock-free.
+// backend is the gateway's view of one pool member. url and hash are fixed
+// in newBackend and every other field is an atomic: the relay path reads
+// them lock-free.
 type backend struct {
-	url string
+	url  string
+	hash uint64 // hashKey(url), the backend's side of every routing weight
 
 	// healthy: the backend answers probes (optimistically true at birth).
 	// draining: alive but refusing with a typed retryable code (its own
@@ -72,7 +92,7 @@ type backend struct {
 }
 
 func newBackend(url string) *backend {
-	b := &backend{url: url}
+	b := &backend{url: url, hash: hashKey(url)}
 	b.healthy.Store(true)
 	b.lastErr.Store("")
 	return b
@@ -106,13 +126,10 @@ type Gateway struct {
 	// smaller window breaks that, a larger one only costs memory.
 	window int
 
-	// The pool is fixed in New: members in Config.Backends order (fan-out
-	// and probe order), the ring over their URLs, and the URL -> backend
-	// map the ring's answers resolve through. Nothing writes them after New,
-	// so the relay path reads them without a lock.
-	members  []*backend
-	ring     *Ring
-	backends map[string]*backend
+	// The pool is fixed in New, in Config.Backends order (fan-out and
+	// probe order). Nothing writes it after New, so the relay path reads it
+	// without a lock.
+	members []*backend
 
 	// catMu guards the authoritative ref -> digest view. First sighting of
 	// a ref (an upload fan-out, or the first probe that reports it) becomes
@@ -136,8 +153,8 @@ type Gateway struct {
 	bufs sync.Pool
 }
 
-// lineBufs pools the small buffers behind the gateway's typed error bodies
-// and trailing NDJSON error lines (the same shape internal/serve writes).
+// lineBufs pools the small buffers behind the gateway's trailing NDJSON
+// error lines and rewritten done lines (the shapes internal/serve writes).
 var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 // relayBufBytes is the relay copy-buffer size: large enough that a typical
@@ -158,7 +175,6 @@ func New(cfg Config) (*Gateway, error) {
 		failAfter: cfg.FailAfter,
 		client:    cfg.Client,
 		window:    pipeline.ResyncWarmup(pipeline.Config{}),
-		backends:  make(map[string]*backend, len(cfg.Backends)),
 		digests:   make(map[string]string),
 		closed:    make(chan struct{}),
 	}
@@ -178,21 +194,18 @@ func New(cfg Config) (*Gateway, error) {
 			MaxIdleConnsPerHost: 1024,
 		}}
 	}
-	urls := make([]string, 0, len(cfg.Backends))
 	for _, raw := range cfg.Backends {
 		u, err := normalizeBackend(raw)
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := g.backends[u]; dup {
-			return nil, fmt.Errorf("gate: duplicate backend %s", u)
+		for _, b := range g.members {
+			if b.url == u {
+				return nil, fmt.Errorf("gate: duplicate backend %s", u)
+			}
 		}
-		b := newBackend(u)
-		g.backends[u] = b
-		g.members = append(g.members, b)
-		urls = append(urls, u)
+		g.members = append(g.members, newBackend(u))
 	}
-	g.ring = NewRing(urls)
 	g.bufs.New = func() any { b := make([]byte, relayBufBytes); return &b }
 	if g.runLoop {
 		g.loopWG.Add(1)
@@ -240,10 +253,16 @@ func (g *Gateway) BackendFor(key string) (string, bool) {
 	return b.url, true
 }
 
-// pick resolves a stream key to a routable backend other than skip: ring
-// affinity for keyed requests, round-robin over routable members for keyless
-// ones. skip is nil when a request is first routed, and the backend just
-// lost when a stream fails over.
+// pick resolves a stream key to a routable backend other than skip, nil
+// when there is none. skip is nil when a request is first routed, and the
+// backend just lost when a stream fails over. Keyless requests go
+// round-robin over the routable members. A keyed one goes by rendezvous
+// hashing to the routable member with the largest weight
+// mix64(hashKey(key) ^ b.hash), a tie to the smaller URL, so the choice
+// depends only on the key and the routable URLs, never on -backend order.
+// A backend that leaves loses exactly its own keys, each to that key's
+// next-heaviest member, so they spread over every survivor; one that joins
+// takes only the keys it weighs heaviest for. Allocation-free.
 func (g *Gateway) pick(key string, skip *backend) *backend {
 	if key == "" {
 		n := len(g.members)
@@ -255,15 +274,45 @@ func (g *Gateway) pick(key string, skip *backend) *backend {
 		}
 		return nil
 	}
-	m, ok := g.ring.LookupFunc(key, func(member string) bool {
-		b := g.backends[member]
-		return b != skip && b.routable()
-	})
-	if !ok {
-		return nil
+	h := hashKey(key)
+	var best *backend
+	var bestW uint64
+	for _, b := range g.members {
+		if b == skip || !b.routable() {
+			continue
+		}
+		w := mix64(h ^ b.hash)
+		if best == nil || w > bestW || (w == bestW && b.url < best.url) {
+			best, bestW = b, w
+		}
 	}
-	return g.backends[m]
+	return best
 }
+
+// goldenGamma is the golden-ratio increment (the splitmix64 stream
+// constant), reused from load.PatientSeed's derivation for the same reason:
+// consecutive strides land maximally spread.
+const goldenGamma = 0x9e3779b97f4a7c15
+
+// mix64 is the splitmix64 finalizer: a cheap full-avalanche mix.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// fnv1a is the 64-bit FNV-1a hash of s, unmixed.
+func fnv1a(s string) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 0x100000001b3
+	}
+	return h
+}
+
+// hashKey hashes a stream key or backend URL for routing: FNV-1a folds the
+// bytes, and mix64 finalizes them because FNV alone avalanches poorly.
+func hashKey(s string) uint64 { return mix64(fnv1a(s)) }
 
 // affinityKey extracts the stream identity a request routes by: the
 // X-Stream-Id header (what internal/load sends), falling back to a
@@ -296,23 +345,6 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// writeErr renders a gateway-originated typed error: same pooled
-// wire.AppendError body and Retry-After convention as internal/serve, so
-// clients cannot tell which tier refused them.
-func writeErr(w http.ResponseWriter, err error) {
-	ae := apierr.From(err)
-	bp := lineBufs.Get().(*[]byte)
-	buf := wire.AppendError((*bp)[:0], string(ae.Code), ae.Message)
-	if ae.Retryable() {
-		w.Header().Set("Retry-After", "1")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(ae.HTTPStatus())
-	w.Write(buf)
-	*bp = buf[:0]
-	lineBufs.Put(bp)
-}
-
 // hopHeaders are the per-connection headers a relay must not forward.
 var hopHeaders = []string{
 	"Connection", "Proxy-Connection", "Keep-Alive",
@@ -325,14 +357,14 @@ var hopHeaders = []string{
 func (g *Gateway) relay(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-g.closed:
-		writeErr(w, apierr.New(apierr.CodeShuttingDown, "gateway draining"))
+		serve.WriteErr(w, apierr.New(apierr.CodeShuttingDown, "gateway draining"))
 		return
 	default:
 	}
 	b := g.pick(affinityKey(r), nil)
 	if b == nil {
 		g.shedNoBackend.Add(1)
-		writeErr(w, apierr.New(apierr.CodeServerOverloaded, "gateway: no routable backend for this stream"))
+		serve.WriteErr(w, apierr.New(apierr.CodeServerOverloaded, "gateway: no routable backend for this stream"))
 		return
 	}
 	g.inflight.Add(1)
@@ -354,7 +386,7 @@ func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 
 	out, err := backendRequest(r, b, r.Body)
 	if err != nil {
-		writeErr(w, apierr.New(apierr.CodeInternal, "gateway: building backend request: %v", err))
+		serve.WriteErr(w, apierr.New(apierr.CodeInternal, "gateway: building backend request: %v", err))
 		return
 	}
 	out.ContentLength = r.ContentLength
@@ -362,11 +394,11 @@ func (g *Gateway) relayTo(w http.ResponseWriter, r *http.Request, b *backend) {
 	resp, err := g.client.Do(out)
 	if err != nil {
 		if r.Context().Err() != nil {
-			writeErr(w, r.Context().Err()) // the client gave up, not the backend
+			serve.WriteErr(w, r.Context().Err()) // the client gave up, not the backend
 			return
 		}
 		g.noteBackendError(b, err)
-		writeErr(w, apierr.New(apierr.CodeServerOverloaded,
+		serve.WriteErr(w, apierr.New(apierr.CodeServerOverloaded,
 			"gateway: backend %s unreachable: %v", b.url, err))
 		return
 	}
@@ -598,15 +630,7 @@ func (g *Gateway) get(ctx context.Context, url string) (*http.Response, error) {
 // different offsets instead of hammering in lockstep. FNV-1a folds the key,
 // splitmix64 whitens it, mirroring faultinject's Plan derivation.
 func probeJitter(url string, fails int64, base time.Duration) time.Duration {
-	h := uint64(0xcbf29ce484222325)
-	for i := 0; i < len(url); i++ {
-		h = (h ^ uint64(url[i])) * 0x100000001b3
-	}
-	h ^= uint64(fails)
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
+	h := mix64((fnv1a(url) ^ uint64(fails)) + goldenGamma)
 	// h%2048 maps to [-25%, +25%) of base in 1/4096 steps.
 	off := (int64(h%2048) - 1024) * int64(base) / 4096
 	return base + time.Duration(off)
@@ -788,7 +812,7 @@ type BackendUpload struct {
 func (g *Gateway) uploadModel(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		writeErr(w, apierr.New(apierr.CodeBadInput, "missing ?name= (the model name to version under)"))
+		serve.WriteErr(w, apierr.New(apierr.CodeBadInput, "missing ?name= (the model name to version under)"))
 		return
 	}
 	// core.MaxModelBytes bounds the body, matching the backends.
@@ -796,22 +820,22 @@ func (g *Gateway) uploadModel(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, apierr.New(apierr.CodePayloadTooLarge, "model upload exceeds %d bytes", tooBig.Limit))
+			serve.WriteErr(w, apierr.New(apierr.CodePayloadTooLarge, "model upload exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeErr(w, err)
+		serve.WriteErr(w, err)
 		return
 	}
 	m, err := core.Decode(data)
 	if err != nil {
-		writeErr(w, apierr.New(apierr.CodeBadInput, "%v", err))
+		serve.WriteErr(w, apierr.New(apierr.CodeBadInput, "%v", err))
 		return
 	}
 	// The canonical digest: what every backend must report back. (Version 1
 	// is a placeholder; the digest covers only the model bytes.)
 	man, err := catalog.NewManifest(name, 1, m, nil)
 	if err != nil {
-		writeErr(w, err)
+		serve.WriteErr(w, err)
 		return
 	}
 	digest := man.Digest
@@ -859,14 +883,14 @@ func (g *Gateway) uploadModel(w http.ResponseWriter, r *http.Request) {
 		})
 	switch {
 	case len(failures) > 0:
-		writeErr(w, apierr.New(apierr.CodeInternal,
+		serve.WriteErr(w, apierr.New(apierr.CodeInternal,
 			"gateway: model fan-out incomplete (%d/%d backends): %s; the health loop reconciles divergence",
 			created+existing, members, strings.Join(failures, "; ")))
 		return
 	case created == 0 && existing > 0:
 		// Every backend already held these bytes: surface the same typed
 		// conflict a single backend would.
-		writeErr(w, apierr.New(apierr.CodeModelExists,
+		serve.WriteErr(w, apierr.New(apierr.CodeModelExists,
 			"model %q with digest %.12s… already replicated on all %d backends", name, digest, members))
 		return
 	}
@@ -948,7 +972,7 @@ func (g *Gateway) deleteModel(w http.ResponseWriter, r *http.Request) {
 		})
 	switch {
 	case len(failures) > 0:
-		writeErr(w, apierr.New(apierr.CodeInternal,
+		serve.WriteErr(w, apierr.New(apierr.CodeInternal,
 			"gateway: delete fan-out incomplete (%d/%d backends): %s",
 			deleted+missing, members, strings.Join(failures, "; ")))
 		return
@@ -956,9 +980,9 @@ func (g *Gateway) deleteModel(w http.ResponseWriter, r *http.Request) {
 		// Nowhere to delete from: relay the backends' own typed answer
 		// (model_not_found, or bad_input for a malformed ref).
 		if firstTyped != nil {
-			writeErr(w, firstTyped)
+			serve.WriteErr(w, firstTyped)
 		} else {
-			writeErr(w, apierr.New(apierr.CodeModelNotFound, "no model %q on any backend", ref))
+			serve.WriteErr(w, apierr.New(apierr.CodeModelNotFound, "no model %q on any backend", ref))
 		}
 		return
 	}
@@ -974,7 +998,7 @@ func (g *Gateway) deleteModel(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) setDefault(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4096))
 	if err != nil {
-		writeErr(w, apierr.New(apierr.CodeBadInput, "bad request body: %v", err))
+		serve.WriteErr(w, apierr.New(apierr.CodeBadInput, "bad request body: %v", err))
 		return
 	}
 	var okCount int
@@ -996,11 +1020,11 @@ func (g *Gateway) setDefault(w http.ResponseWriter, r *http.Request) {
 		})
 	switch {
 	case len(failures) > 0:
-		writeErr(w, apierr.New(apierr.CodeInternal,
+		serve.WriteErr(w, apierr.New(apierr.CodeInternal,
 			"gateway: default fan-out incomplete (%d/%d backends): %s",
 			okCount, members, strings.Join(failures, "; ")))
 	case okCount == 0 && firstTyped != nil:
-		writeErr(w, firstTyped) // e.g. model_not_found everywhere
+		serve.WriteErr(w, firstTyped) // e.g. model_not_found everywhere
 	default:
 		var req struct {
 			Model string `json:"model"`

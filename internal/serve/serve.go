@@ -140,7 +140,7 @@ type server struct {
 	scratch sync.Pool
 }
 
-// lineBufs pools the small response buffers behind writeErr and the
+// lineBufs pools the small response buffers behind WriteErr and the
 // /v1/stream beat/summary/error lines, so steady-state serving writes
 // without allocating encoder state per line.
 var lineBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
@@ -204,7 +204,27 @@ type classifyScratch struct {
 	body    []byte             // raw request body bytes
 	samples []int32            // the decoded lead
 	pipe    *pipeline.Pipeline // built for the first request, re-armed by each
+	beats   int                // beats pipe returned last, what its buffer holds
 	resp    []byte             // encoded response
+}
+
+// trim is the scratch's keep policy, applied before it goes back to the
+// pool: it drops every buffer above its keepClassify* bound, and the
+// pipeline when its last result grew the beats buffer past
+// keepClassifyBeats.
+func (sc *classifyScratch) trim() {
+	if cap(sc.body) > keepClassifyBody {
+		sc.body = nil
+	}
+	if cap(sc.samples) > keepClassifySamples {
+		sc.samples = nil
+	}
+	if cap(sc.resp) > keepClassifyResp {
+		sc.resp = nil
+	}
+	if sc.beats > keepClassifyBeats {
+		sc.pipe, sc.beats = nil, 0
+	}
 }
 
 // ErrorResponse is the uniform JSON error body of every endpoint.
@@ -214,11 +234,13 @@ type ErrorResponse struct {
 	Error apierr.Error `json:"error"`
 }
 
-// writeErr renders any error as the typed JSON body, coercing untyped ones
+// WriteErr renders any error as the typed JSON body, coercing untyped ones
 // through apierr.From. The body is built by wire.AppendError in a pooled
 // buffer — byte-identical to the json.Encoder rendering of ErrorResponse,
-// without the per-error encoder allocations.
-func writeErr(w http.ResponseWriter, err error) {
+// without the per-error encoder allocations. It is the one typed-error
+// writer of both HTTP tiers: the gateway renders its own refusals through
+// it too, so clients cannot tell which tier refused them.
+func WriteErr(w http.ResponseWriter, err error) {
 	ae := apierr.From(err)
 	bp := lineBufs.Get().(*[]byte)
 	buf := wire.AppendError((*bp)[:0], string(ae.Code), ae.Message)
@@ -261,11 +283,11 @@ func tenant(r *http.Request) string {
 }
 
 func (s *server) methodNotAllowed(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, apierr.New(apierr.CodeMethodNotAllowed, "%s not allowed on %s", r.Method, r.URL.Path))
+	WriteErr(w, apierr.New(apierr.CodeMethodNotAllowed, "%s not allowed on %s", r.Method, r.URL.Path))
 }
 
 func (s *server) notFound(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, apierr.New(apierr.CodeNotFound, "no route %s", r.URL.Path))
+	WriteErr(w, apierr.New(apierr.CodeNotFound, "no route %s", r.URL.Path))
 }
 
 // HealthResponse is the GET /healthz body: liveness plus the overload
@@ -335,7 +357,7 @@ func (s *server) listModels(w http.ResponseWriter, r *http.Request) {
 func (s *server) uploadModel(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	if name == "" {
-		writeErr(w, apierr.New(apierr.CodeBadInput, "missing ?name= (the model name to version under)"))
+		WriteErr(w, apierr.New(apierr.CodeBadInput, "missing ?name= (the model name to version under)"))
 		return
 	}
 	// core.MaxModelBytes is the codec's own ceiling.
@@ -343,21 +365,21 @@ func (s *server) uploadModel(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeErr(w, apierr.New(apierr.CodePayloadTooLarge,
+			WriteErr(w, apierr.New(apierr.CodePayloadTooLarge,
 				"model upload exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	m, err := core.Decode(data)
 	if err != nil {
-		writeErr(w, apierr.New(apierr.CodeBadInput, "%v", err))
+		WriteErr(w, apierr.New(apierr.CodeBadInput, "%v", err))
 		return
 	}
 	man, err := s.eng.Catalog().Put(name, m, nil)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, man)
@@ -374,7 +396,7 @@ func (s *server) modelDetail(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshot()
 	e, err := snap.Resolve(r.PathValue("ref"))
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	def, _ := snap.Resolve("")
@@ -395,17 +417,17 @@ func (s *server) deleteModel(w http.ResponseWriter, r *http.Request) {
 	ref := r.PathValue("ref")
 	name, version, err := catalog.ParseRef(ref)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	if version == 0 {
-		writeErr(w, apierr.New(apierr.CodeBadInput,
+		WriteErr(w, apierr.New(apierr.CodeBadInput,
 			"delete requires an explicit version (%s@vN), not a floating name", name))
 		return
 	}
 	man, err := s.eng.Catalog().Delete(name, version)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: man.Ref()})
@@ -419,11 +441,11 @@ type DefaultRequest struct {
 func (s *server) setDefault(w http.ResponseWriter, r *http.Request) {
 	var req DefaultRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
-		writeErr(w, apierr.New(apierr.CodeBadInput, "bad request body: %v", err))
+		WriteErr(w, apierr.New(apierr.CodeBadInput, "bad request body: %v", err))
 		return
 	}
 	if err := s.eng.Catalog().SetDefault(req.Model); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"default": req.Model})
@@ -525,58 +547,53 @@ func (s *server) classify(w http.ResponseWriter, r *http.Request) {
 	// Admission first, before the body is read: a shed request costs the
 	// server nothing but the refusal.
 	if err := s.limiter.Allow(tenant(r)); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	if err := s.gate.AcquireBatch(); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	defer s.gate.ReleaseBatch()
 	sc := s.scratch.Get().(*classifyScratch)
 	defer func() {
-		if cap(sc.body) > keepClassifyBody {
-			sc.body = nil
-		}
-		if cap(sc.samples) > keepClassifySamples {
-			sc.samples = nil
-		}
-		if cap(sc.resp) > keepClassifyResp {
-			sc.resp = nil
-		}
+		sc.trim()
 		s.scratch.Put(sc)
 	}()
+	s.classifyIn(sc, w, r)
+}
+
+// classifyIn serves one admitted /v1/classify request out of sc.
+func (s *server) classifyIn(sc *classifyScratch, w http.ResponseWriter, r *http.Request) {
 	model, samples, err := s.decodeClassifyRequest(sc, r, http.MaxBytesReader(w, r.Body, maxClassifyBytes))
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	if len(samples) == 0 {
-		writeErr(w, apierr.New(apierr.CodeBadInput, "no samples"))
+		WriteErr(w, apierr.New(apierr.CodeBadInput, "no samples"))
 		return
 	}
 	entry, err := s.snapshot().Resolve(model)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	if sc.pipe == nil {
 		if sc.pipe, err = pipeline.New(entry.Emb, pipeline.Config{}); err != nil {
-			writeErr(w, err)
+			WriteErr(w, err)
 			return
 		}
 	}
 	beats, err := sc.pipe.Classify(r.Context(), entry.Emb, samples)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	// The response is encoded before the deferred Put, so the pooled
 	// buffers are never aliased by a live request.
 	sc.resp = wire.AppendClassifyResponse(sc.resp[:0], entry.Manifest.Ref(), beats)
-	if len(beats) > keepClassifyBeats {
-		sc.pipe = nil
-	}
+	sc.beats = len(beats)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(sc.resp)
@@ -622,11 +639,11 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// ladder's "degrade to batch-only" rung); the client saw a contract
 	// error before a single body byte was read.
 	if err := s.limiter.Allow(tenant(r)); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	if err := s.gate.AcquireStream(); err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	defer s.gate.ReleaseStream()
@@ -636,7 +653,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// first response write.
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil && r.ProtoMajor == 1 {
-		writeErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
+		WriteErr(w, apierr.New(apierr.CodeInternal, "full-duplex streaming unsupported: %v", err))
 		return
 	}
 	// Runs last, once no sink can write: every exit below, early ones
@@ -719,7 +736,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 	// can suppress the already-delivered prefix by sample index alone.
 	resumeFrom, err := resumeBase(r)
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 
@@ -741,7 +758,7 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 			beats += len(res) // sink calls are serialized per stream
 		})
 	if err != nil {
-		writeErr(w, err)
+		WriteErr(w, err)
 		return
 	}
 	model := st.Entry().Manifest.Ref()

@@ -180,21 +180,26 @@ func TestStreamBinaryBadFrame(t *testing.T) {
 	wantAPIError(t, resp, http.StatusRequestEntityTooLarge, apierr.CodePayloadTooLarge)
 }
 
-// TestClassifyPoolDropsHugeBuffers sends one maximal binary /v1/classify
+// TestClassifyPoolDropsHugeBuffers serves one maximal binary /v1/classify
 // request (maxClassifySamples samples, a 60 s ecgsyn lead over and over)
-// and then five 60 s ones through one handler. What the handler keeps live
-// afterwards must stay within 64 KiB of what five 60 s requests alone
-// leave: the pooled scratch drops any buffer above its keep bound, and the
-// pipeline whose beats buffer grew past keepClassifyBeats, before it goes
-// back to the pool, so the huge request's body, decoded lead, beats and
-// response do not outlive it. The heap is read after one GC, which moves the pool's
-// entries to its victim cache but keeps them live.
+// between 60 s ones out of one scratch, applying the keep policy after
+// each as the handler does before the scratch goes back to its pool. A 60 s
+// request keeps every buffer and the pipeline for the next one. The
+// maximal one grows each buffer past its keepClassify* bound and its
+// pipeline's beats buffer past keepClassifyBeats, and none of them
+// survives the policy, so its body, decoded lead, beats and response do
+// not outlive it. The test holds the scratch itself rather than reading
+// the heap around the pool: under -race, sync.Pool drops a random quarter
+// of its Puts.
 func TestClassifyPoolDropsHugeBuffers(t *testing.T) {
 	m, _ := testTrainedModel(t)
 	cat := catalog.New()
 	if _, err := cat.Put("default", m, nil); err != nil {
 		t.Fatal(err)
 	}
+	eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: 1})
+	defer eng.Close()
+	s := &server{eng: eng}
 	minute := ecgsyn.Synthesize(ecgsyn.RecordSpec{Name: "keep", Seconds: 60, Seed: 8, PVCRate: 0.1}).Leads[0]
 	small := wire.AppendFrames(nil, minute, 0)
 	huge := func() []byte {
@@ -203,40 +208,42 @@ func TestClassifyPoolDropsHugeBuffers(t *testing.T) {
 		}
 		return wire.AppendFrames(nil, lead, 0)
 	}()
-	liveHeap := func() int64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
-	// kept serves the bodies in order through a new handler and returns
-	// the live heap it grew by; the test holds the bodies throughout.
-	kept := func(bodies ...[]byte) int64 {
-		eng := pipeline.NewEngine(cat, pipeline.EngineConfig{Workers: 1})
-		defer eng.Close()
-		h := NewHandler(eng, HandlerConfig{})
-		before := liveHeap()
-		for _, body := range bodies {
-			req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
-			req.Header.Set("Content-Type", wire.ContentTypeSamples)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("%d-byte request: %d: %s", len(body), rec.Code, rec.Body.Bytes())
-			}
+	sc := new(classifyScratch)
+	serveIn := func(body []byte) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(body))
+		req.Header.Set("Content-Type", wire.ContentTypeSamples)
+		rec := httptest.NewRecorder()
+		s.classifyIn(sc, rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%d-byte request: %d: %s", len(body), rec.Code, rec.Body.Bytes())
 		}
-		grew := liveHeap() - before
-		runtime.KeepAlive(h)
-		runtime.KeepAlive(bodies)
-		return grew
 	}
-	alone := kept(small, small, small, small, small)
-	after := kept(huge, small, small, small, small, small)
-	t.Logf("live heap kept: %d B after five 60 s requests, %d B after a %d-byte request and five 60 s ones",
-		alone, after, len(huge))
-	if after-alone > 64<<10 {
-		t.Fatalf("a maximal request leaves %d B more live heap than five 60 s requests alone, want <= 64 KiB", after-alone)
+	keptAll := func(after string) {
+		t.Helper()
+		sc.trim()
+		if sc.body == nil || sc.samples == nil || sc.resp == nil || sc.pipe == nil {
+			t.Fatalf("after %s the scratch kept body %v, samples %v, response %v, pipeline %v; want all",
+				after, sc.body != nil, sc.samples != nil, sc.resp != nil, sc.pipe != nil)
+		}
 	}
+
+	serveIn(small)
+	keptAll("a 60 s request")
+	serveIn(huge)
+	t.Logf("a %d-byte request grew body %d B, samples %d, response %d B, beats %d",
+		len(huge), cap(sc.body), cap(sc.samples), cap(sc.resp), sc.beats)
+	if cap(sc.body) <= keepClassifyBody || cap(sc.samples) <= keepClassifySamples ||
+		cap(sc.resp) <= keepClassifyResp || sc.beats <= keepClassifyBeats {
+		t.Fatal("the maximal request stayed within a keep bound, so the policy is not exercised")
+	}
+	sc.trim()
+	if sc.body != nil || sc.samples != nil || sc.resp != nil || sc.pipe != nil {
+		t.Fatalf("after the maximal request the scratch kept body %d B, samples %d, response %d B, pipeline %v; want none",
+			cap(sc.body), cap(sc.samples), cap(sc.resp), sc.pipe != nil)
+	}
+	serveIn(small)
+	keptAll("a 60 s request that follows the maximal one")
 }
 
 // TestStreamEarlyErrorThenFollowUp ends /v1/stream requests with a typed

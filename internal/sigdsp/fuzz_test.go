@@ -137,7 +137,8 @@ func FuzzFrontEndChunks(f *testing.F) {
 }
 
 // FuzzBaselineWedge holds the baseline wedge to the batch operators on any
-// float64 input in the front end's domain, ±0 ties included, which
+// float64 input in the wedge's own domain, every non-NaN float64: wider
+// than the front end's finite one, so ±Inf too, and ±0 ties, which
 // FuzzFrontEndChunks's counts never produce. samples are little-endian
 // float64 bits, NaN dropped as out of the domain; length is the element
 // length, 1 to 200, which covers the filter's 73, 109 and 181; and each

@@ -87,6 +87,12 @@ func Load(dir, name string) (*Record, error) {
 		if s.Format != 212 {
 			return nil, fmt.Errorf("wfdb: unsupported format %d (only 212)", s.Format)
 		}
+		// Samples convert as (v - ADCZero) / Gain with v - ADCZero in
+		// int32, which a zero near ±2³¹ wraps; a zero the format's 12-bit
+		// samples cannot hold is a malformed header.
+		if s.ADCZero < -2048 || s.ADCZero > 2047 {
+			return nil, fmt.Errorf("wfdb: adc zero %d outside format 212's sample range [-2048, 2047]", s.ADCZero)
+		}
 		if s.FileName != h.Signals[0].FileName {
 			return nil, fmt.Errorf("wfdb: multi-file records unsupported")
 		}

@@ -133,7 +133,9 @@ func ParseHeader(r io.Reader) (Header, error) {
 		if s.ADCRes, err = strconv.Atoi(fields[3]); err != nil {
 			return h, fmt.Errorf("wfdb: bad adc resolution: %v", err)
 		}
-		z, err := strconv.Atoi(fields[4])
+		// A zero past int32 is refused here, not truncated; Load bounds it
+		// further to the format's sample range.
+		z, err := strconv.ParseInt(fields[4], 10, 32)
 		if err != nil {
 			return h, fmt.Errorf("wfdb: bad adc zero: %v", err)
 		}

@@ -2,6 +2,7 @@ package wfdb
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -306,6 +307,57 @@ func TestSaveLoadRecord(t *testing.T) {
 	}
 	if got.Descriptions[0] != "MLII" || got.Descriptions[2] != "V5" {
 		t.Fatalf("descriptions: %v", got.Descriptions)
+	}
+}
+
+// TestLoadADCZeroRange: samples convert as (v - ADCZero) / Gain with the
+// difference in int32, so Load takes a zero only inside format 212's
+// 12-bit sample range, and a zero past int32 fails the header rather than
+// wrapping into that range.
+func TestLoadADCZeroRange(t *testing.T) {
+	cases := []struct {
+		zero string
+		ok   bool
+	}{
+		{"-2048", true},
+		{"0", true},
+		{"1024", true},
+		{"2047", true},
+		{"-2049", false},
+		{"2048", false},
+		{"2147483647", false},
+		{"-2147483648", false},
+		{"2147483648", false},  // one past int32: int32() made it -2³¹
+		{"4294968320", false},  // 2³² + 1024: int32() made it 1024
+		{"-4294966272", false}, // -2³² + 1024: likewise
+	}
+	for _, c := range cases {
+		dir := t.TempDir()
+		rec := &Record{Name: "z", Fs: 360, Gain: 200, ADCZero: 1024, Signals: [][]int32{{1, 2, 3, 4}}}
+		if err := Save(dir, rec); err != nil {
+			t.Fatal(err)
+		}
+		hea := dir + "/z.hea"
+		data, err := osReadFile(hea)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(data), "\n")
+		fields := strings.Fields(lines[1])
+		fields[4] = c.zero
+		lines[1] = strings.Join(fields, " ")
+		if err := osWriteFile(hea, []byte(strings.Join(lines, "\n"))); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(dir, "z")
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("adc zero %s: %v", c.zero, err)
+		case c.ok && strconv.Itoa(int(got.ADCZero)) != c.zero:
+			t.Errorf("adc zero %s loaded as %d", c.zero, got.ADCZero)
+		case !c.ok && err == nil:
+			t.Errorf("adc zero %s loaded as %d, want an error", c.zero, got.ADCZero)
+		}
 	}
 }
 
